@@ -72,11 +72,16 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _parse_rationals(text: str):
+def _parse_rational(text: str) -> Fraction:
     try:
-        return [Fraction(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError:
-        raise InputError(f"cannot parse rational list {text!r}") from None
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise InputError(f"cannot parse rational number {text!r}") from None
+
+
+def _parse_rationals(text: str):
+    return [_parse_rational(part) for part in text.split(",")
+            if part.strip() != ""]
 
 
 def _parse_indices(text: str):
@@ -188,7 +193,7 @@ def _orbit_output(args) -> str:
         weight = _parse_rationals(args.weight)
     else:
         weight = rootgkm.monotone_weight(family, args.rank, parabolic,
-                                         Fraction(args.kappa))
+                                         _parse_rational(args.kappa))
     spec = rootgkm.make_orbit_spec(family, args.rank, parabolic, weight)
 
     if args.action == "chern":
@@ -203,7 +208,7 @@ def _orbit_output(args) -> str:
 
     if args.action == "monotone-weight":
         lam = rootgkm.monotone_weight(family, args.rank, parabolic,
-                                      Fraction(args.kappa))
+                                      _parse_rational(args.kappa))
         if args.format == "json":
             return _json_text([str(x) for x in lam])
         return ",".join(str(x) for x in lam) + "\n"

@@ -2,13 +2,19 @@
 and the minimum-area chain bound for coadjoint orbits.
 
 Vectors live in the standard coordinate realizations with exact ``Fraction``
-entries.  Weyl groups are generated by breadth-first closure over the simple
-reflections acting on ambient coordinates, so element lengths come for free
-from the search depth.  The graph of torus-fixed points and invariant curves
-has one vertex per coset of the parabolic subgroup and one edge germ per
-crossing positive root; the oscillation bound is a minimum-weight path
-between the identity coset and the coset of the longest element, computed
-by Dijkstra's algorithm over exact rationals with deterministic tie breaks
+entries.  There every Weyl group element maps each coordinate axis to an
+axis, up to sign, so an element is stored as a signed permutation: a tuple
+``w`` of signed 1-based indices with ``w(e_j) = +-e_p`` for ``w[j-1] = +-p``.
+Weyl groups are generated by breadth-first closure over right
+multiplication by the simple reflections, so element lengths come for free
+from the search depth.  Everything that depends only on the group and the
+parabolic subset (coset representatives, edge germs, crossing roots and
+their degrees, the coset of the longest element) is computed once and
+cached.  The graph of torus-fixed points and invariant curves has one
+vertex per coset of the parabolic subgroup and one edge germ per crossing
+positive root; the oscillation bound is a minimum-weight path between the
+identity coset and the coset of the longest element, computed by
+Dijkstra's algorithm over exact rationals with deterministic tie breaks
 (fewest edges, then vertex order).
 """
 
@@ -18,13 +24,13 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from . import linalg
-from .errors import InvalidShape, NotRegular, TooLarge, UnsupportedType
+from .errors import (ComputeError, InvalidShape, NotRegular, TooLarge,
+                     UnsupportedType)
 
 Vector = tuple
-Matrix = tuple
 
 
 def dot(u: Vector, v: Vector) -> Fraction:
@@ -39,16 +45,6 @@ def pairing(weight: Vector, root: Vector) -> Fraction:
 def coroot(root: Vector) -> Vector:
     scale = Fraction(2) / dot(root, root)
     return tuple(scale * x for x in root)
-
-
-def _vec(values) -> Vector:
-    return tuple(Fraction(x) for x in values)
-
-
-def _unit(dim: int, i: int, value=1) -> list:
-    v = [Fraction(0)] * dim
-    v[i] = Fraction(value)
-    return v
 
 
 @dataclass(frozen=True)
@@ -79,105 +75,83 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     if family == "D" and rank < 2:
         raise InvalidShape("type D needs rank >= 2")
 
-    if family == "A":
-        dim = rank + 1
-        simple = [
-            tuple(a - b for a, b in zip(_unit(dim, i), _unit(dim, i + 1)))
-            for i in range(rank)
-        ]
-        positive = [
-            tuple(a - b for a, b in zip(_unit(dim, i), _unit(dim, j)))
-            for i in range(dim)
-            for j in range(i + 1, dim)
-        ]
-    else:
-        dim = rank
-        simple = [
-            tuple(a - b for a, b in zip(_unit(dim, i), _unit(dim, i + 1)))
-            for i in range(rank - 1)
-        ]
-        positive = [
-            tuple(a - b for a, b in zip(_unit(dim, i), _unit(dim, j)))
-            for i in range(dim)
-            for j in range(i + 1, dim)
-        ] + [
-            tuple(a + b for a, b in zip(_unit(dim, i), _unit(dim, j)))
-            for i in range(dim)
-            for j in range(i + 1, dim)
-        ]
-        if family == "B":
-            simple.append(tuple(_unit(dim, rank - 1)))
-            positive += [tuple(_unit(dim, i)) for i in range(dim)]
-        elif family == "C":
-            simple.append(tuple(_unit(dim, rank - 1, 2)))
-            positive += [tuple(_unit(dim, i, 2)) for i in range(dim)]
-        else:
-            simple.append(tuple(
-                a + b for a, b in zip(_unit(dim, rank - 2), _unit(dim, rank - 1))))
+    dim = rank + 1 if family == "A" else rank
+    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
 
-    rs = RootSystem(family, rank, dim, tuple(simple), tuple(positive))
+    def vec(*terms):
+        """The sum of c * e_i over the (i, c) in ``terms``."""
+        v = [Fraction(0)] * dim
+        for i, c in terms:
+            v[i] += c
+        return tuple(v)
+
+    simple = [vec((i, 1), (i + 1, -1)) for i in range(dim - 1)]
+    positive = [vec((i, 1), (j, -1)) for i, j in pairs]
+    if family != "A":
+        positive += [vec((i, 1), (j, 1)) for i, j in pairs]
+    if family == "B":
+        simple.append(vec((rank - 1, 1)))
+        positive += [vec((i, 1)) for i in range(dim)]
+    elif family == "C":
+        simple.append(vec((rank - 1, 2)))
+        positive += [vec((i, 2)) for i in range(dim)]
+    elif family == "D":
+        simple.append(vec((rank - 2, 1), (rank - 1, 1)))
+
     expected = {"A": rank * (rank + 1) // 2, "B": rank * rank,
                 "C": rank * rank, "D": rank * (rank - 1)}[family]
-    assert len(rs.positive_roots) == expected
-    return rs
+    if len(positive) != expected:
+        raise ComputeError(
+            f"{family}{rank}: built {len(positive)} positive roots, "
+            f"expected {expected}")
+    return RootSystem(family, rank, dim, tuple(simple), tuple(positive))
 
 
-def reflection_matrix(root: Vector, dim: int) -> Matrix:
+def act(w: tuple, v: Vector) -> Vector:
+    """Image of the vector ``v`` under the signed permutation ``w``."""
+    out = list(v)
+    for x, value in zip(w, v):
+        out[abs(x) - 1] = value if x > 0 else -value
+    return tuple(out)
+
+
+def _reflection(root: Vector) -> tuple:
+    """The reflection in ``root`` as a signed permutation."""
     co = coroot(root)
-    return tuple(
-        tuple(
-            (Fraction(1) if i == j else Fraction(0)) - root[i] * co[j]
-            for j in range(dim)
-        )
-        for i in range(dim)
-    )
-
-
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    return tuple(
-        tuple(sum((a[i][t] * b[t][j] for t in range(n)), Fraction(0))
-              for j in range(n))
-        for i in range(n)
-    )
-
-
-def _mat_vec(a: Matrix, v: Vector) -> Vector:
-    return tuple(sum((row[j] * v[j] for j in range(len(v))), Fraction(0))
-                 for row in a)
-
-
-def _identity(dim: int) -> Matrix:
-    return tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(dim))
-        for i in range(dim)
-    )
+    w = []
+    for j in range(len(root)):
+        image = [(t == j) - co[j] * x for t, x in enumerate(root)]
+        if sorted(map(abs, image)) != [0] * (len(root) - 1) + [1]:
+            raise ComputeError(f"reflection in {root} is not a signed permutation")
+        w.extend(int(x) * (t + 1) for t, x in enumerate(image) if x)
+    return tuple(w)
 
 
 @lru_cache(maxsize=None)
 def weyl_elements(family: str, rank: int):
-    """All Weyl group elements as (matrix, shortest word) in search order.
+    """All Weyl group elements as (signed permutation, shortest word) in
+    search order.
 
     Breadth-first closure over right multiplication by simple reflections;
     the level at which an element first appears is its Coxeter length, and
     within a level words are produced in lexicographic order.
     """
     rs = build_root_system(family, rank)
-    gens = [reflection_matrix(r, rs.dim) for r in rs.simple_roots]
-    start = _identity(rs.dim)
-    seen = {start: ()}
+    gens = [_reflection(r) for r in rs.simple_roots]
+    start = tuple(range(1, rs.dim + 1))
+    seen = {start}
     order = [(start, ())]
     frontier = [(start, ())]
     while frontier:
         new_frontier = []
-        for mat, word in frontier:
-            for i, g in enumerate(gens):
-                nxt = _mat_mul(mat, g)
+        for w, word in frontier:
+            for i, g in enumerate(gens, start=1):
+                # (w . g)(e_j) = w(g(e_j))
+                nxt = tuple(w[x - 1] if x > 0 else -w[-x - 1] for x in g)
                 if nxt not in seen:
-                    nword = word + (i + 1,)
-                    seen[nxt] = nword
-                    order.append((nxt, nword))
-                    new_frontier.append((nxt, nword))
+                    seen.add(nxt)
+                    new_frontier.append((nxt, word + (i,)))
+        order.extend(new_frontier)
         frontier = new_frontier
     return tuple(order)
 
@@ -187,12 +161,13 @@ def weyl_order(family: str, rank: int) -> int:
 
 
 def longest_element(family: str, rank: int):
-    """The unique element of maximal length, with its word."""
+    """The unique element of maximal length, as (signed permutation, word).
+
+    The search lists elements by length, so it is the last one."""
     elements = weyl_elements(family, rank)
-    top_len = len(elements[-1][1])
-    top = [e for e in elements if len(e[1]) == top_len]
-    assert len(top) == 1
-    return top[0]
+    if len(elements) > 1 and len(elements[-2][1]) == len(elements[-1][1]):
+        raise ComputeError(f"{family}{rank}: the longest element is not unique")
+    return elements[-1]
 
 
 @lru_cache(maxsize=None)
@@ -214,24 +189,40 @@ def fundamental_weights(rs: RootSystem):
     return tuple(weights)
 
 
-def coroot_coordinates(rs: RootSystem, root: Vector):
-    """Coefficients of the coroot over the simple coroots.
+@lru_cache(maxsize=None)
+def _root_coordinates(family: str, rank: int) -> dict:
+    """root -> (coroot coordinates, simple-root coordinates), for every root.
 
-    Pairing against the fundamental weights reads them off directly:
+    Pairing against the fundamental weights reads off the first directly:
     <w_a, x> picks the a-th coordinate of any x in the coroot lattice.
     """
+    rs = build_root_system(family, rank)
     weights = fundamental_weights(rs)
-    return tuple(pairing(weights[a], root) for a in range(rs.rank))
+    table = {}
+    for root in rs.roots:
+        co = tuple(pairing(w, root) for w in weights)
+        norm = dot(root, root)
+        table[root] = (co, tuple(
+            co[a] * norm / dot(rs.simple_roots[a], rs.simple_roots[a])
+            for a in range(rank)))
+    return table
+
+
+def _coordinates(rs: RootSystem, root: Vector):
+    try:
+        return _root_coordinates(rs.family, rs.rank)[tuple(root)]
+    except KeyError:
+        raise InvalidShape(f"{root} is not a root of {rs!r}") from None
+
+
+def coroot_coordinates(rs: RootSystem, root: Vector):
+    """Coefficients of the coroot of ``root`` over the simple coroots."""
+    return _coordinates(rs, root)[0]
 
 
 def simple_root_coordinates(rs: RootSystem, root: Vector):
     """Coefficients of a root over the simple roots (exact, integral)."""
-    d = coroot_coordinates(rs, root)
-    norm = dot(root, root)
-    return tuple(
-        d[a] * norm / dot(rs.simple_roots[a], rs.simple_roots[a])
-        for a in range(rs.rank)
-    )
+    return _coordinates(rs, root)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +248,8 @@ class OrbitSpec:
         for i in self.parabolic:
             if not 1 <= i <= rs.rank:
                 raise InvalidShape(f"parabolic index {i} out of range 1..{rs.rank}")
+        if len(pset) != len(self.parabolic):
+            raise InvalidShape(f"parabolic indices {self.parabolic} repeat")
         if len(self.weight) != rs.dim:
             raise InvalidShape(
                 f"weight has {len(self.weight)} coordinates, expected {rs.dim}")
@@ -273,7 +266,8 @@ class OrbitSpec:
 
 def make_orbit_spec(family: str, rank: int, parabolic, weight) -> OrbitSpec:
     rs = build_root_system(family, rank)
-    return OrbitSpec(rs, tuple(sorted(parabolic)), _vec(weight))
+    return OrbitSpec(rs, tuple(sorted(parabolic)),
+                     tuple(Fraction(x) for x in weight))
 
 
 def crossing_roots(rs: RootSystem, parabolic) -> tuple:
@@ -291,16 +285,17 @@ def chern_numbers(spec: OrbitSpec) -> dict:
     """Pairings of the anticanonical weight with the crossing simple coroots,
     and their gcd N."""
     rs = spec.root_system
-    crossing = crossing_roots(rs, spec.parabolic)
-    total = tuple(
-        sum((r[t] for r in crossing), Fraction(0)) for t in range(rs.dim))
+    total = monotone_weight(rs.family, rs.rank, spec.parabolic)
     pset = set(spec.parabolic)
     values = {}
     for a in range(rs.rank):
         if (a + 1) in pset:
             continue
         value = pairing(total, rs.simple_roots[a])
-        assert value.denominator == 1 and value > 0
+        if value.denominator != 1 or value <= 0:
+            raise ComputeError(
+                f"Chern number of simple root {a + 1} is {value}, "
+                "not a positive integer")
         values[a + 1] = int(value)
     n = 0
     for v in values.values():
@@ -340,51 +335,75 @@ def is_monotone(spec: OrbitSpec):
 # cosets and the fixed-point graph
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _coset_skeleton(family: str, rank: int, parabolic: tuple):
-    """Combinatorial data independent of the particular regular weight.
+@dataclass(frozen=True)
+class _Skeleton:
+    reps: tuple       # (signed permutation, word) per coset, identity first
+    crossing: tuple   # crossing positive roots
+    degrees: tuple    # coroot coordinates of each crossing root on ``free``
+    free: tuple       # 1-based indices of S minus S_P
+    pairs: tuple      # (u, v, crossing root indices of the germs joining them)
+    adjacency: tuple  # per coset, the indices into ``pairs`` that touch it
+    w0_index: int     # coset of the longest element
 
-    Returns (reps, germs) where reps is a list of (matrix, word) of
-    minimal-length coset representatives (identity first) and germs is a
-    list of (source_index, target_index, crossing_root_index) triples.
+
+@lru_cache(maxsize=None)
+def _coset_skeleton(family: str, rank: int, parabolic: tuple) -> _Skeleton:
+    """Everything about W / W_P that does not depend on the regular weight.
+
+    Representatives are the first element of each coset in search order,
+    which is of minimal length.  Germs u -> u . s_alpha, one per coset and
+    crossing root, are grouped by unordered vertex pair with u < v, in
+    sorted order.
     """
     rs = build_root_system(family, rank)
     pset = set(parabolic)
-    # reference vector regular for exactly this parabolic
+    free = tuple(a + 1 for a in range(rs.rank) if (a + 1) not in pset)
+    # reference vector regular for exactly this parabolic, scaled to integers
     weights = fundamental_weights(rs)
-    ref = [Fraction(0)] * rs.dim
-    for a in range(rs.rank):
-        if (a + 1) not in pset:
-            for t in range(rs.dim):
-                ref[t] += weights[a][t]
-    ref = tuple(ref)
+    ref = [sum((weights[a - 1][t] for a in free), Fraction(0))
+           for t in range(rs.dim)]
+    scale = lcm(*(x.denominator for x in ref))
+    ref = tuple(int(x * scale) for x in ref)
 
     reps = []
     key_to_index = {}
-    for mat, word in weyl_elements(family, rank):
-        key = _mat_vec(mat, ref)
+    for w, word in weyl_elements(family, rank):
+        key = act(w, ref)
         if key not in key_to_index:
             key_to_index[key] = len(reps)
-            reps.append((mat, word))
+            reps.append((w, word))
 
     crossing = crossing_roots(rs, parabolic)
-    # u . s_alpha applied to ref is u(s_alpha(ref)): one matrix-vector product
-    reflected_refs = [
-        _mat_vec(reflection_matrix(r, rs.dim), ref) for r in crossing
-    ]
-    germs = []
-    for idx, (mat, _) in enumerate(reps):
+    degrees = []
+    for r in crossing:
+        coords = coroot_coordinates(rs, r)
+        if any(c.denominator != 1 for c in coords):
+            raise ComputeError(f"coroot of {r} is not integral: {coords}")
+        degrees.append(tuple(int(coords[a - 1]) for a in free))
+
+    # u . s_alpha applied to ref is u(s_alpha(ref))
+    reflected_refs = [act(_reflection(r), ref) for r in crossing]
+    germs = {}
+    for u, (w, _) in enumerate(reps):
         for r_idx, s_ref in enumerate(reflected_refs):
-            target = _mat_vec(mat, s_ref)
-            germs.append((idx, key_to_index[target], r_idx))
-    return tuple(reps), tuple(germs)
+            v = key_to_index[act(w, s_ref)]
+            germs.setdefault((min(u, v), max(u, v)), set()).add(r_idx)
+    pairs = tuple((u, v, tuple(sorted(r))) for (u, v), r in sorted(germs.items()))
+    adjacency = [[] for _ in reps]
+    for p_idx, (u, v, _) in enumerate(pairs):
+        adjacency[u].append(p_idx)
+        adjacency[v].append(p_idx)
+
+    w0, _ = longest_element(family, rank)
+    return _Skeleton(tuple(reps), crossing, tuple(degrees), free, pairs,
+                     tuple(map(tuple, adjacency)), key_to_index[act(w0, ref)])
 
 
 def weyl_cosets(spec: OrbitSpec):
-    """Minimal-length representatives of W / W_P as (matrix, word) pairs."""
-    reps, _ = _coset_skeleton(
-        spec.root_system.family, spec.root_system.rank, spec.parabolic)
-    return list(reps)
+    """Minimal-length representatives of W / W_P as (signed permutation,
+    word) pairs."""
+    rs = spec.root_system
+    return list(_coset_skeleton(rs.family, rs.rank, spec.parabolic).reps)
 
 
 @dataclass(frozen=True)
@@ -413,35 +432,19 @@ class GkmGraph:
 
 def gkm_graph(spec: OrbitSpec) -> GkmGraph:
     """Fixed points and invariant curves, with parallel germs merged to the
-    cheapest one."""
+    cheapest one.  Edges are in the order of the skeleton's vertex pairs."""
     rs = spec.root_system
-    reps, germs = _coset_skeleton(rs.family, rs.rank, spec.parabolic)
-    crossing = crossing_roots(rs, spec.parabolic)
-    pset = set(spec.parabolic)
-    free = tuple(a + 1 for a in range(rs.rank) if (a + 1) not in pset)
-
-    weights = [pairing(spec.weight, r) for r in crossing]
-    degrees = []
-    for r in crossing:
-        coords = coroot_coordinates(rs, r)
-        assert all(c.denominator == 1 for c in coords)
-        degrees.append(tuple(int(coords[a - 1]) for a in free))
-
+    sk = _coset_skeleton(rs.family, rs.rank, spec.parabolic)
+    weights = [pairing(spec.weight, r) for r in sk.crossing]
     vertices = tuple(
-        GkmVertex(i, word, _mat_vec(mat, spec.weight))
-        for i, (mat, word) in enumerate(reps)
+        GkmVertex(i, word, act(w, spec.weight))
+        for i, (w, word) in enumerate(sk.reps)
     )
-    best = {}
-    for u, v, r_idx in germs:
-        key = (u, v) if u < v else (v, u)
-        cand = (weights[r_idx], r_idx)
-        if key not in best or cand < best[key]:
-            best[key] = cand
-    edges = tuple(
-        GkmEdge(u, v, crossing[r_idx], w, degrees[r_idx])
-        for (u, v), (w, r_idx) in sorted(best.items())
-    )
-    return GkmGraph(vertices, edges, len(crossing), free)
+    edges = []
+    for u, v, r_indices in sk.pairs:
+        cost, r_idx = min((weights[r], r) for r in r_indices)
+        edges.append(GkmEdge(u, v, sk.crossing[r_idx], cost, sk.degrees[r_idx]))
+    return GkmGraph(vertices, tuple(edges), len(sk.crossing), sk.free)
 
 
 @dataclass(frozen=True)
@@ -458,16 +461,8 @@ def hz_upper_bound(spec: OrbitSpec) -> CapacityBound:
     paths give the minimum over invariant chains."""
     graph = gkm_graph(spec)
     rs = spec.root_system
-    reps, _ = _coset_skeleton(rs.family, rs.rank, spec.parabolic)
-    source = 0
-    w0_mat, _ = longest_element(rs.family, rs.rank)
-    w0_point = _mat_vec(w0_mat, spec.weight)
-    target = next(v.index for v in graph.vertices if v.point == w0_point)
-
-    adjacency = {}
-    for e_idx, e in enumerate(graph.edges):
-        adjacency.setdefault(e.source, []).append((e.target, e_idx))
-        adjacency.setdefault(e.target, []).append((e.source, e_idx))
+    sk = _coset_skeleton(rs.family, rs.rank, spec.parabolic)
+    source, target = 0, sk.w0_index
 
     dist = {source: (Fraction(0), 0)}
     parent = {}
@@ -480,10 +475,12 @@ def hz_upper_bound(spec: OrbitSpec) -> CapacityBound:
         done.add(u)
         if u == target:
             break
-        for v, e_idx in adjacency.get(u, ()):
+        for e_idx in sk.adjacency[u]:
+            edge = graph.edges[e_idx]
+            v = edge.target if edge.source == u else edge.source
             if v in done:
                 continue
-            cand = (d + graph.edges[e_idx].weight, n_edges + 1)
+            cand = (d + edge.weight, n_edges + 1)
             if v not in dist or (cand[0], cand[1], u) < (
                     dist[v][0], dist[v][1], parent[v][0]):
                 dist[v] = cand
@@ -517,9 +514,7 @@ def brute_force_bound(spec: OrbitSpec, max_edges: int | None = None) -> Fraction
     if n > 30:
         raise TooLarge(f"{n} cosets exceed the brute-force guard of 30")
     rs = spec.root_system
-    w0_mat, _ = longest_element(rs.family, rs.rank)
-    w0_point = _mat_vec(w0_mat, spec.weight)
-    target = next(v.index for v in graph.vertices if v.point == w0_point)
+    target = _coset_skeleton(rs.family, rs.rank, spec.parabolic).w0_index
     if max_edges is None:
         max_edges = n - 1
 
@@ -616,8 +611,8 @@ def to_dot(spec: OrbitSpec, graph: GkmGraph | None = None) -> str:
 
 def bound_to_json(spec: OrbitSpec, result: CapacityBound) -> dict:
     rs = spec.root_system
-    graph_free = [a for a in range(1, rs.rank + 1) if a not in set(spec.parabolic)]
-    reps, _ = _coset_skeleton(rs.family, rs.rank, spec.parabolic)
+    sk = _coset_skeleton(rs.family, rs.rank, spec.parabolic)
+    reps = sk.reps
     chain = []
     for e in result.chain:
         chain.append({
@@ -629,5 +624,5 @@ def bound_to_json(spec: OrbitSpec, result: CapacityBound) -> dict:
     return {
         "bound": str(result.bound),
         "chain": chain,
-        "degree": {f"a{a}": d for a, d in zip(graph_free, result.degree)},
+        "degree": {f"a{a}": d for a, d in zip(sk.free, result.degree)},
     }

@@ -1,10 +1,26 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from qeuler.cli import main
 from qeuler.presented import bundled_ig26_path
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).parents[1] / "src"
+
+
+def run_module(*argv, flags=()):
+    """Run ``python [flags] -m qeuler argv`` in a fresh interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "qeuler", *argv],
+        capture_output=True, text=True, env=env, timeout=120)
 
 
 def run_cli(capsys, *argv):
@@ -162,3 +178,28 @@ def test_allow_large_lifts_guard(capsys):
         "product", "1", "1")
     assert code == 0
     assert out == "s[1,1] + s[2]\n"
+
+
+@pytest.mark.parametrize("argv,error", [
+    (["orbit", "--family", "A", "--rank", "2", "--kappa", "abc", "hz-bound"],
+     "InputError"),
+    (["orbit", "--family", "A", "--rank", "2", "--lambda", "1,1/0,0",
+      "hz-bound"], "InputError"),
+    (["un-capacity", "--lambda", "3,1/0"], "InputError"),
+    (["orbit", "--family", "A", "--rank", "2", "--parabolic", "1,1",
+      "hz-bound"], "InvalidShape"),
+])
+def test_bad_orbit_input_exits_2_without_traceback(argv, error):
+    proc = run_module(*argv)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(error + ":")
+
+
+def test_optimized_interpreter_gives_same_output():
+    argv = ("orbit", "--family", "B", "--rank", "3", "hz-bound")
+    plain = run_module(*argv)
+    optimized = run_module(*argv, flags=("-O",))
+    assert plain.returncode == optimized.returncode == 0
+    assert optimized.stdout == plain.stdout != ""

@@ -5,7 +5,8 @@ from math import factorial
 import pytest
 
 from qeuler import rootgkm as rg
-from qeuler.errors import InvalidShape, NotRegular, TooLarge, UnsupportedType
+from qeuler.errors import (ComputeError, InvalidShape, NotRegular, TooLarge,
+                           UnsupportedType)
 from qeuler.grassmannian import GrassmannianRing
 
 
@@ -44,12 +45,73 @@ def test_unsupported_families_rejected():
 
 
 def test_weyl_orders_match_closed_forms():
-    for rank in range(1, 6):
+    for rank in range(1, 7):
         assert rg.weyl_order("A", rank) == factorial(rank + 1)
-    for rank in (2, 3):
+    for rank in (2, 3, 4):
         assert rg.weyl_order("B", rank) == 2**rank * factorial(rank)
         assert rg.weyl_order("C", rank) == 2**rank * factorial(rank)
-    assert rg.weyl_order("D", 4) == 2**3 * factorial(4)
+    for rank in (4, 5):
+        assert rg.weyl_order("D", rank) == 2**(rank - 1) * factorial(rank)
+
+
+# Oracle: Weyl group elements as products of exact reflection matrices,
+# s_alpha = 1 - alpha (x) coroot(alpha), multiplied along each word.
+
+def reflection_matrix(root, dim):
+    co = rg.coroot(root)
+    return tuple(
+        tuple(Fraction(i == j) - root[i] * co[j] for j in range(dim))
+        for i in range(dim))
+
+
+def mat_mul(a, b):
+    n = len(a)
+    return tuple(
+        tuple(sum((a[i][t] * b[t][j] for t in range(n)), Fraction(0))
+              for j in range(n))
+        for i in range(n))
+
+
+def mat_vec(a, v):
+    return tuple(sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a)
+
+
+def signed_permutation_matrix(w):
+    """Column j holds w(e_j) = +-e_p."""
+    n = len(w)
+    return tuple(
+        tuple(Fraction((x > 0) - (x < 0)) if abs(x) == p + 1 else Fraction(0)
+              for x in w)
+        for p in range(n))
+
+
+@pytest.mark.parametrize("family,rank", (
+    [("A", r) for r in range(1, 6)] + [("B", r) for r in (2, 3, 4)]
+    + [("C", r) for r in (2, 3, 4)] + [("D", 4)]))
+def test_signed_permutations_match_reflection_products(family, rank):
+    rs = rg.build_root_system(family, rank)
+    gens = [reflection_matrix(r, rs.dim) for r in rs.simple_roots]
+    identity = tuple(tuple(Fraction(i == j) for j in range(rs.dim))
+                     for i in range(rs.dim))
+    probe = tuple(Fraction(3 * t + 1, t + 2) for t in range(rs.dim))
+    # every word extends a word found earlier, so products build by prefix
+    products = {(): identity}
+    for w, word in rg.weyl_elements(family, rank):
+        if word:
+            products[word] = mat_mul(products[word[:-1]], gens[word[-1] - 1])
+        assert signed_permutation_matrix(w) == products[word]
+        assert rg.act(w, probe) == mat_vec(products[word], probe)
+
+
+def test_non_signed_permutation_reflection_rejected():
+    with pytest.raises(ComputeError):
+        rg._reflection((Fraction(1), Fraction(1), Fraction(1)))
+
+
+def test_root_coordinates_reject_non_roots():
+    rs = rg.build_root_system("A", 2)
+    with pytest.raises(InvalidShape):
+        rg.simple_root_coordinates(rs, (1, 1, 1))
 
 
 def test_fundamental_weight_duality():
@@ -63,10 +125,12 @@ def test_fundamental_weight_duality():
 
 
 def test_longest_element_is_unique_and_longest():
-    mat, word = rg.longest_element("A", 3)
+    w0, word = rg.longest_element("A", 3)
     assert len(word) == 6  # number of positive roots
-    mat2, word2 = rg.longest_element("B", 2)
-    assert len(word2) == 4
+    assert w0 == (4, 3, 2, 1)  # reverses the coordinates
+    w0, word = rg.longest_element("B", 2)
+    assert len(word) == 4
+    assert w0 == (-1, -2)  # acts as -1
 
 
 # ---------------------------------------------------------------------------
@@ -86,9 +150,9 @@ def test_cosets_include_identity_and_longest():
     spec = rg.make_orbit_spec("A", 3, (1, 3), rg.monotone_weight("A", 3, (1, 3)))
     reps = rg.weyl_cosets(spec)
     assert reps[0][1] == ()
-    w0_mat, _ = rg.longest_element("A", 3)
-    w0_point = rg._mat_vec(w0_mat, spec.weight)
-    assert any(rg._mat_vec(m, spec.weight) == w0_point for m, _ in reps)
+    w0, _ = rg.longest_element("A", 3)
+    w0_point = rg.act(w0, spec.weight)
+    assert any(rg.act(w, spec.weight) == w0_point for w, _ in reps)
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +210,11 @@ def test_is_monotone_detects_non_monotone():
     assert rg.is_monotone(spec) is None
     spec2 = rg.make_orbit_spec("A", 2, (), (2, 0, -2))
     assert rg.is_monotone(spec2) == 1
+
+
+def test_repeated_parabolic_indices_rejected():
+    with pytest.raises(InvalidShape):
+        rg.make_orbit_spec("A", 2, (1, 1), (1, 1, -2))
 
 
 def test_irregular_weights_rejected():
