@@ -115,6 +115,7 @@ def act(w: tuple, v: Vector) -> Vector:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def _reflection(root: Vector) -> tuple:
     """The reflection in ``root`` as a signed permutation."""
     co = coroot(root)
