@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .errors import DegeneratePairing, NotAUnit, UnknownLabel
+from .errors import ComputeError, DegeneratePairing, NotAUnit, UnknownLabel
 from .scalar import ONE, ZERO, RationalFunction, render_scalar
 
 
@@ -425,7 +425,8 @@ def _clear_denominators(m):
         new_row = []
         for x in row:
             quot, rem = divmod(common, x.den)
-            assert rem.is_zero()
+            if not rem.is_zero():
+                raise ComputeError(f"common denominator is not divisible by {x.den}")
             new_row.append(x.num * quot)
         cleared.append(new_row)
     maxdeg = max((p.degree() for row in cleared for p in row), default=-1)

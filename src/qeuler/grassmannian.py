@@ -21,7 +21,7 @@ from functools import lru_cache
 from itertools import permutations
 from math import comb
 
-from .errors import InvalidShape, InvalidSpecialClass, UnknownLabel
+from .errors import ComputeError, InvalidShape, InvalidSpecialClass, UnknownLabel
 from .frobenius import FrobeniusAlgebra, Grading, QuantumElement
 from .scalar import RationalFunction
 
@@ -281,7 +281,9 @@ def enumerate_basis(k: int, n: int):
             rec(row + 1, part, acc + [part])
 
     rec(0, width, [])
-    assert len(found) == comb(n, k)
+    if len(found) != comb(n, k):
+        raise ComputeError(f"found {len(found)} partitions in the {k} x {n - k} box, "
+                           f"expected {comb(n, k)}")
     return sorted(found, key=lambda p: (sum(p), p))
 
 
@@ -407,5 +409,6 @@ def rim_hook_reduce(rho: Partition, k: int, n: int, sign_rule: str = "k-minus-he
         raise ValueError(f"unknown sign rule {sign_rule!r}")
     ordered = sorted(residues, reverse=True)
     nu = tuple(ordered[i] - (k - 1 - i) for i in range(k))
-    assert all(0 <= nu[i] <= n - k for i in range(k))
+    if not all(0 <= nu[i] <= n - k for i in range(k)):
+        raise ComputeError(f"rim-hook reduction left {nu} outside the {k} x {n - k} box")
     return tuple(x for x in nu if x), strips, sign

@@ -197,66 +197,106 @@ class AlgebraSpec:
     definitions: tuple  # of (label, expression AST)
 
 
-def _coeff_from_json(c) -> Fraction:
-    if isinstance(c, int):
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
+
+
+def _typed(value, kind, where: str):
+    """``value`` if it has JSON type ``kind``, else a ParseError naming ``where``."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ParseError(f"{where} must be {_JSON_TYPES[kind]}, got {json.dumps(value)}")
+    return value
+
+
+def _field(obj: dict, key: str, kind, where: str = "", default=None):
+    """``obj[key]`` checked to have JSON type ``kind``; ``where`` is obj's path."""
+    path = f"{where}.{key}" if where else key
+    if key not in obj:
+        if default is None:
+            raise ParseError(f"missing field {path}")
+        return default
+    return _typed(obj[key], kind, path)
+
+
+def _coeff_from_json(c, where: str) -> Fraction:
+    if isinstance(c, int) and not isinstance(c, bool):
         return Fraction(c)
     if isinstance(c, str):
-        return Fraction(c)
-    raise ParseError(f"bad coefficient {c!r}")
+        try:
+            return Fraction(c)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ParseError(f"{where} must be an integer or a rational string, "
+                     f"got {json.dumps(c)}")
 
 
 def parse_spec(text: str) -> AlgebraSpec:
-    """Parse and validate a presented-algebra file."""
+    """Parse and validate a presented-algebra file.
+
+    Every field is checked for its JSON type; a ParseError names the path
+    of the first bad one (``basis[0].label``).
+    """
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: {exc.msg}",
                          line=exc.lineno, column=exc.colno) from None
-    for field in ("name", "complex_dimension", "chern_number", "unit",
-                  "point", "basis", "generators", "generator_products",
-                  "definitions"):
-        if field not in raw:
-            raise ParseError(f"missing field {field!r}")
+    _typed(raw, dict, "the top level")
+    name = _field(raw, "name", str)
+    complex_dimension = _field(raw, "complex_dimension", int)
+    chern_number = _field(raw, "chern_number", int)
+    unit = _field(raw, "unit", str)
+    point = _field(raw, "point", str)
+    raw_basis = _field(raw, "basis", list)
+    raw_generators = _field(raw, "generators", list)
+    raw_products = _field(raw, "generator_products", dict)
+    raw_definitions = _field(raw, "definitions", list)
 
     basis = []
-    for entry in raw["basis"]:
-        basis.append((entry["label"], int(entry["codim"])))
+    for i, entry in enumerate(raw_basis):
+        where = f"basis[{i}]"
+        _typed(entry, dict, where)
+        basis.append((_field(entry, "label", str, where),
+                      _field(entry, "codim", int, where)))
     labels = [l for l, _ in basis]
     label_set = set(labels)
     if len(label_set) != len(labels):
         raise ParseError("duplicate basis label")
     codim = dict(basis)
 
-    unit = raw["unit"]
-    point = raw["point"]
     for l in (unit, point):
         if l not in label_set:
             raise UnknownLabel(f"label {l!r} not in the basis")
-    if codim[point] != raw["complex_dimension"]:
+    if codim[point] != complex_dimension:
         raise ParseError(
             f"point class {point!r} has codimension {codim[point]}, "
-            f"expected {raw['complex_dimension']}")
+            f"expected {complex_dimension}")
 
-    generators = tuple(raw["generators"])
+    generators = tuple(_typed(g, str, f"generators[{i}]")
+                       for i, g in enumerate(raw_generators))
     for g in generators:
         if g not in label_set:
             raise UnknownLabel(f"generator {g!r} not in the basis")
 
     products = {}
-    for key, terms in raw["generator_products"].items():
+    for key, terms in raw_products.items():
         g, _, b = key.partition("|")
         if g not in generators:
             raise ParseError(f"key {key!r} does not start with a generator")
         if b not in label_set:
             raise UnknownLabel(f"label {b!r} in key {key!r} not in the basis")
         coeffs = {}
-        for term in terms:
-            if term["label"] not in label_set:
+        at = f"generator_products[{json.dumps(key)}]"
+        for i, term in enumerate(_typed(terms, list, at)):
+            where = f"{at}[{i}]"
+            _typed(term, dict, where)
+            label = _field(term, "label", str, where)
+            if label not in label_set:
                 raise UnknownLabel(
-                    f"label {term['label']!r} in product {key!r} not in the basis")
+                    f"label {label!r} in product {key!r} not in the basis")
             c = RationalFunction.monomial(
-                _coeff_from_json(term.get("coeff", 1)), int(term.get("q", 0)))
-            coeffs[term["label"]] = coeffs.get(term["label"], 0 * c) + c
+                _coeff_from_json(term.get("coeff", 1), f"{where}.coeff"),
+                _field(term, "q", int, where, default=0))
+            coeffs[label] = coeffs.get(label, 0 * c) + c
         products[(g, b)] = QuantumElement(coeffs)
     for g in generators:
         for b in labels:
@@ -266,8 +306,11 @@ def parse_spec(text: str) -> AlgebraSpec:
     defined = []
     seen = set()
     available = set(generators) | {unit}
-    for entry in raw["definitions"]:
-        label, text_expr = entry["label"], entry["expr"]
+    for i, entry in enumerate(raw_definitions):
+        where = f"definitions[{i}]"
+        _typed(entry, dict, where)
+        label = _field(entry, "label", str, where)
+        text_expr = _field(entry, "expr", str, where)
         if label not in label_set:
             raise UnknownLabel(f"defined label {label!r} not in the basis")
         if label in seen or label in available:
@@ -294,9 +337,9 @@ def parse_spec(text: str) -> AlgebraSpec:
             raise MissingDefinition(f"basis label {l!r} has no definition")
 
     return AlgebraSpec(
-        name=raw["name"],
-        complex_dimension=int(raw["complex_dimension"]),
-        chern_number=int(raw["chern_number"]),
+        name=name,
+        complex_dimension=complex_dimension,
+        chern_number=chern_number,
         unit_label=unit,
         point_label=point,
         basis=tuple(basis),

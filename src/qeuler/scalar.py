@@ -1,9 +1,12 @@
 """Exact arithmetic in the field Q(q) of rational functions in one variable.
 
-A scalar is a ratio of sparse polynomials in ``q`` with ``Fraction``
-coefficients.  Values are immutable and kept in a unique canonical form
+A scalar is a ratio of sparse polynomials in ``q`` with rational
+coefficients, stored as ``int`` when integral and as ``Fraction`` only
+otherwise.  Values are immutable and kept in a unique canonical form
 (numerator and denominator coprime, denominator monic), so ``==`` is value
-equality and instances are safe to share between threads.
+equality and instances are safe to share between threads.  When the
+numerator or the denominator is a single term the gcd is a power of q, so
+the common Laurent case needs no Euclidean algorithm.
 
 >>> parse_scalar("(q^2 - 1)/(q - 1)")
 RationalFunction('q + 1')
@@ -18,19 +21,30 @@ from fractions import Fraction
 from .errors import DivisionByZero, ParseError
 
 
-def _coeff(x) -> Fraction:
-    if isinstance(x, Fraction):
+def _coeff(x):
+    """An exact coefficient: ``int`` when integral, else a ``Fraction``."""
+    if type(x) is int:
         return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
     raise TypeError(f"cannot use {type(x).__name__} as a rational coefficient")
 
 
-class QPolynomial:
-    """Sparse polynomial in q: finitely supported map exponent -> Fraction.
+def _div(a, b):
+    """Exact quotient of two coefficients; never a float."""
+    if type(a) is int and type(b) is int and not a % b:
+        return a // b
+    return _coeff(Fraction(a, b))
 
-    Zero coefficients are never stored; the zero polynomial has an empty
-    term map.  Exponents are nonnegative integers.
+
+class QPolynomial:
+    """Sparse polynomial in q: finitely supported map exponent -> coefficient.
+
+    Coefficients are ``int`` when integral and ``Fraction`` otherwise.  Zero
+    coefficients are never stored; the zero polynomial has an empty term
+    map.  Exponents are nonnegative integers.
     """
 
     __slots__ = ("terms",)
@@ -42,7 +56,7 @@ class QPolynomial:
             for exp, c in items:
                 if exp < 0:
                     raise ValueError("polynomial exponents must be >= 0")
-                c = _coeff(c) + tidy.get(exp, Fraction(0))
+                c = _coeff(_coeff(c) + tidy.get(exp, 0))
                 if c:
                     tidy[exp] = c
                 elif exp in tidy:
@@ -69,8 +83,12 @@ class QPolynomial:
         """Degree of the polynomial; -1 for the zero polynomial."""
         return max(self.terms) if self.terms else -1
 
-    def leading_coefficient(self) -> Fraction:
-        return self.terms[max(self.terms)] if self.terms else Fraction(0)
+    def leading_coefficient(self):
+        return self.terms[max(self.terms)] if self.terms else 0
+
+    def shift(self, k: int) -> "QPolynomial":
+        """Multiply by q**k; every exponent must stay nonnegative."""
+        return QPolynomial({e + k: c for e, c in self.terms.items()}) if k else self
 
     def monic(self) -> "QPolynomial":
         """Scale so the leading coefficient is 1; zero stays zero."""
@@ -79,7 +97,7 @@ class QPolynomial:
         lead = self.leading_coefficient()
         if lead == 1:
             return self
-        return QPolynomial({e: c / lead for e, c in self.terms.items()})
+        return QPolynomial({e: _div(c, lead) for e, c in self.terms.items()})
 
     def evaluate(self, point: Fraction) -> Fraction:
         total = Fraction(0)
@@ -92,7 +110,7 @@ class QPolynomial:
             return NotImplemented
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
+            s = out.get(e, 0) + c
             if s:
                 out[e] = s
             elif e in out:
@@ -108,23 +126,23 @@ class QPolynomial:
         return QPolynomial({e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = _coeff(other)
-            if not c:
-                return QPolynomial()
-            return QPolynomial({e: k * c for e, k in self.terms.items()})
-        if not isinstance(other, QPolynomial):
+        if isinstance(other, QPolynomial):
+            out = {}
+            for e1, c1 in self.terms.items():
+                for e2, c2 in other.terms.items():
+                    e = e1 + e2
+                    s = out.get(e, 0) + c1 * c2
+                    if s:
+                        out[e] = s
+                    elif e in out:
+                        del out[e]
+            return QPolynomial(out)
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = e1 + e2
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    out[e] = s
-                elif e in out:
-                    del out[e]
-        return QPolynomial(out)
+        c = _coeff(other)
+        if not c:
+            return QPolynomial()
+        return QPolynomial({e: k * c for e, k in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -152,11 +170,11 @@ class QPolynomial:
         clead = other.leading_coefficient()
         while rem and max(rem) >= dlead:
             e = max(rem)
-            factor = rem[e] / clead
+            factor = _div(rem[e], clead)
             quot[e - dlead] = factor
             for e2, c2 in other.terms.items():
                 t = e - dlead + e2
-                s = rem.get(t, Fraction(0)) - factor * c2
+                s = rem.get(t, 0) - factor * c2
                 if s:
                     rem[t] = s
                 elif t in rem:
@@ -198,25 +216,30 @@ class RationalFunction:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
-        if isinstance(num, (int, Fraction)):
+        if not isinstance(num, QPolynomial):
             num = QPolynomial.constant(num)
         if den is None:
             den = _P_ONE
-        elif isinstance(den, (int, Fraction)):
+        elif not isinstance(den, QPolynomial):
             den = QPolynomial.constant(den)
         if den.is_zero():
             raise DivisionByZero("denominator is the zero polynomial")
         if num.is_zero():
             num, den = _P_ZERO, _P_ONE
-        else:
-            g = poly_gcd(num, den)
-            if g.degree() > 0:
-                num, _ = divmod(num, g)
-                den, _ = divmod(den, g)
+        elif den is not _P_ONE:
+            if len(num.terms) == 1 or len(den.terms) == 1:
+                # the gcd is q^v: one side is a single term
+                v = min(min(num.terms), min(den.terms))
+                num, den = num.shift(-v), den.shift(-v)
+            else:
+                g = poly_gcd(num, den)
+                if g.degree() > 0:
+                    num, _ = divmod(num, g)
+                    den, _ = divmod(den, g)
             lead = den.leading_coefficient()
             if lead != 1:
-                num = num * (1 / lead)
-                den = den.monic()
+                num = num * _div(1, lead)
+            den = _P_ONE if den.degree() == 0 else den.monic()
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -234,7 +257,7 @@ class RationalFunction:
         return self.num.is_zero()
 
     def is_polynomial(self):
-        return self.den == _P_ONE
+        return self.den is _P_ONE
 
     def evaluate(self, point: Fraction) -> Fraction:
         d = self.den.evaluate(point)
@@ -255,6 +278,8 @@ class RationalFunction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if self.den == other.den:
+            return RationalFunction(self.num + other.num, self.den)
         return RationalFunction(
             self.num * other.den + other.num * self.den, self.den * other.den
         )
@@ -265,6 +290,8 @@ class RationalFunction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if self.den == other.den:
+            return RationalFunction(self.num - other.num, self.den)
         return RationalFunction(
             self.num * other.den - other.num * self.den, self.den * other.den
         )
@@ -282,6 +309,8 @@ class RationalFunction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if self.den is _P_ONE and other.den is _P_ONE:
+            return RationalFunction(self.num * other.num)
         return RationalFunction(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -329,19 +358,6 @@ ONE = RationalFunction(1)
 Q = RationalFunction(QPolynomial.monomial(1, 1))
 
 
-def field_arithmetic(a: RationalFunction, b: RationalFunction, op: str) -> RationalFunction:
-    """Dispatch one of the four field operations by name."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")
-
-
 # ---------------------------------------------------------------------------
 # rendering
 # ---------------------------------------------------------------------------
@@ -381,7 +397,7 @@ def render_scalar(x: RationalFunction) -> str:
     Polynomials render plainly, monomial denominators render as negative
     powers of q (``3/16*q^-2``), anything else as ``(num)/(den)``.
     """
-    if x.den == _P_ONE:
+    if x.den is _P_ONE:
         return render_poly(x.num)
     if len(x.den.terms) == 1:
         (exp,) = x.den.terms

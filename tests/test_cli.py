@@ -203,3 +203,35 @@ def test_optimized_interpreter_gives_same_output():
     optimized = run_module(*argv, flags=("-O",))
     assert plain.returncode == optimized.returncode == 0
     assert optimized.stdout == plain.stdout != ""
+
+
+def _set_first_coeff(value):
+    return lambda raw: raw["generator_products"]["1|0"][0].update(coeff=value)
+
+
+@pytest.mark.parametrize("edit, path", [
+    (lambda raw: raw["basis"][0].pop("label"), "basis[0].label"),
+    (_set_first_coeff("1/0"), 'generator_products["1|0"][0].coeff'),
+    (_set_first_coeff("abc"), 'generator_products["1|0"][0].coeff'),
+    (lambda raw: raw["basis"][0].update(codim="x"), "basis[0].codim"),
+    (lambda raw: raw.update(basis=5), "basis"),
+], ids=["missing-label", "coeff-1/0", "coeff-abc", "codim-x", "basis-5"])
+def test_bad_data_file_exits_2_naming_the_json_path(tmp_path, edit, path):
+    raw = json.loads(bundled_ig26_path().read_text(encoding="utf-8"))
+    edit(raw)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw), encoding="utf-8")
+    proc = run_module("algebra", "--file", str(bad), "diagnose")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("ParseError:")
+    assert path in proc.stderr
+
+
+def test_optimized_interpreter_gives_same_diagnose():
+    argv = ("grassmannian", "-k", "3", "-n", "6", "diagnose")
+    plain = run_module(*argv)
+    optimized = run_module(*argv, flags=("-O",))
+    assert plain.returncode == optimized.returncode == 0
+    assert optimized.stdout == plain.stdout != ""

@@ -147,6 +147,40 @@ def test_point_codimension_must_match():
         parse_spec(json.dumps(raw))
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda raw: raw.update(chern_number=True), "chern_number must be an integer"),
+    (lambda raw: raw.update(unit=["0"]), "unit must be a string"),
+    (lambda raw: raw.update(generators="1"), "generators must be a list"),
+    (lambda raw: raw["generators"].append(1), "generators[1] must be a string"),
+    (lambda raw: raw["generator_products"]["1|1"][0].update(q="1"),
+     'generator_products["1|1"][0].q must be an integer'),
+    (lambda raw: raw["generator_products"]["1|1"][0].update(coeff=0.5),
+     'generator_products["1|1"][0].coeff must be an integer or a rational string'),
+    (lambda raw: raw.update(generator_products={"1|0": {}}),
+     'generator_products["1|0"] must be a list'),
+    (lambda raw: raw.update(definitions=[{"label": "1"}]),
+     "missing field definitions[0].expr"),
+    (lambda raw: raw.update(definitions=[5]), "definitions[0] must be an object"),
+])
+def test_schema_errors_name_the_json_path(edit, message):
+    raw = minimal_spec()
+    edit(raw)
+    with pytest.raises(ParseError) as info:
+        parse_spec(json.dumps(raw))
+    assert str(info.value).startswith(message)
+
+
+def test_non_object_file_rejected():
+    with pytest.raises(ParseError, match="top level must be an object"):
+        parse_spec("[1, 2]")
+
+
+def test_rational_string_coefficients_accepted():
+    raw = minimal_spec()
+    raw["generator_products"]["1|1"][0]["coeff"] = "2/2"
+    assert parse_spec(json.dumps(raw)) == parse_spec(json.dumps(minimal_spec()))
+
+
 def test_bad_json_reports_position():
     with pytest.raises(ParseError) as info:
         parse_spec("{ nope }")

@@ -1,8 +1,12 @@
+import doctest
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import qeuler.scalar
 from qeuler.errors import DivisionByZero, ParseError
 from qeuler.scalar import (
     ONE,
@@ -10,7 +14,6 @@ from qeuler.scalar import (
     QPolynomial,
     RationalFunction,
     ZERO,
-    field_arithmetic,
     parse_scalar,
     poly_gcd,
     render_scalar,
@@ -19,6 +22,19 @@ from qeuler.scalar import (
 
 def poly(*pairs):
     return QPolynomial(dict(pairs))
+
+
+def field_arithmetic(a: RationalFunction, b: RationalFunction, op: str) -> RationalFunction:
+    """Dispatch one of the four field operations by name."""
+    if op == "add":
+        return a + b
+    if op == "sub":
+        return a - b
+    if op == "mul":
+        return a * b
+    if op == "div":
+        return a / b
+    raise ValueError(f"unknown operation {op!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -158,3 +174,153 @@ def test_parse_errors_carry_position():
 def test_negative_exponent_power():
     x = parse_scalar("q^-3")
     assert x * Q**3 == ONE
+
+
+def test_scalar_doctests_pass():
+    # the module examples pin the canonical form, e.g. RationalFunction('3/16*q^-2')
+    result = doctest.testmod(qeuler.scalar)
+    assert result.attempted >= 4
+    assert result.failed == 0
+
+
+# ---------------------------------------------------------------------------
+# properties against a reference canonicaliser that always runs Euclid
+# ---------------------------------------------------------------------------
+
+def _ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_add(a, b, sign=1):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_divmod(a, b):
+    quot, rem = {}, dict(a)
+    top = max(b)
+    while rem and max(rem) >= top:
+        e = max(rem)
+        factor = Fraction(rem[e]) / b[top]
+        quot[e - top] = factor
+        for e2, c2 in b.items():
+            t = e - top + e2
+            rem[t] = rem.get(t, 0) - factor * c2
+            if not rem[t]:
+                del rem[t]
+    return quot, rem
+
+
+def _ref_canonical(num, den):
+    """(num, den) coprime with den monic, by the Euclidean algorithm alone."""
+    num = {e: c for e, c in num.items() if c}
+    den = {e: c for e, c in den.items() if c}
+    if not den:
+        raise ZeroDivisionError
+    if not num:
+        return {}, {0: 1}
+    a, b = num, den
+    while b:
+        a, b = b, _ref_divmod(a, b)[1]
+    num, den = _ref_divmod(num, a)[0], _ref_divmod(den, a)[0]
+    lead = den[max(den)]
+    return ({e: Fraction(c) / lead for e, c in num.items()},
+            {e: Fraction(c) / lead for e, c in den.items()})
+
+
+def _ref_eval(tree):
+    if tree[0] == "leaf":
+        return _ref_canonical(tree[1], tree[2])
+    op, x, y = tree
+    (n1, d1), (n2, d2) = _ref_eval(x), _ref_eval(y)
+    if op == "*":
+        return _ref_canonical(_ref_mul(n1, n2), _ref_mul(d1, d2))
+    if op == "/":
+        return _ref_canonical(_ref_mul(n1, d2), _ref_mul(d1, n2))
+    sign = 1 if op == "+" else -1
+    return _ref_canonical(_ref_add(_ref_mul(n1, d2), _ref_mul(n2, d1), sign),
+                          _ref_mul(d1, d2))
+
+
+def _eval(tree):
+    if tree[0] == "leaf":
+        return RationalFunction(QPolynomial(tree[1]), QPolynomial(tree[2]))
+    op, x, y = tree
+    a, b = _eval(x), _eval(y)
+    if op == "*":
+        return a * b
+    if op == "/":
+        return a / b
+    return a + b if op == "+" else a - b
+
+
+_coeffs = st.one_of(st.integers(-4, 4),
+                    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)))
+_polys = st.dictionaries(st.integers(0, 3), _coeffs, max_size=3)
+_nonzero_polys = _polys.map(lambda p: p if any(p.values()) else {0: 1})
+
+
+@st.composite
+def _leaves(draw):
+    # a Laurent shift q^v on top of a ratio of small polynomials, so both
+    # the single-term fast path and the general Euclid path are exercised
+    num = draw(_polys)
+    den = draw(_nonzero_polys)
+    v = draw(st.integers(-3, 3))
+    num = {e + max(v, 0): c for e, c in num.items()}
+    den = {e + max(-v, 0): c for e, c in den.items()}
+    return ("leaf", num, den)
+
+
+_trees = st.recursive(
+    _leaves(),
+    lambda kids: st.tuples(st.sampled_from("+-*/"), kids, kids),
+    max_leaves=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trees)
+def test_canonical_form_matches_euclid_reference(tree):
+    try:
+        want = _ref_eval(tree)
+    except ZeroDivisionError:
+        with pytest.raises(DivisionByZero):
+            _eval(tree)
+        return
+    got = _eval(tree)
+    assert (got.num.terms, got.den.terms) == want
+
+
+def _assert_exact_coefficients(p):
+    for c in p.terms.values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1), c
+
+
+@settings(max_examples=150, deadline=None)
+@given(_trees, _polys, _nonzero_polys)
+def test_coefficients_are_int_or_proper_fraction(tree, a, b):
+    a, b = QPolynomial(a), QPolynomial(b)
+    polys = [a, b, a + b, a - b, a * b, *divmod(a, b), poly_gcd(a, b), a.monic(),
+             QPolynomial({0: True, 1: Fraction(4, 2)})]
+    try:
+        x = _eval(tree)
+        polys += [x.num, x.den]
+    except DivisionByZero:
+        pass
+    for p in polys:
+        _assert_exact_coefficients(p)
+
+
+@given(st.integers(-10**6, 10**6), st.integers(0, 5))
+@example(2, 0)
+def test_integral_fraction_equals_int(n, e):
+    as_fraction, as_int = QPolynomial({e: Fraction(n)}), QPolynomial({e: n})
+    assert as_fraction == as_int
+    assert hash(as_fraction) == hash(as_int)
+    assert hash(RationalFunction(as_fraction)) == hash(RationalFunction(as_int))
