@@ -22,6 +22,7 @@ from fractions import Fraction
 
 from . import presented, rootgkm
 from .errors import ComputeError, InputError, TooLarge
+from .frobenius import QuantumElement
 from .grassmannian import GrassmannianRing, parse_partition, partition_label
 
 
@@ -43,15 +44,12 @@ def _build_parser() -> _Parser:
     g.add_argument("-n", type=int, required=True)
     g.add_argument("--allow-large", action="store_true",
                    help="lift the k*(n-k) <= 12 guard")
-    g.add_argument("action", choices=["table", "euler", "diagnose", "product"])
-    g.add_argument("labels", nargs="*", help="class labels for `product`")
-    g.add_argument("--format", choices=["text", "md", "json"], default="text")
-
     a = sub.add_parser("algebra", help="algebra presented by a data file")
     a.add_argument("--file", required=True)
-    a.add_argument("action", choices=["table", "euler", "diagnose", "product"])
-    a.add_argument("labels", nargs="*")
-    a.add_argument("--format", choices=["text", "md", "json"], default="text")
+    for sp in (g, a):  # the two ring commands share their actions
+        sp.add_argument("action", choices=["table", "euler", "diagnose", "product"])
+        sp.add_argument("labels", nargs="*", help="class labels for `product`")
+        sp.add_argument("--format", choices=["text", "md", "json"], default="text")
 
     o = sub.add_parser("orbit", help="flag-manifold orbit data")
     o.add_argument("--family", required=True, choices=list("ABCDabcd"))
@@ -98,25 +96,9 @@ def _json_text(obj) -> str:
 # -- grassmannian / algebra actions -------------------------------------------
 
 def _algebra_output(algebra, ring, action, labels, fmt):
-    if action == "product":
-        if len(labels) != 2:
-            raise _UsageError("`product` needs exactly two class labels")
-        if ring is not None:
-            a, b = (parse_partition(l) for l in labels)
-            result = ring.quantum_product(a, b)
-        else:
-            x = _element_from_label(algebra, labels[0])
-            y = _element_from_label(algebra, labels[1])
-            result = algebra.multiply(x, y)
-        if fmt == "json":
-            return _json_text(algebra.element_to_json(result))
-        return algebra.render_element(result) + "\n"
-
-    if action == "euler":
-        e = algebra.euler_class()
-        if fmt == "json":
-            return _json_text(algebra.element_to_json(e))
-        return algebra.render_element(e) + "\n"
+    if action == "table":
+        # the Grassmannian grid labels the unit 1, as in the literature
+        return algebra.render_table(fmt, unit_cell="1" if ring is not None else None)
 
     if action == "diagnose":
         report = algebra.diagnose()
@@ -133,55 +115,21 @@ def _algebra_output(algebra, ring, action, labels, fmt):
         ]
         return "\n".join(lines) + "\n"
 
-    # table
-    if ring is not None:
-        if fmt == "json":
-            return _json_text(ring.table_json())
-        if fmt == "md":
-            return ring.table_markdown()
-        lines = []
-        for a in ring.basis:
-            for b in ring.basis:
-                prod = ring.quantum_product(a, b)
-                lines.append(
-                    f"s[{partition_label(a)}] * s[{partition_label(b)}] = "
-                    + algebra.render_element(prod))
-        return "\n".join(lines) + "\n"
-    return _presented_table(algebra, fmt)
-
-
-def _element_from_label(algebra, label):
-    from .frobenius import QuantumElement
-
-    algebra._check_label(label)
-    return QuantumElement.basis(label)
-
-
-def _presented_table(algebra, fmt):
-    from .frobenius import QuantumElement
-
+    if action == "euler":
+        result = algebra.euler_class()
+    else:
+        if len(labels) != 2:
+            raise _UsageError("`product` needs exactly two class labels")
+        if ring is not None:
+            parts = [parse_partition(l) for l in labels]
+            for p in parts:
+                ring.check_member(p)
+            labels = [partition_label(p) for p in parts]
+        x, y = (QuantumElement.basis(l) for l in labels)
+        result = algebra.multiply(x, y)
     if fmt == "json":
-        out = {}
-        for a in algebra.basis:
-            for b in algebra.basis:
-                prod = algebra.structure_constants[(a, b)]
-                out[f"{a}|{b}"] = algebra.element_to_json(prod)
-        return _json_text(out)
-    if fmt == "md":
-        header = ["*"] + [f"s[{b}]" for b in algebra.basis]
-        lines = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
-        for a in algebra.basis:
-            row = [f"s[{a}]"]
-            for b in algebra.basis:
-                row.append(algebra.render_element(algebra.structure_constants[(a, b)]))
-            lines.append("| " + " | ".join(row) + " |")
-        return "\n".join(lines) + "\n"
-    lines = []
-    for a in algebra.basis:
-        for b in algebra.basis:
-            prod = algebra.structure_constants[(a, b)]
-            lines.append(f"s[{a}] * s[{b}] = " + algebra.render_element(prod))
-    return "\n".join(lines) + "\n"
+        return _json_text(algebra.element_to_json(result))
+    return algebra.render_element(result) + "\n"
 
 
 # -- orbit actions --------------------------------------------------------------

@@ -13,12 +13,14 @@ Instances are immutable after construction and all operations are pure.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
 from .errors import ComputeError, DegeneratePairing, NotAUnit, UnknownLabel
-from .scalar import ONE, ZERO, RationalFunction, render_scalar
+from .scalar import (ONE, ZERO, QPolynomial, RationalFunction, _join_terms, poly_gcd,
+                     render_scalar)
 
 
 def _as_scalar(c) -> RationalFunction:
@@ -255,10 +257,7 @@ class FrobeniusAlgebra:
         ]
 
     def trace_of_multiplication(self, x: QuantumElement) -> RationalFunction:
-        total = ZERO
-        for b in self.basis:
-            total = total + self.multiply(x, QuantumElement.basis(b)).coefficient(b)
-        return total
+        return linalg.trace(self.operator_matrix(x))
 
     def is_unit(self, x: QuantumElement) -> bool:
         """True iff the multiplication operator of x is invertible."""
@@ -351,11 +350,10 @@ class FrobeniusAlgebra:
             return sorted(labels, key=lambda l: (deg[l], self.index[l]))
         return sorted(labels, key=lambda l: self.index[l])
 
-    def render_element(self, x: QuantumElement, label_format=None) -> str:
+    def render_element(self, x: QuantumElement) -> str:
         """Deterministic text form: point-degree terms first, unit bare."""
         if x.is_zero():
             return "0"
-        fmt = label_format or (lambda l: f"s[{l}]")
         unit_label = next(iter(self.unit.support()))
         parts = []
         for l in self._render_order(x.support()):
@@ -363,22 +361,40 @@ class FrobeniusAlgebra:
             scalar = render_scalar(c)
             if l == unit_label:
                 parts.append(scalar)
-                continue
-            if c == ONE:
-                parts.append(fmt(l))
+            elif c == ONE:
+                parts.append(f"s[{l}]")
             elif c == -ONE:
-                parts.append("-" + fmt(l))
+                parts.append(f"-s[{l}]")
             else:
                 if (" + " in scalar) or (" - " in scalar):
                     scalar = f"({scalar})"
-                parts.append(f"{scalar}*{fmt(l)}")
-        out = parts[0]
-        for p in parts[1:]:
-            if p.startswith("-"):
-                out += " - " + p[1:]
-            else:
-                out += " + " + p
-        return out
+                parts.append(f"{scalar}*s[{l}]")
+        return _join_terms(parts)
+
+    def render_table(self, fmt: str, unit_cell=None) -> str:
+        """The multiplication table as text lines, a markdown grid or JSON.
+
+        Classes appear as ``s[label]``; in the markdown grid ``unit_cell``,
+        when given, labels the unit's row and column instead.
+        """
+        products = [(a, b, self.structure_constants[(a, b)])
+                    for a in self.basis for b in self.basis]
+        if fmt == "json":
+            table = {f"{a}|{b}": self.element_to_json(p) for a, b, p in products}
+            return json.dumps(table, indent=2) + "\n"
+        if fmt == "text":
+            return "".join(f"s[{a}] * s[{b}] = {self.render_element(p)}\n"
+                           for a, b, p in products)
+        cells = {l: f"s[{l}]" for l in self.basis}
+        if unit_cell is not None:
+            cells[next(iter(self.unit.support()))] = unit_cell
+        header = ["*"] + [cells[b] for b in self.basis]
+        lines = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
+        for a in self.basis:
+            row = [cells[a]] + [self.render_element(self.structure_constants[(a, b)])
+                                for b in self.basis]
+            lines.append("| " + " | ".join(row) + " |")
+        return "\n".join(lines) + "\n"
 
     def element_to_json(self, x: QuantumElement) -> dict:
         return {l: render_scalar(x.coefficient(l)) for l in self._render_order(x.support())}
@@ -408,18 +424,12 @@ class FrobeniusAlgebra:
 def _clear_denominators(m):
     """Return (N, maxdeg): N integer-matrix-of-polynomials equal to m times
     the product of all denominators; only zero-ness of powers/dets matters."""
-    from .scalar import QPolynomial, poly_gcd
-
-    denoms = []
+    common = QPolynomial.constant(1)
     for row in m:
         for x in row:
             if not x.is_polynomial():
-                denoms.append(x.den)
-    common = QPolynomial.constant(1)
-    for d in denoms:
-        g = poly_gcd(common, d)
-        extra, _ = divmod(d, g)
-        common = common * extra
+                extra, _ = divmod(x.den, poly_gcd(common, x.den))
+                common = common * extra
     cleared = []
     for row in m:
         new_row = []
@@ -433,38 +443,31 @@ def _clear_denominators(m):
     return cleared, maxdeg
 
 
-def _poly_matrix_det_is_zero(m) -> bool:
-    n = len(m)
-    if n == 0:
-        return False
+def _evaluations(m, degree: int):
+    """Yield m, denominators cleared, at enough rational points to decide
+    whether a polynomial of ``degree`` in its entries vanishes; nothing when
+    every entry is zero."""
     cleared, maxdeg = _clear_denominators(m)
-    if maxdeg < 0:
-        return True
-    bound = n * maxdeg + 1
-    for point in range(1, bound + 1):
+    for point in range(1, degree * maxdeg + 2):
         point = Fraction(point)
-        numeric = [[p.evaluate(point) for p in row] for row in cleared]
-        if linalg.det(numeric):
-            return False
-    return True
+        yield [[p.evaluate(point) for p in row] for row in cleared]
+
+
+def _poly_matrix_det_is_zero(m) -> bool:
+    return bool(m) and not any(linalg.det(a) for a in _evaluations(m, len(m)))
 
 
 def _poly_matrix_power_is_zero(m, power: int) -> bool:
-    cleared, maxdeg = _clear_denominators(m)
-    if maxdeg < 0:
-        return True
-    bound = power * maxdeg + 1
-    for point in range(1, bound + 1):
-        point = Fraction(point)
-        acc = [[p.evaluate(point) for p in row] for row in cleared]
-        # nilpotency index <= matrix size, so squaring past `power` suffices
-        exponent = 1
-        while exponent < power and not linalg.is_zero_matrix(acc):
-            acc = linalg.mat_mul(acc, acc)
-            exponent *= 2
-        if not linalg.is_zero_matrix(acc):
-            return False
-    return True
+    return all(_power_is_zero(a, power) for a in _evaluations(m, power))
+
+
+def _power_is_zero(a, power: int) -> bool:
+    # nilpotency index <= matrix size, so squaring past `power` suffices
+    exponent = 1
+    while exponent < power and not linalg.is_zero_matrix(a):
+        a = linalg.mat_mul(a, a)
+        exponent *= 2
+    return linalg.is_zero_matrix(a)
 
 
 # ---------------------------------------------------------------------------
@@ -538,15 +541,6 @@ def change_basis(algebra: FrobeniusAlgebra, p) -> FrobeniusAlgebra:
     unit = old_to_new(algebra.unit)
     return FrobeniusAlgebra(algebra.basis, table, unit, functional,
                             name=f"{algebra.name or 'algebra'} (new basis)")
-
-
-def new_basis_to_old(algebra: FrobeniusAlgebra, p, elem: QuantumElement) -> QuantumElement:
-    """Express an element of the transported algebra in the original basis."""
-    n = algebra.rank
-    p = [[_as_scalar(x) for x in row] for row in p]
-    vec = [elem.coefficient(l) for l in algebra.basis]
-    old_vec = linalg.mat_vec(p, vec)
-    return QuantumElement({algebra.basis[i]: old_vec[i] for i in range(n)})
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,8 @@ assumption.
 
 from __future__ import annotations
 
+import json
+from collections import Counter
 from functools import lru_cache
 from itertools import permutations
 from math import comb
@@ -55,14 +57,12 @@ class GrassmannianRing:
     """QH of G(k, n): basis, duality, Pieri, Giambelli, rim-hook oracle."""
 
     def __init__(self, k: int, n: int):
-        if k <= 0 or k >= n:
-            raise InvalidShape(f"need 0 < k < n, got k={k}, n={n}")
+        self.basis = enumerate_basis(k, n)  # raises InvalidShape unless 0 < k < n
         self.k = k
         self.n = n
         self.width = n - k
         self.chern_number = n
         self.complex_dimension = k * (n - k)
-        self.basis = enumerate_basis(k, n)
         self.basis_index = {p: i for i, p in enumerate(self.basis)}
         self._product_cache = {}
 
@@ -143,13 +143,7 @@ class GrassmannianRing:
         return results
 
     def quantum_pieri(self, p: int, lam: Partition) -> QuantumElement:
-        acc = {}
-        for nu, d in self.quantum_pieri_raw(p, lam):
-            key = partition_label(nu)
-            cur = acc.get(key)
-            term = RationalFunction.monomial(1, d)
-            acc[key] = term if cur is None else cur + term
-        return QuantumElement(acc)
+        return _collect(Counter(self.quantum_pieri_raw(p, lam)))
 
     def _giambelli_monomials(self, mu: Partition):
         """Expansion of s_mu as a signed sum of products of special classes.
@@ -238,29 +232,10 @@ class GrassmannianRing:
 
     def table_markdown(self) -> str:
         """Full multiplication table as a markdown grid, row/column per class."""
-        algebra = self.to_frobenius()
-
-        def head(p):
-            return "1" if not p else f"s[{partition_label(p)}]"
-
-        header = ["*"] + [head(p) for p in self.basis]
-        lines = ["| " + " | ".join(header) + " |",
-                 "|" + "---|" * len(header)]
-        for a in self.basis:
-            row = [head(a)]
-            for b in self.basis:
-                row.append(algebra.render_element(self.quantum_product(a, b)))
-            lines.append("| " + " | ".join(row) + " |")
-        return "\n".join(lines) + "\n"
+        return self.to_frobenius().render_table("md", unit_cell="1")
 
     def table_json(self) -> dict:
-        algebra = self.to_frobenius()
-        out = {}
-        for a in self.basis:
-            for b in self.basis:
-                key = f"{partition_label(a)}|{partition_label(b)}"
-                out[key] = algebra.element_to_json(self.quantum_product(a, b))
-        return out
+        return json.loads(self.to_frobenius().render_table("json"))
 
     def __repr__(self):
         return f"GrassmannianRing(k={self.k}, n={self.n})"
@@ -375,7 +350,7 @@ def _classical_product_rows_capped(lam: Partition, mu: Partition, k: int) -> dic
     return {p: c for p, c in acc.items() if c}
 
 
-def rim_hook_reduce(rho: Partition, k: int, n: int, sign_rule: str = "k-minus-height"):
+def rim_hook_reduce(rho: Partition, k: int, n: int):
     """Reduce a <= k-row partition into the k x (n-k) box by removing
     border strips of size n.
 
@@ -384,9 +359,8 @@ def rim_hook_reduce(rho: Partition, k: int, n: int, sign_rule: str = "k-minus-he
     subtracts n from one of them, and a strip of height h passes h-1
     other hook lengths on the way down.
 
-    The per-strip sign is (-1)**(k - h) by default; the alternative
-    convention (-1)**(h - 1) is kept for the calibration test that pins
-    the default against the quantum Pieri rule.
+    The per-strip sign is (-1)**(k - h); the calibration test pins it
+    against the quantum Pieri rule.
     """
     if len(rho) > k:
         raise ValueError("partition has more rows than k")
@@ -401,12 +375,8 @@ def rim_hook_reduce(rho: Partition, k: int, n: int, sign_rule: str = "k-minus-he
         for j in range(i + 1, k):
             if residues[i] < residues[j]:
                 inversions += 1
-    sign = -1 if inversions % 2 else 1
-    if sign_rule == "k-minus-height":
-        if (strips * (k - 1)) % 2:
-            sign = -sign
-    elif sign_rule != "height-minus-one":
-        raise ValueError(f"unknown sign rule {sign_rule!r}")
+    # sorting gives (-1)**(h - 1) per strip; (-1)**(k - 1) more makes (-1)**(k - h)
+    sign = -1 if (inversions + strips * (k - 1)) % 2 else 1
     ordered = sorted(residues, reverse=True)
     nu = tuple(ordered[i] - (k - 1 - i) for i in range(k))
     if not all(0 <= nu[i] <= n - k for i in range(k)):

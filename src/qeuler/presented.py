@@ -25,13 +25,16 @@ wrapped as ``s[...]`` so that ``s[2,1]`` is unambiguous next to rationals)::
 
     expr   := term (("+" | "-") term)*
     term   := factor ("*" factor)*
-    factor := "-" factor | rational | "q" ("^" int)? | "s[" label "]" | "(" expr ")"
+    factor := "-" factor | int ("/" int)? | "q" ("^" ["-"] int)? | "s[" label "]" | "(" expr ")"
+
+``qeuler.scalar.parse_expression`` reads it with the same parser as scalars:
+spaces may separate any two tokens, and a tree deeper than
+``scalar.MAX_DEPTH`` levels is a ``ParseError``.
 """
 
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -44,36 +47,8 @@ from .errors import (
     UnknownLabel,
 )
 from .frobenius import FrobeniusAlgebra, Grading, QuantumElement
-from .scalar import RationalFunction
-
-
-# -- expression AST ----------------------------------------------------------
-
-@dataclass(frozen=True)
-class Num:
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class QPower:
-    exponent: int
-
-
-@dataclass(frozen=True)
-class Ref:
-    label: str
-
-
-@dataclass(frozen=True)
-class Neg:
-    arg: object
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # '+', '-', '*'
-    left: object
-    right: object
+from .scalar import (BinOp, Neg, Num, QPower, RationalFunction, Ref, _evaluate,
+                     parse_expression)
 
 
 def expression_labels(expr) -> set:
@@ -84,102 +59,6 @@ def expression_labels(expr) -> set:
     if isinstance(expr, BinOp):
         return expression_labels(expr.left) | expression_labels(expr.right)
     return set()
-
-
-# -- expression parsing --------------------------------------------------------
-
-_TOKEN = re.compile(
-    r"\s*(?:(?P<label>s\[(?P<inner>[^\]]*)\])"
-    r"|(?P<number>\d+(?:/\d+)?)"
-    r"|(?P<q>q(?:\^(?P<exp>-?\d+))?)"
-    r"|(?P<op>[-+*()]))"
-)
-
-
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            col = len(text) - len(stripped) + 1
-            raise ParseError(f"unexpected character {stripped[0]!r}", column=col)
-        if m.lastgroup is None and not m.group().strip():
-            pos = m.end()
-            continue
-        col = m.start() + len(m.group()) - len(m.group().lstrip()) + 1
-        if m.group("label"):
-            tokens.append(("label", m.group("inner"), col))
-        elif m.group("number"):
-            tokens.append(("number", Fraction(m.group("number")), col))
-        elif m.group("q"):
-            exp = m.group("exp")
-            tokens.append(("q", int(exp) if exp is not None else 1, col))
-        else:
-            tokens.append((m.group("op"), None, col))
-        pos = m.end()
-    tokens.append(("end", None, len(text) + 1))
-    return tokens
-
-
-class _ExprParser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def parse(self):
-        expr = self.expr()
-        kind, _, col = self.peek()
-        if kind != "end":
-            raise ParseError("trailing input after expression", column=col)
-        return expr
-
-    def expr(self):
-        node = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op, _, _ = self.next()
-            node = BinOp(op, node, self.term())
-        return node
-
-    def term(self):
-        node = self.factor()
-        while self.peek()[0] == "*":
-            self.next()
-            node = BinOp("*", node, self.factor())
-        return node
-
-    def factor(self):
-        kind, value, col = self.next()
-        if kind == "-":
-            return Neg(self.factor())
-        if kind == "number":
-            return Num(value)
-        if kind == "q":
-            return QPower(value)
-        if kind == "label":
-            return Ref(value)
-        if kind == "(":
-            node = self.expr()
-            kind2, _, col2 = self.next()
-            if kind2 != ")":
-                raise ParseError("expected ')'", column=col2)
-            return node
-        raise ParseError(f"unexpected token {kind!r}", column=col)
-
-
-def parse_expression(text: str):
-    return _ExprParser(text).parse()
 
 
 # -- algebra spec ---------------------------------------------------------------
@@ -372,10 +251,8 @@ def complete_table(spec: AlgebraSpec, validate: bool = True) -> FrobeniusAlgebra
         return total
 
     def apply(x: QuantumElement, expr) -> QuantumElement:
-        if isinstance(expr, Num):
-            return x.scale(expr.value)
-        if isinstance(expr, QPower):
-            return x.scale(RationalFunction.monomial(1, expr.exponent))
+        if isinstance(expr, (Num, QPower)):
+            return x.scale(_evaluate(expr))
         if isinstance(expr, Ref):
             return times_column(x, expr.label)
         if isinstance(expr, Neg):
@@ -419,14 +296,6 @@ def complete_table(spec: AlgebraSpec, validate: bool = True) -> FrobeniusAlgebra
 def load_algebra(path) -> FrobeniusAlgebra:
     with open(path, encoding="utf-8") as fh:
         return complete_table(parse_spec(fh.read()))
-
-
-def zero_divisor_check(algebra: FrobeniusAlgebra, x: QuantumElement,
-                       y: QuantumElement) -> bool:
-    """True iff x and y are both nonzero but their product is zero."""
-    if x.is_zero() or y.is_zero():
-        return False
-    return algebra.multiply(x, y).is_zero()
 
 
 def bundled_ig26_path():

@@ -8,6 +8,19 @@ equality and instances are safe to share between threads.  When the
 numerator or the denominator is a single term the gcd is a power of q, so
 the common Laurent case needs no Euclidean algorithm.
 
+One recursive-descent parser reads two grammars: scalars (``parse_scalar``)
+and the defining expressions of presented data files (``parse_expression``,
+whose labels ``s[...]`` name basis classes)::
+
+    expr   := term (("+" | "-") term)*
+    term   := factor (("*" | "/") factor)*
+    factor := "-" factor | int | "q" ("^" ["-"] int)? | "s[" label "]" | "(" expr ")"
+
+In a scalar ``/`` divides and ``s[...]`` is an error.  In an expression
+``/`` only joins two integers into one rational (``-1/3*s[1]``).  Spaces may
+separate any two tokens, and a tree may be at most ``MAX_DEPTH`` levels
+deep.  Errors are ``ParseError``s carrying a 1-based column.
+
 >>> parse_scalar("(q^2 - 1)/(q - 1)")
 RationalFunction('q + 1')
 >>> parse_scalar("1/(16*q^2)") * parse_scalar("16*q^2")
@@ -16,6 +29,9 @@ RationalFunction('1')
 
 from __future__ import annotations
 
+import operator
+import re
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DivisionByZero, ParseError
@@ -409,84 +425,166 @@ def render_scalar(x: RationalFunction) -> str:
 # parsing
 # ---------------------------------------------------------------------------
 
-class _Scanner:
-    """Single-line tokenizer for the scalar grammar."""
+# Deepest tree either grammar may build, counting each operator, minus sign
+# and pair of parentheses as one level.  Parsing and evaluating recurse at
+# most a few frames per level, so this keeps both inside Python's limit.
+MAX_DEPTH = 100
 
-    def __init__(self, text: str):
+
+@dataclass(frozen=True)
+class Num:
+    value: Fraction
+
+
+@dataclass(frozen=True)
+class QPower:
+    exponent: int
+
+
+@dataclass(frozen=True)
+class Ref:
+    label: str
+
+
+@dataclass(frozen=True)
+class Neg:
+    arg: object
+
+
+@dataclass(frozen=True)
+class BinOp:
+    op: str  # '+', '-', '*'; '/' only in the scalar grammar
+    left: object
+    right: object
+
+
+_INT = re.compile(r"\d+")
+_LABEL = re.compile(r"s\[([^\]]*)\]")
+
+
+class _Parser:
+    """Recursive descent over both grammars, reading ``text`` left to right.
+
+    ``refs`` selects the expression grammar: ``s[...]`` is allowed and ``/``
+    only joins two integers into one rational.  Each rule returns
+    (node, height); ``level`` counts the nodes and parentheses known to sit
+    above the rule, so ``level + height`` bounds a node's depth.
+    """
+
+    def __init__(self, text: str, refs: bool):
         self.text = text
         self.pos = 0
+        self.refs = refs
+        # operators of ``expr``, then of ``term``
+        self.ranks = (("+", "-"), ("*",) if refs else ("*", "/"))
 
-    def error(self, message):
-        raise ParseError(message, column=self.pos + 1)
-
-    def peek(self):
+    def peek(self) -> str:
+        """The next character that is not a space; '' at the end."""
         while self.pos < len(self.text) and self.text[self.pos].isspace():
             self.pos += 1
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        return self.text[self.pos:self.pos + 1]
 
-    def take_int(self) -> int:
-        start = self.pos
-        if self.peek() == "-":
+    def error(self, message, pos=None):
+        raise ParseError(message, column=(self.pos if pos is None else pos) + 1)
+
+    def parse(self):
+        node, _ = self.chain(0)
+        if self.peek():
+            self.error("trailing input")
+        return node
+
+    def chain(self, level, rank=0):
+        """``expr`` (rank 0) or ``term`` (rank 1): operands of the next rank
+        joined by this rank's operators, left to right."""
+        if rank == len(self.ranks):
+            return self.factor(level)
+        node, height = self.chain(level, rank + 1)
+        while self.peek() in self.ranks[rank]:
+            at = self.pos
             self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            right, right_height = self.chain(level + 1, rank + 1)
+            height = max(height, right_height) + 1
+            if level + height > MAX_DEPTH:
+                self.error(f"expression deeper than {MAX_DEPTH} levels", at)
+            node = BinOp(self.text[at], node, right)
+        return node, height
+
+    def factor(self, level):
+        ch = self.peek()
+        if level >= MAX_DEPTH:
+            self.error(f"expression deeper than {MAX_DEPTH} levels")
+        label = _LABEL.match(self.text, self.pos)
+        if label and self.refs:
+            self.pos = label.end()
+            return Ref(label.group(1)), 1
+        if ch.isdigit():
+            value = Fraction(self.integer())
+            if self.refs and self.peek() == "/":
+                slash = self.pos
+                self.pos += 1
+                den = self.integer()
+                if not den:
+                    self.error("division by zero", slash)
+                value /= den
+            return Num(value), 1
+        if ch not in ("-", "(", "q"):
+            self.error(f"unexpected character {ch!r}" if ch else "unexpected end of input")
+        self.pos += 1
+        if ch == "-":
+            arg, height = self.factor(level + 1)
+            return Neg(arg), height + 1
+        if ch == "(":
+            node, height = self.chain(level + 1)
+            if self.peek() != ")":
+                self.error("expected ')'")
             self.pos += 1
-        if self.pos == start or self.text[start:self.pos] == "-":
+            return node, height + 1
+        if self.peek() != "^":
+            return QPower(1), 1
+        self.pos += 1
+        return QPower(self.integer(signed=True)), 1
+
+    def integer(self, signed=False) -> int:
+        sign = 1
+        if signed and self.peek() == "-":
+            self.pos += 1
+            sign = -1
+        self.peek()  # skips spaces
+        digits = _INT.match(self.text, self.pos)
+        if digits is None:
             self.error("expected an integer")
-        return int(self.text[start:self.pos])
+        self.pos = digits.end()
+        return sign * int(digits.group())
 
 
-def _parse_expr(s: _Scanner) -> RationalFunction:
-    value = _parse_term(s)
-    while s.peek() in ("+", "-"):
-        op = s.peek()
-        s.pos += 1
-        rhs = _parse_term(s)
-        value = value + rhs if op == "+" else value - rhs
-    return value
+_ARITHMETIC = {"+": operator.add, "-": operator.sub,
+               "*": operator.mul, "/": operator.truediv}
 
 
-def _parse_term(s: _Scanner) -> RationalFunction:
-    value = _parse_factor(s)
-    while s.peek() in ("*", "/"):
-        op = s.peek()
-        s.pos += 1
-        rhs = _parse_factor(s)
-        value = value * rhs if op == "*" else value / rhs
-    return value
-
-
-def _parse_factor(s: _Scanner) -> RationalFunction:
-    ch = s.peek()
-    if ch == "-":
-        s.pos += 1
-        return -_parse_factor(s)
-    if ch == "(":
-        s.pos += 1
-        value = _parse_expr(s)
-        if s.peek() != ")":
-            s.error("expected ')'")
-        s.pos += 1
-        return value
-    if ch == "q":
-        s.pos += 1
-        if s.peek() == "^":
-            s.pos += 1
-            return RationalFunction.monomial(1, s.take_int())
-        return Q
-    if ch.isdigit():
-        return RationalFunction(s.take_int())
-    s.error(f"unexpected character {ch!r}" if ch else "unexpected end of input")
+def _evaluate(node) -> RationalFunction:
+    if isinstance(node, Num):
+        return RationalFunction(node.value)
+    if isinstance(node, QPower):
+        return RationalFunction.monomial(1, node.exponent)
+    if isinstance(node, Neg):
+        return -_evaluate(node.arg)
+    return _ARITHMETIC[node.op](_evaluate(node.left), _evaluate(node.right))
 
 
 def parse_scalar(text: str) -> RationalFunction:
-    """Parse the scalar grammar: integers, fractions p/q, powers q^k,
-    and sums, differences, products, quotients thereof.
+    """Parse and evaluate the scalar grammar.
 
     >>> parse_scalar("3/16*q^-2")
     RationalFunction('3/16*q^-2')
     """
-    s = _Scanner(text)
-    value = _parse_expr(s)
-    if s.peek():
-        s.error("trailing input")
-    return value
+    return _evaluate(_Parser(text, refs=False).parse())
+
+
+def parse_expression(text: str):
+    """Parse the expression grammar into a tree of Num, QPower, Ref, Neg
+    and BinOp nodes.
+
+    >>> parse_expression("-1/3*s[2,1]")
+    BinOp(op='*', left=Neg(arg=Num(value=Fraction(1, 3))), right=Ref(label='2,1'))
+    """
+    return _Parser(text, refs=True).parse()

@@ -1,9 +1,23 @@
 import pytest
 
+from qeuler import linalg
 from qeuler.frobenius import QuantumElement
 from qeuler.grassmannian import GrassmannianRing
 from qeuler.presented import bundled_ig26_path, load_algebra
 from qeuler.scalar import RationalFunction
+
+
+def zero_divisor_check(algebra, x: QuantumElement, y: QuantumElement) -> bool:
+    """True iff x and y are both nonzero but their product is zero."""
+    if x.is_zero() or y.is_zero():
+        return False
+    return algebra.multiply(x, y).is_zero()
+
+
+def new_basis_to_old(algebra, p, elem: QuantumElement) -> QuantumElement:
+    """Express an element of ``change_basis(algebra, p)`` in the original basis."""
+    vec = [elem.coefficient(l) for l in algebra.basis]
+    return QuantumElement(dict(zip(algebra.basis, linalg.mat_vec(p, vec))))
 
 
 def element(terms: dict) -> QuantumElement:

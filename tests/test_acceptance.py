@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import element, g24_expected
+from conftest import element, g24_expected, new_basis_to_old, zero_divisor_check
 from qeuler import rootgkm as rg
 from qeuler.cli import main as cli_main
 from qeuler.frobenius import (
@@ -23,10 +23,9 @@ from qeuler.frobenius import (
     change_basis,
     direct_sum,
     dual_numbers,
-    new_basis_to_old,
 )
 from qeuler.grassmannian import GrassmannianRing, parse_partition, partition_label
-from qeuler.presented import bundled_ig26_path, load_algebra, zero_divisor_check
+from qeuler.presented import bundled_ig26_path, load_algebra
 from qeuler.scalar import ONE, Q, RationalFunction
 
 GOLDEN = Path(__file__).parent / "golden"

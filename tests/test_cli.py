@@ -8,6 +8,7 @@ import pytest
 
 from qeuler.cli import main
 from qeuler.presented import bundled_ig26_path
+from qeuler.scalar import MAX_DEPTH
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).parents[1] / "src"
@@ -227,6 +228,35 @@ def test_bad_data_file_exits_2_naming_the_json_path(tmp_path, edit, path):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("ParseError:")
     assert path in proc.stderr
+
+
+def _edit_first_definition(prefix="", suffix=""):
+    def edit(raw):
+        first = raw["definitions"][0]
+        first["expr"] = prefix + first["expr"] + suffix
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_edit_first_definition("1/0*"), "division by zero (column 2)"),
+    (_edit_first_definition("-" * 3000),
+     f"expression deeper than {MAX_DEPTH} levels (column {MAX_DEPTH + 1})"),
+    # "s[1]*s[1] - s[2]" is 3 levels deep; the '+' of the (MAX_DEPTH - 2)-th
+    # " + 0*s[1]" makes it one too deep
+    (_edit_first_definition(suffix=" + 0*s[1]" * 1500),
+     f"expression deeper than {MAX_DEPTH} levels "
+     f"(column {16 + 9 * (MAX_DEPTH - 3) + 2})"),
+], ids=["one-over-zero", "3000-minus-signs", "1500-terms"])
+def test_bad_definition_exits_2_naming_the_definition(tmp_path, edit, message):
+    raw = json.loads(bundled_ig26_path().read_text(encoding="utf-8"))
+    edit(raw)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw), encoding="utf-8")
+    proc = run_module("algebra", "--file", str(bad), "diagnose")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == f"ParseError: in definition of '1,1': {message}\n"
 
 
 def test_optimized_interpreter_gives_same_diagnose():

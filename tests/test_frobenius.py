@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import element
+from conftest import element, new_basis_to_old
 from qeuler.errors import DegeneratePairing, NotAUnit, UnknownLabel
 from qeuler.frobenius import (
     FrobeniusAlgebra,
@@ -11,7 +11,6 @@ from qeuler.frobenius import (
     change_basis,
     direct_sum,
     dual_numbers,
-    new_basis_to_old,
     nilpotent_chain,
     quadratic_extension,
 )

@@ -120,10 +120,13 @@ def test_sign_calibration_against_pieri(g24):
     def oracle(lam, mu, rule):
         acc = {}
         for rho, c in _classical_product_rows_capped(lam, mu, g24.k).items():
-            reduced = rim_hook_reduce(rho, g24.k, g24.n, sign_rule=rule)
+            reduced = rim_hook_reduce(rho, g24.k, g24.n)
             if reduced is None:
                 continue
             nu, d, sign = reduced
+            # per strip, (-1)^(h-1) = (-1)^(k-h) * (-1)^(k-1)
+            if rule == "height-minus-one" and (d * (g24.k - 1)) % 2:
+                sign = -sign
             acc[(nu, d)] = acc.get((nu, d), 0) + sign * c
         return _collect(acc)
 

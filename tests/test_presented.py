@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from conftest import element
+from conftest import element, zero_divisor_check
 from qeuler.errors import (
     CyclicDefinition,
     InconsistentTable,
@@ -17,7 +17,6 @@ from qeuler.presented import (
     load_algebra,
     parse_expression,
     parse_spec,
-    zero_divisor_check,
 )
 from qeuler.scalar import Q, RationalFunction
 

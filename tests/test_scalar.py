@@ -8,12 +8,20 @@ from hypothesis import strategies as st
 
 import qeuler.scalar
 from qeuler.errors import DivisionByZero, ParseError
+from qeuler.presented import expression_labels
 from qeuler.scalar import (
+    MAX_DEPTH,
     ONE,
     Q,
+    BinOp,
+    Neg,
+    Num,
     QPolynomial,
+    QPower,
     RationalFunction,
+    Ref,
     ZERO,
+    parse_expression,
     parse_scalar,
     poly_gcd,
     render_scalar,
@@ -169,6 +177,86 @@ def test_parse_errors_carry_position():
         parse_scalar("(q + 1")
     with pytest.raises(ParseError):
         parse_scalar("q q")
+
+
+class ErrorAt(int):
+    """Expected outcome: a ParseError at this 1-based column."""
+
+
+# text, parse_scalar, parse_expression: a rendered value or a tree, a
+# ParseError column, or an exception class
+PARSER_CONTRACT = [
+    ("q + #", ErrorAt(5), ErrorAt(5)),
+    ("(q + 1", ErrorAt(7), ErrorAt(7)),
+    ("q q", ErrorAt(3), ErrorAt(3)),
+    ("", ErrorAt(1), ErrorAt(1)),
+    ("(s[1]", ErrorAt(2), ErrorAt(6)),
+    ("s[1] ! s[2]", ErrorAt(1), ErrorAt(6)),
+    ("s[2,1]", ErrorAt(1), Ref("2,1")),
+    # the two old parsers disagreed on the rest
+    ("q ^ 2", "q^2", QPower(2)),
+    ("q ^ -3", "q^-3", QPower(-3)),
+    ("2 / 3", "2/3", Num(Fraction(2, 3))),
+    ("s[1]/2", ErrorAt(1), ErrorAt(5)),
+    ("q^", ErrorAt(3), ErrorAt(3)),
+    ("q^-", ErrorAt(4), ErrorAt(4)),
+    ("1/0", DivisionByZero, ErrorAt(2)),
+    ("1/-3", "-1/3", ErrorAt(3)),
+    ("(1)/3", "1/3", ErrorAt(4)),
+    ("-1/3*s[1]", ErrorAt(6), BinOp("*", Neg(Num(Fraction(1, 3))), Ref("1"))),
+    ("3/16*q^-2", "3/16*q^-2", BinOp("*", Num(Fraction(3, 16)), QPower(-2))),
+    ("2*-q", "-2*q", BinOp("*", Num(2), Neg(QPower(1)))),
+    ("(q^2 - 1)/(q - 1)", "q + 1", ErrorAt(10)),
+]
+
+
+@pytest.mark.parametrize("text, scalar, expression", PARSER_CONTRACT)
+def test_parser_contract(text, scalar, expression):
+    for parse, expected in ((parse_scalar, scalar), (parse_expression, expression)):
+        if isinstance(expected, ErrorAt):
+            with pytest.raises(ParseError) as info:
+                parse(text)
+            assert info.value.column == expected
+        elif isinstance(expected, type):
+            with pytest.raises(expected):
+                parse(text)
+        elif parse is parse_scalar:
+            assert render_scalar(parse(text)) == expected
+        else:
+            assert parse(text) == expected
+
+
+@pytest.mark.parametrize("text, column", [
+    ("(" * 3000 + "q" + ")" * 3000, MAX_DEPTH + 1),
+    ("-" * 3000 + "q", MAX_DEPTH + 1),
+    ("q" + "*q" * 3000, 2 * MAX_DEPTH),  # the MAX_DEPTH-th '*'
+    # three levels a repetition: the 'q' after the 34th '+' is one too deep
+    ("q+q*(" * 3000 + "q" + ")" * 3000, 5 * 33 + 3),
+], ids=["3000-parentheses", "3000-minus-signs", "3000-products", "nested-sums"])
+def test_depth_bound_is_a_parse_error(text, column):
+    assert MAX_DEPTH == 100  # the last column above assumes it
+    for parse in (parse_scalar, parse_expression):
+        with pytest.raises(ParseError, match=f"deeper than {MAX_DEPTH} levels") as info:
+            parse(text)
+        assert info.value.column == column
+
+
+@pytest.mark.parametrize("open_, close", [("(", ")"), ("-", ""), ("q+q*(", ")"),
+                                          ("q*", ""), ("q-", "")])
+def test_deepest_accepted_trees_evaluate(open_, close):
+    """The deepest tree of each shape that parses also evaluates and walks
+    without hitting the recursion limit."""
+    n = 1
+    while True:
+        try:
+            parse_expression(open_ * (n + 1) + "s[1]" + close * (n + 1))
+        except ParseError:
+            break
+        n += 1
+    assert n >= MAX_DEPTH // len(open_) - 2
+    text = open_ * n + "q" + close * n
+    assert parse_scalar(text) is not None
+    assert expression_labels(parse_expression(text.replace("q", "s[1]"))) <= {"1"}
 
 
 def test_negative_exponent_power():
