@@ -97,6 +97,8 @@ def _json_text(obj) -> str:
 
 def _algebra_output(algebra, ring, action, labels, fmt):
     if action == "table":
+        if fmt == "json":
+            return _json_text(algebra.table_to_json())
         # the Grassmannian grid labels the unit 1, as in the literature
         return algebra.render_table(fmt, unit_cell="1" if ring is not None else None)
 
@@ -209,26 +211,17 @@ def run(args) -> str:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        output = run(_build_parser().parse_args(argv))
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    try:
-        output = run(args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except InputError as exc:
+    except (InputError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except ComputeError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
     sys.stdout.write(output)
     return 0
 

@@ -13,7 +13,6 @@ Instances are immutable after construction and all operations are pure.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -372,19 +371,15 @@ class FrobeniusAlgebra:
         return _join_terms(parts)
 
     def render_table(self, fmt: str, unit_cell=None) -> str:
-        """The multiplication table as text lines, a markdown grid or JSON.
+        """The multiplication table as text lines or a markdown grid.
 
         Classes appear as ``s[label]``; in the markdown grid ``unit_cell``,
         when given, labels the unit's row and column instead.
         """
-        products = [(a, b, self.structure_constants[(a, b)])
-                    for a in self.basis for b in self.basis]
-        if fmt == "json":
-            table = {f"{a}|{b}": self.element_to_json(p) for a, b, p in products}
-            return json.dumps(table, indent=2) + "\n"
         if fmt == "text":
-            return "".join(f"s[{a}] * s[{b}] = {self.render_element(p)}\n"
-                           for a, b, p in products)
+            return "".join(
+                f"s[{a}] * s[{b}] = {self.render_element(self.structure_constants[(a, b)])}\n"
+                for a in self.basis for b in self.basis)
         cells = {l: f"s[{l}]" for l in self.basis}
         if unit_cell is not None:
             cells[next(iter(self.unit.support()))] = unit_cell
@@ -398,6 +393,11 @@ class FrobeniusAlgebra:
 
     def element_to_json(self, x: QuantumElement) -> dict:
         return {l: render_scalar(x.coefficient(l)) for l in self._render_order(x.support())}
+
+    def table_to_json(self) -> dict:
+        """Every product ``s[a] * s[b]``, keyed ``"a|b"``."""
+        return {f"{a}|{b}": self.element_to_json(self.structure_constants[(a, b)])
+                for a in self.basis for b in self.basis}
 
     def report_to_json(self, report: DiagnoseReport) -> dict:
         return {
@@ -489,22 +489,16 @@ def direct_sum(a: FrobeniusAlgebra, b: FrobeniusAlgebra) -> FrobeniusAlgebra:
 
     basis = [left(l) for l in a.basis] + [right(l) for l in b.basis]
     zero = QuantumElement()
-    table = {}
-    for (x, y), prod in a.structure_constants.items():
-        table[(left(x), left(y))] = QuantumElement(
-            {left(l): c for l, c in prod.items()})
-    for (x, y), prod in b.structure_constants.items():
-        table[(right(x), right(y))] = QuantumElement(
-            {right(l): c for l, c in prod.items()})
+    table, unit, functional = {}, zero, {}
+    for summand, relabel in ((a, left), (b, right)):
+        for (x, y), prod in summand.structure_constants.items():
+            table[(relabel(x), relabel(y))] = QuantumElement(
+                {relabel(l): c for l, c in prod.items()})
+        unit = unit + QuantumElement({relabel(l): c for l, c in summand.unit.items()})
+        functional.update({relabel(l): c for l, c in summand.functional.items()})
     for x in a.basis:
         for y in b.basis:
-            table[(left(x), right(y))] = zero
-            table[(right(y), left(x))] = zero
-    unit = QuantumElement(
-        {left(l): c for l, c in a.unit.items()}
-    ) + QuantumElement({right(l): c for l, c in b.unit.items()})
-    functional = {left(l): c for l, c in a.functional.items()}
-    functional.update({right(l): c for l, c in b.functional.items()})
+            table[(left(x), right(y))] = zero  # the mirror pair is filled in by symmetry
     name = f"{a.name or 'A'} (+) {b.name or 'B'}"
     return FrobeniusAlgebra(basis, table, unit, functional, name=name)
 

@@ -17,7 +17,6 @@ assumption.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from functools import lru_cache
 from itertools import permutations
@@ -117,7 +116,6 @@ class GrassmannianRing:
             for mu_i in range(low, high + 1):
                 rec(i + 1, remaining - (mu_i - low), acc + [mu_i],
                     lam_p[i])  # strip condition: mu_{i+1} <= lam_i
-            return
 
         rec(0, p, [], self.width)
         return results
@@ -149,24 +147,11 @@ class GrassmannianRing:
         """Expansion of s_mu as a signed sum of products of special classes.
 
         Determinant of the k x k matrix with entries s_{mu_i + j - i},
-        where entries outside 0..n-k vanish and s_0 = 1.
+        where entries outside 0..n-k vanish and s_0 = 1: the Jacobi-Trudi
+        expansion without the monomials that hold an s_p with p > n-k.
         """
-        mu_p = _pad(mu, self.k)
-        monomials = []
-        for perm in permutations(range(self.k)):
-            sign = _perm_sign(perm)
-            factors = []
-            ok = True
-            for i in range(self.k):
-                idx = mu_p[i] + perm[i] - i
-                if idx < 0 or idx > self.width:
-                    ok = False
-                    break
-                if idx > 0:
-                    factors.append(idx)
-            if ok:
-                monomials.append((sign, factors))
-        return monomials
+        return [(sign, factors) for sign, factors in _jacobi_trudi_monomials(mu, self.k)
+                if all(p <= self.width for p in factors)]
 
     def quantum_product(self, lam: Partition, mu: Partition) -> QuantumElement:
         """Quantum product of two Schubert classes via Pieri and Giambelli."""
@@ -235,7 +220,7 @@ class GrassmannianRing:
         return self.to_frobenius().render_table("md", unit_cell="1")
 
     def table_json(self) -> dict:
-        return json.loads(self.to_frobenius().render_table("json"))
+        return self.to_frobenius().table_to_json()
 
     def __repr__(self):
         return f"GrassmannianRing(k={self.k}, n={self.n})"

@@ -28,8 +28,9 @@ wrapped as ``s[...]`` so that ``s[2,1]`` is unambiguous next to rationals)::
     factor := "-" factor | int ("/" int)? | "q" ("^" ["-"] int)? | "s[" label "]" | "(" expr ")"
 
 ``qeuler.scalar.parse_expression`` reads it with the same parser as scalars:
-spaces may separate any two tokens, and a tree deeper than
-``scalar.MAX_DEPTH`` levels is a ``ParseError``.
+spaces may separate any two tokens, a sum may have any number of terms, and
+minus signs or parentheses nested deeper than ``scalar.MAX_DEPTH`` levels are
+a ``ParseError``.
 """
 
 from __future__ import annotations
@@ -48,17 +49,20 @@ from .errors import (
 )
 from .frobenius import FrobeniusAlgebra, Grading, QuantumElement
 from .scalar import (BinOp, Neg, Num, QPower, RationalFunction, Ref, _evaluate,
-                     parse_expression)
+                     _unchain, parse_expression)
 
 
 def expression_labels(expr) -> set:
-    if isinstance(expr, Ref):
-        return {expr.label}
-    if isinstance(expr, Neg):
-        return expression_labels(expr.arg)
-    if isinstance(expr, BinOp):
-        return expression_labels(expr.left) | expression_labels(expr.right)
-    return set()
+    labels, stack = set(), [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Ref):
+            labels.add(node.label)
+        elif isinstance(node, Neg):
+            stack.append(node.arg)
+        elif isinstance(node, BinOp):
+            stack += (node.left, node.right)
+    return labels
 
 
 # -- algebra spec ---------------------------------------------------------------
@@ -257,13 +261,20 @@ def complete_table(spec: AlgebraSpec, validate: bool = True) -> FrobeniusAlgebra
             return times_column(x, expr.label)
         if isinstance(expr, Neg):
             return -apply(x, expr.arg)
-        if isinstance(expr, BinOp):
-            if expr.op == "+":
-                return apply(x, expr.left) + apply(x, expr.right)
-            if expr.op == "-":
-                return apply(x, expr.left) - apply(x, expr.right)
-            return apply(apply(x, expr.left), expr.right)
-        raise TypeError(f"unknown expression node {expr!r}")
+        if not isinstance(expr, BinOp):
+            raise TypeError(f"unknown expression node {expr!r}")
+        # y is x times the chain so far: a sum applies each term to x, a
+        # product applies the next factor to y
+        leftmost, ops = _unchain(expr)
+        y = apply(x, leftmost)
+        for op in ops:
+            if op.op == "*":
+                y = apply(y, op.right)
+            elif op.op == "+":
+                y = y + apply(x, op.right)
+            else:
+                y = y - apply(x, op.right)
+        return y
 
     for label, expr in spec.definitions:
         columns[label] = {

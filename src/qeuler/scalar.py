@@ -18,8 +18,9 @@ whose labels ``s[...]`` name basis classes)::
 
 In a scalar ``/`` divides and ``s[...]`` is an error.  In an expression
 ``/`` only joins two integers into one rational (``-1/3*s[1]``).  Spaces may
-separate any two tokens, and a tree may be at most ``MAX_DEPTH`` levels
-deep.  Errors are ``ParseError``s carrying a 1-based column.
+separate any two tokens, minus signs and parentheses may nest at most
+``MAX_DEPTH`` levels deep, and a sum or product may have any number of
+terms.  Errors are ``ParseError``s carrying a 1-based column.
 
 >>> parse_scalar("(q^2 - 1)/(q - 1)")
 RationalFunction('q + 1')
@@ -284,9 +285,7 @@ class RationalFunction:
     def _coerce(self, other):
         if isinstance(other, RationalFunction):
             return other
-        if isinstance(other, (int, Fraction)):
-            return RationalFunction(other)
-        if isinstance(other, QPolynomial):
+        if isinstance(other, (int, Fraction, QPolynomial)):
             return RationalFunction(other)
         return None
 
@@ -425,9 +424,11 @@ def render_scalar(x: RationalFunction) -> str:
 # parsing
 # ---------------------------------------------------------------------------
 
-# Deepest tree either grammar may build, counting each operator, minus sign
-# and pair of parentheses as one level.  Parsing and evaluating recurse at
-# most a few frames per level, so this keeps both inside Python's limit.
+# Deepest nesting either grammar may read, counting each minus sign and each
+# pair of parentheses as one level.  Only nesting makes the parser recurse,
+# at most three frames a level, and the tree walkers loop along operator
+# chains, so this keeps both inside Python's limit while a flat sum or
+# product may have any number of terms.
 MAX_DEPTH = 100
 
 
@@ -466,15 +467,15 @@ class _Parser:
     """Recursive descent over both grammars, reading ``text`` left to right.
 
     ``refs`` selects the expression grammar: ``s[...]`` is allowed and ``/``
-    only joins two integers into one rational.  Each rule returns
-    (node, height); ``level`` counts the nodes and parentheses known to sit
-    above the rule, so ``level + height`` bounds a node's depth.
+    only joins two integers into one rational.  ``depth`` counts the minus
+    signs and open parentheses around the current position.
     """
 
     def __init__(self, text: str, refs: bool):
         self.text = text
         self.pos = 0
         self.refs = refs
+        self.depth = 0
         # operators of ``expr``, then of ``term``
         self.ranks = (("+", "-"), ("*",) if refs else ("*", "/"))
 
@@ -488,35 +489,29 @@ class _Parser:
         raise ParseError(message, column=(self.pos if pos is None else pos) + 1)
 
     def parse(self):
-        node, _ = self.chain(0)
+        node = self.chain()
         if self.peek():
             self.error("trailing input")
         return node
 
-    def chain(self, level, rank=0):
+    def chain(self, rank=0):
         """``expr`` (rank 0) or ``term`` (rank 1): operands of the next rank
         joined by this rank's operators, left to right."""
         if rank == len(self.ranks):
-            return self.factor(level)
-        node, height = self.chain(level, rank + 1)
+            return self.factor()
+        node = self.chain(rank + 1)
         while self.peek() in self.ranks[rank]:
-            at = self.pos
+            op = self.text[self.pos]
             self.pos += 1
-            right, right_height = self.chain(level + 1, rank + 1)
-            height = max(height, right_height) + 1
-            if level + height > MAX_DEPTH:
-                self.error(f"expression deeper than {MAX_DEPTH} levels", at)
-            node = BinOp(self.text[at], node, right)
-        return node, height
+            node = BinOp(op, node, self.chain(rank + 1))
+        return node
 
-    def factor(self, level):
+    def factor(self):
         ch = self.peek()
-        if level >= MAX_DEPTH:
-            self.error(f"expression deeper than {MAX_DEPTH} levels")
         label = _LABEL.match(self.text, self.pos)
         if label and self.refs:
             self.pos = label.end()
-            return Ref(label.group(1)), 1
+            return Ref(label.group(1))
         if ch.isdigit():
             value = Fraction(self.integer())
             if self.refs and self.peek() == "/":
@@ -526,23 +521,28 @@ class _Parser:
                 if not den:
                     self.error("division by zero", slash)
                 value /= den
-            return Num(value), 1
+            return Num(value)
         if ch not in ("-", "(", "q"):
             self.error(f"unexpected character {ch!r}" if ch else "unexpected end of input")
+        if ch == "q":
+            self.pos += 1
+            if self.peek() != "^":
+                return QPower(1)
+            self.pos += 1
+            return QPower(self.integer(signed=True))
+        if self.depth == MAX_DEPTH:
+            self.error(f"expression nested deeper than {MAX_DEPTH} levels")
         self.pos += 1
+        self.depth += 1
         if ch == "-":
-            arg, height = self.factor(level + 1)
-            return Neg(arg), height + 1
-        if ch == "(":
-            node, height = self.chain(level + 1)
+            node = Neg(self.factor())
+        else:
+            node = self.chain()
             if self.peek() != ")":
                 self.error("expected ')'")
             self.pos += 1
-            return node, height + 1
-        if self.peek() != "^":
-            return QPower(1), 1
-        self.pos += 1
-        return QPower(self.integer(signed=True)), 1
+        self.depth -= 1
+        return node
 
     def integer(self, signed=False) -> int:
         sign = 1
@@ -561,6 +561,19 @@ _ARITHMETIC = {"+": operator.add, "-": operator.sub,
                "*": operator.mul, "/": operator.truediv}
 
 
+def _unchain(node):
+    """The leftmost operand of an operator chain and the BinOps that apply
+    to it, in order: ``a + b*c - d`` gives ``a`` and the nodes of ``+ b*c``
+    and ``- d``.  Walkers loop over these instead of recursing on ``left``,
+    so a long flat sum or product needs no deep recursion."""
+    ops = []
+    while isinstance(node, BinOp):
+        ops.append(node)
+        node = node.left
+    ops.reverse()
+    return node, ops
+
+
 def _evaluate(node) -> RationalFunction:
     if isinstance(node, Num):
         return RationalFunction(node.value)
@@ -568,7 +581,11 @@ def _evaluate(node) -> RationalFunction:
         return RationalFunction.monomial(1, node.exponent)
     if isinstance(node, Neg):
         return -_evaluate(node.arg)
-    return _ARITHMETIC[node.op](_evaluate(node.left), _evaluate(node.right))
+    node, ops = _unchain(node)
+    value = _evaluate(node)
+    for op in ops:
+        value = _ARITHMETIC[op.op](value, _evaluate(op.right))
+    return value
 
 
 def parse_scalar(text: str) -> RationalFunction:

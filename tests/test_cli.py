@@ -237,26 +237,39 @@ def _edit_first_definition(prefix="", suffix=""):
     return edit
 
 
+def _diagnose_edited(tmp_path, edit):
+    raw = json.loads(bundled_ig26_path().read_text(encoding="utf-8"))
+    edit(raw)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    return run_module("algebra", "--file", str(path), "diagnose")
+
+
 @pytest.mark.parametrize("edit, message", [
     (_edit_first_definition("1/0*"), "division by zero (column 2)"),
     (_edit_first_definition("-" * 3000),
-     f"expression deeper than {MAX_DEPTH} levels (column {MAX_DEPTH + 1})"),
-    # "s[1]*s[1] - s[2]" is 3 levels deep; the '+' of the (MAX_DEPTH - 2)-th
-    # " + 0*s[1]" makes it one too deep
-    (_edit_first_definition(suffix=" + 0*s[1]" * 1500),
-     f"expression deeper than {MAX_DEPTH} levels "
-     f"(column {16 + 9 * (MAX_DEPTH - 3) + 2})"),
-], ids=["one-over-zero", "3000-minus-signs", "1500-terms"])
+     f"expression nested deeper than {MAX_DEPTH} levels (column {MAX_DEPTH + 1})"),
+], ids=["one-over-zero", "3000-minus-signs"])
 def test_bad_definition_exits_2_naming_the_definition(tmp_path, edit, message):
-    raw = json.loads(bundled_ig26_path().read_text(encoding="utf-8"))
-    edit(raw)
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(raw), encoding="utf-8")
-    proc = run_module("algebra", "--file", str(bad), "diagnose")
+    proc = _diagnose_edited(tmp_path, edit)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert proc.stderr == f"ParseError: in definition of '1,1': {message}\n"
+
+
+@pytest.mark.parametrize("edit", [
+    _edit_first_definition(suffix=" + 0*s[1]" * 1500),
+    _edit_first_definition(suffix=" * 1" * 1500),
+    _edit_first_definition("-(" * (MAX_DEPTH // 2), ")" * (MAX_DEPTH // 2)),
+], ids=["1500-terms", "1500-factors", "deepest-nesting"])
+def test_long_or_deep_definition_gives_same_ring(tmp_path, edit):
+    """Long chains and nesting up to the bound are accepted and leave the
+    completed ring as it was (an even number of minus signs)."""
+    proc = _diagnose_edited(tmp_path, edit)
+    assert proc.returncode == 0, proc.stderr
+    unedited = run_module("algebra", "--file", str(bundled_ig26_path()), "diagnose")
+    assert proc.stdout == unedited.stdout != ""
 
 
 def test_optimized_interpreter_gives_same_diagnose():

@@ -32,7 +32,7 @@ FORMATS = ([], ["--format", "md"], ["--format", "json"])
 def _grassmannian_products(k, n):
     labels = [partition_label(p) for p in GrassmannianRing(k, n).basis]
     mid = len(labels) // 2
-    return [
+    products = [
         [labels[1], labels[1]],
         [labels[1], labels[-1]],
         [labels[-2], labels[-1]],
@@ -45,6 +45,8 @@ def _grassmannian_products(k, n):
         ["1", "1,2"],
         ["1"],
     ]
+    # on small rings several picks name the same pair; keep the first
+    return [list(p) for p in dict.fromkeys(map(tuple, products))]
 
 
 IG26_PRODUCTS = [

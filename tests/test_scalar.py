@@ -229,20 +229,19 @@ def test_parser_contract(text, scalar, expression):
 @pytest.mark.parametrize("text, column", [
     ("(" * 3000 + "q" + ")" * 3000, MAX_DEPTH + 1),
     ("-" * 3000 + "q", MAX_DEPTH + 1),
-    ("q" + "*q" * 3000, 2 * MAX_DEPTH),  # the MAX_DEPTH-th '*'
-    # three levels a repetition: the 'q' after the 34th '+' is one too deep
-    ("q+q*(" * 3000 + "q" + ")" * 3000, 5 * 33 + 3),
-], ids=["3000-parentheses", "3000-minus-signs", "3000-products", "nested-sums"])
+    # the (MAX_DEPTH + 1)-th '(' is the last character of a repetition
+    ("q+q*(" * 3000 + "q" + ")" * 3000, 5 * (MAX_DEPTH + 1)),
+    ("-(" * 3000 + "q" + ")" * 3000, MAX_DEPTH + 1),
+], ids=["3000-parentheses", "3000-minus-signs", "nested-sums", "minus-parentheses"])
 def test_depth_bound_is_a_parse_error(text, column):
-    assert MAX_DEPTH == 100  # the last column above assumes it
     for parse in (parse_scalar, parse_expression):
-        with pytest.raises(ParseError, match=f"deeper than {MAX_DEPTH} levels") as info:
+        with pytest.raises(ParseError, match=f"nested deeper than {MAX_DEPTH} levels") as info:
             parse(text)
         assert info.value.column == column
 
 
 @pytest.mark.parametrize("open_, close", [("(", ")"), ("-", ""), ("q+q*(", ")"),
-                                          ("q*", ""), ("q-", "")])
+                                          ("-(", ")")])
 def test_deepest_accepted_trees_evaluate(open_, close):
     """The deepest tree of each shape that parses also evaluates and walks
     without hitting the recursion limit."""
@@ -253,10 +252,35 @@ def test_deepest_accepted_trees_evaluate(open_, close):
         except ParseError:
             break
         n += 1
-    assert n >= MAX_DEPTH // len(open_) - 2
+    assert n == MAX_DEPTH // len(open_.strip("q+*"))
     text = open_ * n + "q" + close * n
     assert parse_scalar(text) is not None
-    assert expression_labels(parse_expression(text.replace("q", "s[1]"))) <= {"1"}
+    assert expression_labels(parse_expression(text.replace("q", "s[1]"))) == {"1"}
+
+
+@pytest.mark.parametrize("text, value", [
+    ("q" + "*q" * 3000, Q**3001),
+    ("q" + " + q" * 3000, 3001 * Q),
+    ("1" + " - q" * 3000, 1 - 3000 * Q),
+    # the divisions bind to the last term only
+    ("q" + " + 2*q^2*q" * 1000 + "/q" * 1000, Q + 1998 * Q**3 + 2 * Q**3 / Q**1000),
+], ids=["3000-products", "3000-sums", "3000-differences", "mixed"])
+def test_long_flat_chains_parse(text, value):
+    """Only nesting is bounded: a sum or product of any length parses in
+    both grammars, and its tree walks without recursing along the chain."""
+    assert parse_scalar(text) == value
+    if "/" not in text:
+        tree = parse_expression(text.replace("q", "s[1]"))
+        assert expression_labels(tree) == {"1"}
+
+
+def test_long_polynomials_round_trip():
+    rng = random.Random(5150)
+    num = QPolynomial({e: Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 4))
+                       for e in range(250)})
+    for x in (RationalFunction(num), RationalFunction(num, poly((250, 1))),
+              RationalFunction(num, poly((1, 1), (0, 3)))):
+        assert parse_scalar(render_scalar(x)) == x
 
 
 def test_negative_exponent_power():
