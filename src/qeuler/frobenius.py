@@ -45,7 +45,9 @@ class QuantumElement:
         if coeffs:
             items = coeffs.items() if isinstance(coeffs, dict) else coeffs
             for label, c in items:
-                c = _as_scalar(c) + tidy.get(label, ZERO)
+                c = _as_scalar(c)
+                if label in tidy:
+                    c = c + tidy[label]
                 if c:
                     tidy[label] = c
                 elif label in tidy:
@@ -200,7 +202,9 @@ class FrobeniusAlgebra:
         """The Frobenius functional, extended linearly."""
         total = ZERO
         for l, c in x.items():
-            total = total + c * self.functional.get(l, ZERO)
+            value = self.functional.get(l)
+            if value:
+                total = total + c * value
         return total
 
     def eta(self, x: QuantumElement, y: QuantumElement) -> RationalFunction:
@@ -349,11 +353,21 @@ class FrobeniusAlgebra:
             return sorted(labels, key=lambda l: (deg[l], self.index[l]))
         return sorted(labels, key=lambda l: self.index[l])
 
+    def _unit_label(self):
+        """The unit's label when the unit is one basis element with
+        coefficient 1, else None (as for a direct sum)."""
+        if len(self.unit.coeffs) == 1:
+            ((label, c),) = self.unit.items()
+            if c == ONE:
+                return label
+        return None
+
     def render_element(self, x: QuantumElement) -> str:
-        """Deterministic text form: point-degree terms first, unit bare."""
+        """Deterministic text form: point-degree terms first; the unit bare
+        when it is a single basis element."""
         if x.is_zero():
             return "0"
-        unit_label = next(iter(self.unit.support()))
+        unit_label = self._unit_label()
         parts = []
         for l in self._render_order(x.support()):
             c = x.coefficient(l)
@@ -374,15 +388,17 @@ class FrobeniusAlgebra:
         """The multiplication table as text lines or a markdown grid.
 
         Classes appear as ``s[label]``; in the markdown grid ``unit_cell``,
-        when given, labels the unit's row and column instead.
+        when given, labels the unit's row and column instead, provided the
+        unit is a single basis element.
         """
         if fmt == "text":
             return "".join(
                 f"s[{a}] * s[{b}] = {self.render_element(self.structure_constants[(a, b)])}\n"
                 for a in self.basis for b in self.basis)
         cells = {l: f"s[{l}]" for l in self.basis}
-        if unit_cell is not None:
-            cells[next(iter(self.unit.support()))] = unit_cell
+        unit_label = self._unit_label()
+        if unit_cell is not None and unit_label is not None:
+            cells[unit_label] = unit_cell
         header = ["*"] + [cells[b] for b in self.basis]
         lines = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
         for a in self.basis:
@@ -434,6 +450,9 @@ def _clear_denominators(m):
     for row in m:
         new_row = []
         for x in row:
+            if x.is_polynomial():
+                new_row.append(x.num * common)
+                continue
             quot, rem = divmod(common, x.den)
             if not rem.is_zero():
                 raise ComputeError(f"common denominator is not divisible by {x.den}")

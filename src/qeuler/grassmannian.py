@@ -18,13 +18,12 @@ assumption.
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
 from itertools import permutations
 from math import comb
 
 from .errors import ComputeError, InvalidShape, InvalidSpecialClass, UnknownLabel
 from .frobenius import FrobeniusAlgebra, Grading, QuantumElement
-from .scalar import RationalFunction
+from .scalar import QPolynomial, RationalFunction
 
 Partition = tuple
 
@@ -63,7 +62,11 @@ class GrassmannianRing:
         self.chern_number = n
         self.complex_dimension = k * (n - k)
         self.basis_index = {p: i for i, p in enumerate(self.basis)}
+        # every table the ring fills lives, and is freed, with the ring
         self._product_cache = {}
+        self._pieri_cache = {}  # (p, lam) -> quantum Pieri terms
+        self._giambelli_cache = {}  # mu -> Giambelli monomials
+        self._classical_cache = {}  # (lam, p) -> classical Pieri step of the oracle
 
     def check_member(self, p: Partition):
         if p not in self.basis_index:
@@ -87,9 +90,13 @@ class GrassmannianRing:
     def quantum_pieri_raw(self, p: int, lam: Partition):
         """Multiply by the special class s_p.
 
-        Returns a list of (partition, q_power) terms, each with
-        coefficient 1 (the rule is multiplicity free).
+        Returns a tuple of (partition, q_power) terms, each with
+        coefficient 1 (the rule is multiplicity free).  The ring keeps it,
+        so each (p, lam) is enumerated once.
         """
+        cached = self._pieri_cache.get((p, lam))
+        if cached is not None:
+            return cached
         if not 1 <= p <= self.width:
             raise InvalidSpecialClass(
                 f"special class index must be in 1..{self.width}, got {p}")
@@ -100,7 +107,8 @@ class GrassmannianRing:
         if qsize >= 0 and lam_p[self.k - 1] >= 1:
             for nu in self._quantum_partitions(lam_p, qsize):
                 out.append((nu, 1))
-        return out
+        cached = self._pieri_cache[(p, lam)] = tuple(out)
+        return cached
 
     def _strips_above(self, lam_p, p):
         """Partitions in the box adding a horizontal strip of size p to lam."""
@@ -149,9 +157,15 @@ class GrassmannianRing:
         Determinant of the k x k matrix with entries s_{mu_i + j - i},
         where entries outside 0..n-k vanish and s_0 = 1: the Jacobi-Trudi
         expansion without the monomials that hold an s_p with p > n-k.
+        The ring keeps it, so each mu is expanded once.
         """
-        return [(sign, factors) for sign, factors in _jacobi_trudi_monomials(mu, self.k)
-                if all(p <= self.width for p in factors)]
+        cached = self._giambelli_cache.get(mu)
+        if cached is None:
+            cached = self._giambelli_cache[mu] = tuple(
+                (sign, tuple(factors))
+                for sign, factors in _jacobi_trudi_monomials(mu, self.k)
+                if all(p <= self.width for p in factors))
+        return cached
 
     def quantum_product(self, lam: Partition, mu: Partition) -> QuantumElement:
         """Quantum product of two Schubert classes via Pieri and Giambelli."""
@@ -166,7 +180,11 @@ class GrassmannianRing:
                 for p in factors:
                     nxt = {}
                     for (part, d), c in terms.items():
-                        for part2, d2 in self.quantum_pieri_raw(p, part):
+                        # quantum_pieri_raw runs only for steps not yet kept
+                        step = self._pieri_cache.get((p, part))
+                        if step is None:
+                            step = self.quantum_pieri_raw(p, part)
+                        for part2, d2 in step:
                             k2 = (part2, d + d2)
                             nxt[k2] = nxt.get(k2, 0) + c
                     terms = nxt
@@ -183,7 +201,8 @@ class GrassmannianRing:
         self.check_member(lam)
         self.check_member(mu)
         acc = {}
-        for rho, c in _classical_product_rows_capped(lam, mu, self.k).items():
+        for rho, c in _classical_product_rows_capped(
+                lam, mu, self.k, self._classical_cache).items():
             reduced = rim_hook_reduce(rho, self.k, self.n)
             if reduced is None:
                 continue
@@ -257,21 +276,19 @@ def _perm_sign(perm) -> int:
 
 
 def _collect(acc) -> QuantumElement:
-    coeffs = {}
+    """Element from {(partition, q_power): coefficient}, q_power >= 0."""
+    by_label = {}
     for (part, d), c in acc.items():
-        if c == 0:
-            continue
-        label = partition_label(part)
-        term = RationalFunction.monomial(c, d)
-        coeffs[label] = coeffs.get(label, 0 * term) + term
-    return QuantumElement({l: c for l, c in coeffs.items() if c})
+        if c:
+            by_label.setdefault(part, {})[d] = c
+    return QuantumElement({partition_label(part): RationalFunction(QPolynomial(terms))
+                           for part, terms in by_label.items()})
 
 
 # ---------------------------------------------------------------------------
 # oracle internals: classical products in <= k rows, then rim-hook reduction
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def _classical_pieri_rows_capped(lam: Partition, p: int, k: int):
     """Classical Pieri step: add a horizontal strip of size p, keep <= k rows,
     no bound on the width.  Returns a tuple of partitions."""
@@ -319,15 +336,23 @@ def _jacobi_trudi_monomials(mu: Partition, k: int):
     return out
 
 
-def _classical_product_rows_capped(lam: Partition, mu: Partition, k: int) -> dict:
-    """Littlewood-Richardson expansion of s_lam * s_mu kept to <= k rows."""
+def _classical_product_rows_capped(lam: Partition, mu: Partition, k: int,
+                                   steps: dict) -> dict:
+    """Littlewood-Richardson expansion of s_lam * s_mu kept to <= k rows.
+
+    ``steps`` keeps the classical Pieri steps, keyed (partition, p), for
+    later products with the same k.
+    """
     acc = {}
     for sign, factors in _jacobi_trudi_monomials(mu, k):
         terms = {lam: 1}
         for p in factors:
             nxt = {}
             for part, c in terms.items():
-                for part2 in _classical_pieri_rows_capped(part, p, k):
+                step = steps.get((part, p))
+                if step is None:
+                    step = steps[(part, p)] = _classical_pieri_rows_capped(part, p, k)
+                for part2 in step:
                     nxt[part2] = nxt.get(part2, 0) + c
             terms = nxt
         for part, c in terms.items():

@@ -3,7 +3,9 @@
 Matrices are lists of row lists.  Entries only need ``+ - * /``, truthiness
 (zero is falsy), and multiplication by plain ints, which both ``Fraction``
 and ``RationalFunction`` provide.  Elimination uses the first nonzero pivot;
-over an exact field no pivoting strategy is needed for correctness.
+over an exact field no pivoting strategy is needed for correctness.  It
+works only on the nonzero entries of each pivot row, which pays on sparse
+matrices such as gram matrices of Schubert bases.
 """
 
 from .errors import SingularMatrix
@@ -48,12 +50,19 @@ def solve(a, b):
             raise SingularMatrix(f"no pivot in column {col}")
         if pivot != col:
             aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = aug[col][col]
-        aug[col] = [x / inv for x in aug[col]]
+        row = aug[col]
+        inv = row[col]
+        # column col is not read again, and zero entries of the pivot row
+        # stay zero and change no other row
+        support = [j for j in range(col + 1, width) if row[j]]
+        for j in support:
+            row[j] = row[j] / inv
         for r in range(n):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [aug[r][j] - factor * aug[col][j] for j in range(width)]
+            other = aug[r]
+            factor = other[col]
+            if r != col and factor:
+                for j in support:
+                    other[j] = other[j] - factor * row[j]
     return [row[n:] for row in aug]
 
 
@@ -70,12 +79,16 @@ def det(a):
         if pivot != col:
             m[col], m[pivot] = m[pivot], m[col]
             sign = -sign
-        p = m[col][col]
+        row = m[col]
+        p = row[col]
         result = result * p
+        support = [j for j in range(col + 1, n) if row[j]]
         for r in range(col + 1, n):
-            if m[r][col]:
-                factor = m[r][col] / p
-                m[r] = [m[r][j] - factor * m[col][j] for j in range(n)]
+            other = m[r]
+            if other[col]:
+                factor = other[col] / p
+                for j in support:
+                    other[j] = other[j] - factor * row[j]
     return sign * result
 
 

@@ -557,21 +557,20 @@ class _Parser:
         return sign * int(digits.group())
 
 
-_ARITHMETIC = {"+": operator.add, "-": operator.sub,
-               "*": operator.mul, "/": operator.truediv}
+_PRODUCT = {"*": operator.mul, "/": operator.truediv}
 
 
-def _unchain(node):
-    """The leftmost operand of an operator chain and the BinOps that apply
+def _unchain(node, ops="+-*/"):
+    """The leftmost operand of a chain of ``ops`` and the BinOps that apply
     to it, in order: ``a + b*c - d`` gives ``a`` and the nodes of ``+ b*c``
     and ``- d``.  Walkers loop over these instead of recursing on ``left``,
     so a long flat sum or product needs no deep recursion."""
-    ops = []
-    while isinstance(node, BinOp):
-        ops.append(node)
+    chain = []
+    while isinstance(node, BinOp) and node.op in ops:
+        chain.append(node)
         node = node.left
-    ops.reverse()
-    return node, ops
+    chain.reverse()
+    return node, chain
 
 
 def _evaluate(node) -> RationalFunction:
@@ -581,10 +580,23 @@ def _evaluate(node) -> RationalFunction:
         return RationalFunction.monomial(1, node.exponent)
     if isinstance(node, Neg):
         return -_evaluate(node.arg)
-    node, ops = _unchain(node)
-    value = _evaluate(node)
-    for op in ops:
-        value = _ARITHMETIC[op.op](value, _evaluate(op.right))
+    if node.op in "+-":
+        # a run of sums and differences only: a quotient such as
+        # (q^2 - 1)/(q - 1) is a "/" node above its parenthesised sums
+        leftmost, chain = _unchain(node, "+-")
+        terms = [_evaluate(leftmost)]
+        for op in chain:
+            right = _evaluate(op.right)
+            terms.append(right if op.op == "+" else -right)
+        # added pairwise, so an n-term sum copies O(n log n) terms, not O(n^2)
+        while len(terms) > 1:
+            odd = terms[-1:] if len(terms) % 2 else []
+            terms = [a + b for a, b in zip(terms[::2], terms[1::2])] + odd
+        return terms[0]
+    leftmost, chain = _unchain(node, "*/")
+    value = _evaluate(leftmost)
+    for op in chain:
+        value = _PRODUCT[op.op](value, _evaluate(op.right))
     return value
 
 

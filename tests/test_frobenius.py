@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +19,8 @@ from qeuler.frobenius import (
     quadratic_extension,
 )
 from qeuler.scalar import ONE, Q, RationalFunction, ZERO
+
+SRC = Path(__file__).parents[1] / "src"
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +108,28 @@ def test_direct_sum_cross_products_vanish(g24_algebra):
 def test_direct_sum_disjointifies_overlap():
     total = direct_sum(base_field("1"), dual_numbers())
     assert set(total.basis) == {"A.1", "B.1", "B.e"}
+
+
+_RENDER_SUM_UNIT = """
+from qeuler.frobenius import direct_sum, dual_numbers
+a = direct_sum(dual_numbers(), dual_numbers())
+print(a.render_element(a.unit))
+print(a.render_table("md", unit_cell="1").splitlines()[0])
+"""
+
+
+def test_direct_sum_unit_renders_every_label_under_any_hash_seed():
+    # a unit of two labels has no bare label, whatever order its set has
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    for seed in ("0", "1", "2", "3", "4", "5", "77", "4242"):
+        env["PYTHONHASHSEED"] = seed
+        done = subprocess.run([sys.executable, "-c", _RENDER_SUM_UNIT],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == (
+            "s[A.1] + s[B.1]\n| * | s[A.1] | s[A.e] | s[B.1] | s[B.e] |\n"), seed
 
 
 # ---------------------------------------------------------------------------

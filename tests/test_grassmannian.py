@@ -119,7 +119,7 @@ def test_sign_calibration_against_pieri(g24):
 
     def oracle(lam, mu, rule):
         acc = {}
-        for rho, c in _classical_product_rows_capped(lam, mu, g24.k).items():
+        for rho, c in _classical_product_rows_capped(lam, mu, g24.k, {}).items():
             reduced = rim_hook_reduce(rho, g24.k, g24.n)
             if reduced is None:
                 continue
@@ -146,6 +146,27 @@ def test_oracle_agrees_everywhere():
             for b in ring.basis:
                 assert ring.quantum_product(a, b) == ring.rim_hook_product(a, b), (
                     k, n, a, b)
+    # the other rings of the benchmark mix, on unordered pairs
+    for k, n in [(3, 5), (2, 6), (4, 6), (2, 7), (3, 7), (5, 7), (2, 8)]:
+        ring = GrassmannianRing(k, n)
+        for i, a in enumerate(ring.basis):
+            for b in ring.basis[i:]:
+                assert ring.quantum_product(a, b) == ring.rim_hook_product(a, b), (
+                    k, n, a, b)
+
+
+def test_pieri_results_cannot_corrupt_the_ring():
+    ring = GrassmannianRing(2, 5)
+    lam = (2, 1)
+    first = ring.quantum_pieri_raw(2, lam)
+    expected = list(first)
+    with pytest.raises((TypeError, AttributeError)):
+        first.append(((3, 3), 0))
+    with pytest.raises(TypeError):
+        first[0] = ((3, 3), 0)
+    assert list(ring.quantum_pieri_raw(2, lam)) == expected
+    assert ring.quantum_product((2,), lam) == ring.rim_hook_product((2,), lam)
+    assert ring.quantum_pieri(2, lam) == ring.rim_hook_product((2,), lam)
 
 
 # ---------------------------------------------------------------------------

@@ -281,6 +281,12 @@ def test_long_polynomials_round_trip():
     for x in (RationalFunction(num), RationalFunction(num, poly((250, 1))),
               RationalFunction(num, poly((1, 1), (0, 3)))):
         assert parse_scalar(render_scalar(x)) == x
+    # a 1,000-term Laurent value renders as a flat sum of c*q^-k terms
+    num = QPolynomial({e: Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 4))
+                       for e in range(1000)})
+    laurent = RationalFunction(num, poly((1000, 1)))
+    assert render_scalar(laurent).count("q^-") == 1000
+    assert parse_scalar(render_scalar(laurent)) == laurent
 
 
 def test_negative_exponent_power():
