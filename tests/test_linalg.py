@@ -74,7 +74,7 @@ def test_solve_and_det_match_sympy(a):
     assert linalg.solve(a, identity) == want
 
 
-def test_solve_leaves_its_arguments_alone():
+def test_solve_and_det_leave_their_arguments_alone():
     a = [row[:] for row in NEEDS_SWAPS]
     b = linalg.identity(3, Fraction(1), Fraction(0))
     linalg.solve(a, b)
