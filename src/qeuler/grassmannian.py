@@ -279,8 +279,7 @@ def _collect(acc) -> QuantumElement:
     """Element from {(partition, q_power): coefficient}, q_power >= 0."""
     by_label = {}
     for (part, d), c in acc.items():
-        if c:
-            by_label.setdefault(part, {})[d] = c
+        by_label.setdefault(part, {})[d] = c
     return QuantumElement({partition_label(part): RationalFunction(QPolynomial(terms))
                            for part, terms in by_label.items()})
 

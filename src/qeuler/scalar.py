@@ -30,7 +30,6 @@ RationalFunction('1')
 
 from __future__ import annotations
 
-import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -557,9 +556,6 @@ class _Parser:
         return sign * int(digits.group())
 
 
-_PRODUCT = {"*": operator.mul, "/": operator.truediv}
-
-
 def _unchain(node, ops="+-*/"):
     """The leftmost operand of a chain of ``ops`` and the BinOps that apply
     to it, in order: ``a + b*c - d`` gives ``a`` and the nodes of ``+ b*c``
@@ -596,7 +592,8 @@ def _evaluate(node) -> RationalFunction:
     leftmost, chain = _unchain(node, "*/")
     value = _evaluate(leftmost)
     for op in chain:
-        value = _PRODUCT[op.op](value, _evaluate(op.right))
+        right = _evaluate(op.right)
+        value = value * right if op.op == "*" else value / right
     return value
 
 
