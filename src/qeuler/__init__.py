@@ -1,50 +1,36 @@
 """Exact quantum Euler classes, semisimplicity diagnosis, and minimum-area
-chain bounds for homogeneous spaces, over the rational-function field Q(q)."""
+chain bounds for homogeneous spaces, over the rational-function field Q(q).
 
-from .frobenius import (
-    DiagnoseReport,
-    FrobeniusAlgebra,
-    Grading,
-    QuantumElement,
-    change_basis,
-    direct_sum,
-)
-from .grassmannian import GrassmannianRing, enumerate_basis
-from .presented import bundled_ig26_path, complete_table, load_algebra, parse_spec
-from .rootgkm import (
-    OrbitSpec,
-    build_root_system,
-    gkm_graph,
-    hz_upper_bound,
-    make_orbit_spec,
-    un_closed_form,
-)
-from .scalar import QPolynomial, RationalFunction, parse_scalar, poly_gcd, render_scalar
+``import qeuler`` loads no submodule: each exported name imports its module
+on first use (PEP 562), so a process pays only for the modules it reads.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DiagnoseReport",
-    "FrobeniusAlgebra",
-    "Grading",
-    "GrassmannianRing",
-    "OrbitSpec",
-    "QPolynomial",
-    "QuantumElement",
-    "RationalFunction",
-    "build_root_system",
-    "bundled_ig26_path",
-    "change_basis",
-    "complete_table",
-    "direct_sum",
-    "enumerate_basis",
-    "gkm_graph",
-    "hz_upper_bound",
-    "load_algebra",
-    "make_orbit_spec",
-    "parse_scalar",
-    "parse_spec",
-    "poly_gcd",
-    "render_scalar",
-    "un_closed_form",
-]
+# exported name -> the submodule that defines it
+_EXPORTS = {name: module for module, names in {
+    "frobenius": ("DiagnoseReport", "FrobeniusAlgebra", "Grading", "QuantumElement",
+                  "change_basis", "direct_sum"),
+    "grassmannian": ("GrassmannianRing", "enumerate_basis"),
+    "presented": ("bundled_ig26_path", "complete_table", "load_algebra", "parse_spec"),
+    "rootgkm": ("OrbitSpec", "build_root_system", "gkm_graph", "hz_upper_bound",
+                "make_orbit_spec", "un_closed_form"),
+    "scalar": ("QPolynomial", "RationalFunction", "parse_scalar", "poly_gcd",
+               "render_scalar"),
+}.items() for name in names}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

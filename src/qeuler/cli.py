@@ -10,7 +10,8 @@ Subcommands::
 
 Exit codes: 0 success, 1 usage error, 2 invalid input or failed validation,
 3 arithmetic failure.  ``--format`` switches the renderer (text, md, json,
-dot) and never changes computed values.
+dot) and never changes computed values.  Each subcommand imports the
+modules it runs, so a process loads only those.
 """
 
 from __future__ import annotations
@@ -20,10 +21,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import presented, rootgkm
 from .errors import ComputeError, InputError, TooLarge
-from .frobenius import QuantumElement
-from .grassmannian import GrassmannianRing, parse_partition, partition_label
 
 
 class _UsageError(Exception):
@@ -122,7 +120,9 @@ def _algebra_output(algebra, ring, action, labels, fmt):
     else:
         if len(labels) != 2:
             raise _UsageError("`product` needs exactly two class labels")
+        from .frobenius import QuantumElement
         if ring is not None:
+            from .grassmannian import parse_partition, partition_label
             parts = [parse_partition(l) for l in labels]
             for p in parts:
                 ring.check_member(p)
@@ -137,6 +137,7 @@ def _algebra_output(algebra, ring, action, labels, fmt):
 # -- orbit actions --------------------------------------------------------------
 
 def _orbit_output(args) -> str:
+    from . import rootgkm
     family = args.family.upper()
     parabolic = _parse_indices(args.parabolic)
     if args.weight is not None:
@@ -195,15 +196,18 @@ def run(args) -> str:
             raise TooLarge(
                 f"G({args.k},{args.n}) exceeds the desk-scale guard "
                 "(use --allow-large to override)")
+        from .grassmannian import GrassmannianRing
         ring = GrassmannianRing(args.k, args.n)
         return _algebra_output(ring.to_frobenius(), ring, args.action,
                                args.labels, args.format)
     if args.command == "algebra":
+        from . import presented
         algebra = presented.load_algebra(args.file)
         return _algebra_output(algebra, None, args.action, args.labels,
                                args.format)
     if args.command == "orbit":
         return _orbit_output(args)
+    from . import rootgkm
     value, _ = rootgkm.un_closed_form(_parse_rationals(args.weight))
     if args.format == "json":
         return _json_text({"bound": str(value)})

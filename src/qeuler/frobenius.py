@@ -13,8 +13,8 @@ Instances are immutable after construction and all operations are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import linalg
 from .errors import ComputeError, DegeneratePairing, NotAUnit, UnknownLabel
@@ -124,16 +124,14 @@ class QuantumElement:
         return f"QuantumElement({body})"
 
 
-@dataclass(frozen=True)
-class Grading:
+class Grading(NamedTuple):
     """Real degree per label; q itself carries real degree -2*chern_number."""
 
     real_degree: dict
     chern_number: int
 
 
-@dataclass(frozen=True)
-class DiagnoseReport:
+class DiagnoseReport(NamedTuple):
     rank: int
     euler_class: QuantumElement
     f_of_euler: RationalFunction

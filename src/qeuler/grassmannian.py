@@ -18,7 +18,6 @@ assumption.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import permutations
 from math import comb
 
 from .errors import ComputeError, InvalidShape, InvalidSpecialClass, UnknownLabel
@@ -65,6 +64,7 @@ class GrassmannianRing:
         # every table the ring fills lives, and is freed, with the ring
         self._product_cache = {}
         self._pieri_cache = {}  # (p, lam) -> quantum Pieri terms
+        self._jacobi_trudi_cache = {}  # mu -> untruncated Jacobi-Trudi monomials
         self._giambelli_cache = {}  # mu -> Giambelli monomials
         self._classical_cache = {}  # (lam, p) -> classical Pieri step of the oracle
 
@@ -151,6 +151,15 @@ class GrassmannianRing:
     def quantum_pieri(self, p: int, lam: Partition) -> QuantumElement:
         return _collect(Counter(self.quantum_pieri_raw(p, lam)))
 
+    def _jacobi_trudi(self, mu: Partition):
+        """``_jacobi_trudi_monomials(mu, k)``, which the Giambelli route and
+        the rim-hook oracle share; the ring keeps it, so each mu is expanded
+        once."""
+        cached = self._jacobi_trudi_cache.get(mu)
+        if cached is None:
+            cached = self._jacobi_trudi_cache[mu] = _jacobi_trudi_monomials(mu, self.k)
+        return cached
+
     def _giambelli_monomials(self, mu: Partition):
         """Expansion of s_mu as a signed sum of products of special classes.
 
@@ -162,8 +171,7 @@ class GrassmannianRing:
         cached = self._giambelli_cache.get(mu)
         if cached is None:
             cached = self._giambelli_cache[mu] = tuple(
-                (sign, tuple(factors))
-                for sign, factors in _jacobi_trudi_monomials(mu, self.k)
+                (sign, factors) for sign, factors in self._jacobi_trudi(mu)
                 if all(p <= self.width for p in factors))
         return cached
 
@@ -202,7 +210,7 @@ class GrassmannianRing:
         self.check_member(mu)
         acc = {}
         for rho, c in _classical_product_rows_capped(
-                lam, mu, self.k, self._classical_cache).items():
+                lam, self._jacobi_trudi(mu), self.k, self._classical_cache).items():
             reduced = rim_hook_reduce(rho, self.k, self.n)
             if reduced is None:
                 continue
@@ -266,15 +274,6 @@ def enumerate_basis(k: int, n: int):
     return sorted(found, key=lambda p: (sum(p), p))
 
 
-def _perm_sign(perm) -> int:
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
-
-
 def _collect(acc) -> QuantumElement:
     """Element from {(partition, q_power): coefficient}, q_power >= 0."""
     by_label = {}
@@ -316,34 +315,38 @@ def _classical_pieri_rows_capped(lam: Partition, p: int, k: int):
 
 
 def _jacobi_trudi_monomials(mu: Partition, k: int):
-    """s_mu as a signed sum of products h_{p1} * h_{p2} * ...; no truncation."""
+    """s_mu as a signed sum of products h_{p1} * h_{p2} * ...; no truncation.
+
+    The k x k determinant of h_{mu_i + j - i}, with h_0 = 1 and h_p = 0 for
+    p < 0, as a tuple of (sign, factors), one per permutation that picks no
+    vanishing entry, in the order of the permutations.  Rows are filled
+    from the last: row i may take any free column j >= i - mu_i, and every
+    column a later row took is one of those, so no choice is a dead end and
+    the walk visits the surviving terms only, not all k! permutations.
+    """
     mu_p = _pad(mu, k)
-    out = []
-    for perm in permutations(range(k)):
-        sign = _perm_sign(perm)
-        factors = []
-        ok = True
-        for i in range(k):
-            idx = mu_p[i] + perm[i] - i
-            if idx < 0:
-                ok = False
-                break
-            if idx > 0:
-                factors.append(idx)
-        if ok:
-            out.append((sign, factors))
-    return out
+    # (columns of rows i .. k-1, inversions among them)
+    partial = [((), 0)]
+    for i in reversed(range(k)):
+        partial = [((j,) + cols, inv + sum(c < j for c in cols))
+                   for cols, inv in partial
+                   for j in range(max(i - mu_p[i], 0), k) if j not in cols]
+    return tuple(
+        (-1 if inv % 2 else 1,
+         tuple(mu_p[i] + j - i for i, j in enumerate(cols) if mu_p[i] + j > i))
+        for cols, inv in sorted(partial))
 
 
-def _classical_product_rows_capped(lam: Partition, mu: Partition, k: int,
+def _classical_product_rows_capped(lam: Partition, monomials, k: int,
                                    steps: dict) -> dict:
-    """Littlewood-Richardson expansion of s_lam * s_mu kept to <= k rows.
+    """Littlewood-Richardson expansion of s_lam * s_mu kept to <= k rows,
+    where ``monomials`` is ``_jacobi_trudi_monomials(mu, k)``.
 
     ``steps`` keeps the classical Pieri steps, keyed (partition, p), for
     later products with the same k.
     """
     acc = {}
-    for sign, factors in _jacobi_trudi_monomials(mu, k):
+    for sign, factors in monomials:
         terms = {lam: 1}
         for p in factors:
             nxt = {}

@@ -36,9 +36,9 @@ a ``ParseError``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from typing import NamedTuple
 
 from .errors import (
     CyclicDefinition,
@@ -67,8 +67,7 @@ def expression_labels(expr) -> set:
 
 # -- algebra spec ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AlgebraSpec:
+class AlgebraSpec(NamedTuple):
     name: str
     complex_dimension: int
     chern_number: int

@@ -21,10 +21,10 @@ Dijkstra's algorithm over exact rationals with deterministic tie breaks
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from typing import NamedTuple
 
 from . import linalg
 from .errors import (ComputeError, InvalidShape, NotRegular, TooLarge,
@@ -47,8 +47,7 @@ def coroot(root: Vector) -> Vector:
     return tuple(scale * x for x in root)
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(NamedTuple):
     family: str
     rank: int
     dim: int
@@ -230,32 +229,35 @@ def simple_root_coordinates(rs: RootSystem, root: Vector):
 # orbit data
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OrbitSpec:
-    """A flag manifold: root system, parabolic subset, and a regular weight.
-
-    ``parabolic`` holds 1-based indices of the simple roots in S_P.  The
-    weight must pair to zero with those roots and strictly positively with
-    the rest.
-    """
-
+class _OrbitFields(NamedTuple):
     root_system: RootSystem
     parabolic: tuple
     weight: Vector
 
-    def __post_init__(self):
-        rs = self.root_system
-        pset = set(self.parabolic)
-        for i in self.parabolic:
+
+class OrbitSpec(_OrbitFields):
+    """A flag manifold: root system, parabolic subset, and a regular weight.
+
+    ``parabolic`` holds 1-based indices of the simple roots in S_P.  The
+    weight must pair to zero with those roots and strictly positively with
+    the rest; every construction checks this, ``_replace`` included.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, root_system: RootSystem, parabolic: tuple, weight: Vector):
+        rs = root_system
+        pset = set(parabolic)
+        for i in parabolic:
             if not 1 <= i <= rs.rank:
                 raise InvalidShape(f"parabolic index {i} out of range 1..{rs.rank}")
-        if len(pset) != len(self.parabolic):
-            raise InvalidShape(f"parabolic indices {self.parabolic} repeat")
-        if len(self.weight) != rs.dim:
+        if len(pset) != len(parabolic):
+            raise InvalidShape(f"parabolic indices {parabolic} repeat")
+        if len(weight) != rs.dim:
             raise InvalidShape(
-                f"weight has {len(self.weight)} coordinates, expected {rs.dim}")
+                f"weight has {len(weight)} coordinates, expected {rs.dim}")
         for a in range(rs.rank):
-            value = pairing(self.weight, rs.simple_roots[a])
+            value = pairing(weight, rs.simple_roots[a])
             if (a + 1) in pset:
                 if value != 0:
                     raise NotRegular(
@@ -263,6 +265,11 @@ class OrbitSpec:
             elif value <= 0:
                 raise NotRegular(
                     f"weight must pair positively with simple root {a + 1}, got {value}")
+        return super().__new__(cls, root_system, parabolic, weight)
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
 
 
 def make_orbit_spec(family: str, rank: int, parabolic, weight) -> OrbitSpec:
@@ -336,8 +343,7 @@ def is_monotone(spec: OrbitSpec):
 # cosets and the fixed-point graph
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Skeleton:
+class _Skeleton(NamedTuple):
     reps: tuple       # (signed permutation, word) per coset, identity first
     crossing: tuple   # crossing positive roots
     degrees: tuple    # coroot coordinates of each crossing root on ``free``
@@ -407,15 +413,13 @@ def weyl_cosets(spec: OrbitSpec):
     return list(_coset_skeleton(rs.family, rs.rank, spec.parabolic).reps)
 
 
-@dataclass(frozen=True)
-class GkmVertex:
+class GkmVertex(NamedTuple):
     index: int
     word: tuple   # shortest word in simple reflections
     point: Vector  # image of the weight under the representative
 
 
-@dataclass(frozen=True)
-class GkmEdge:
+class GkmEdge(NamedTuple):
     source: int
     target: int
     root: Vector          # crossing positive root alpha with target = source . s_alpha
@@ -423,8 +427,7 @@ class GkmEdge:
     degree: tuple         # coroot coordinates of alpha outside S_P
 
 
-@dataclass(frozen=True)
-class GkmGraph:
+class GkmGraph(NamedTuple):
     vertices: tuple
     edges: tuple
     germs_per_vertex: int
@@ -448,8 +451,7 @@ def gkm_graph(spec: OrbitSpec) -> GkmGraph:
     return GkmGraph(vertices, tuple(edges), len(sk.crossing), sk.free)
 
 
-@dataclass(frozen=True)
-class CapacityBound:
+class CapacityBound(NamedTuple):
     bound: Fraction
     chain: tuple   # GkmEdges along a realizing path
     degree: tuple  # sum of edge degrees, on S minus S_P

@@ -31,8 +31,8 @@ RationalFunction('1')
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DivisionByZero, ParseError
 
@@ -431,28 +431,23 @@ def render_scalar(x: RationalFunction) -> str:
 MAX_DEPTH = 100
 
 
-@dataclass(frozen=True)
-class Num:
+class Num(NamedTuple):
     value: Fraction
 
 
-@dataclass(frozen=True)
-class QPower:
+class QPower(NamedTuple):
     exponent: int
 
 
-@dataclass(frozen=True)
-class Ref:
+class Ref(NamedTuple):
     label: str
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(NamedTuple):
     arg: object
 
 
-@dataclass(frozen=True)
-class BinOp:
+class BinOp(NamedTuple):
     op: str  # '+', '-', '*'; '/' only in the scalar grammar
     left: object
     right: object

@@ -20,6 +20,15 @@ def new_basis_to_old(algebra, p, elem: QuantumElement) -> QuantumElement:
     return QuantumElement(dict(zip(algebra.basis, linalg.mat_vec(p, vec))))
 
 
+def same_tree(a, b) -> bool:
+    """``a == b`` with node types compared too.  Expression nodes are
+    NamedTuples, so on their own ``Num(Fraction(1)) == QPower(1)`` holds."""
+    if isinstance(a, tuple) or isinstance(b, tuple):
+        return (type(a) is type(b) and len(a) == len(b)
+                and all(same_tree(x, y) for x, y in zip(a, b)))
+    return a == b
+
+
 def element(terms: dict) -> QuantumElement:
     """Build an element from {(label, q_power): coeff}."""
     coeffs = {}

@@ -198,6 +198,16 @@ def test_bad_orbit_input_exits_2_without_traceback(argv, error):
     assert proc.stderr.startswith(error + ":")
 
 
+def test_largest_guarded_grassmannian_diagnoses_in_seconds():
+    """G(12,13) is inside the k(n-k) <= 12 guard; its Jacobi-Trudi
+    expansions once took 12! permutations per class."""
+    proc = run_module("grassmannian", "-k", "12", "-n", "13", "diagnose", "--format", "json")
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["rank"] == 13
+    assert payload["semisimple"] is True
+
+
 def test_optimized_interpreter_gives_same_output():
     argv = ("orbit", "--family", "B", "--rank", "3", "hz-bound")
     plain = run_module(*argv)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -115,11 +116,13 @@ def test_rim_hook_examples(g24):
 def test_sign_calibration_against_pieri(g24):
     """Pin the border-strip sign convention: (-1)^(k-height) reproduces the
     quantum Pieri products of G(2,4); (-1)^(height-1) does not."""
-    from qeuler.grassmannian import _classical_product_rows_capped, _collect
+    from qeuler.grassmannian import (_classical_product_rows_capped, _collect,
+                                     _jacobi_trudi_monomials)
 
     def oracle(lam, mu, rule):
         acc = {}
-        for rho, c in _classical_product_rows_capped(lam, mu, g24.k, {}).items():
+        monomials = _jacobi_trudi_monomials(mu, g24.k)
+        for rho, c in _classical_product_rows_capped(lam, monomials, g24.k, {}).items():
             reduced = rim_hook_reduce(rho, g24.k, g24.n)
             if reduced is None:
                 continue
@@ -153,6 +156,31 @@ def test_oracle_agrees_everywhere():
             for b in ring.basis[i:]:
                 assert ring.quantum_product(a, b) == ring.rim_hook_product(a, b), (
                     k, n, a, b)
+
+
+def _jacobi_trudi_by_permutations(mu, k):
+    """The determinant expansion over all k! permutations, sign by inversions."""
+    mu_p = tuple(mu) + (0,) * (k - len(mu))
+    out = []
+    for perm in itertools.permutations(range(k)):
+        idx = [mu_p[i] + perm[i] - i for i in range(k)]
+        if min(idx) < 0:
+            continue
+        inversions = sum(perm[i] > perm[j] for i in range(k) for j in range(i + 1, k))
+        out.append((-1 if inversions % 2 else 1, tuple(p for p in idx if p)))
+    return tuple(out)
+
+
+def test_jacobi_trudi_expansion_matches_all_permutations():
+    from qeuler.grassmannian import _jacobi_trudi_monomials
+
+    for k in range(1, 7):
+        for mu in enumerate_basis(k, k + 4):
+            assert _jacobi_trudi_monomials(mu, k) == _jacobi_trudi_by_permutations(mu, k), (
+                mu, k)
+    # row i (0-based) has min(mu_i, i) + 1 choices, none a dead end
+    assert len(_jacobi_trudi_monomials((1,) * 12, 12)) == 2 ** 11
+    assert len(_jacobi_trudi_monomials((3, 3, 3, 2, 1), 5)) == 1 * 2 * 3 * 3 * 2
 
 
 def test_pieri_results_cannot_corrupt_the_ring():
@@ -190,6 +218,37 @@ def test_positivity_of_structure_constants():
                     assert c.is_polynomial()
                     for coeff in c.num.terms.values():
                         assert coeff.denominator == 1 and coeff > 0
+
+
+# every ring the CLI builds without --allow-large
+DESK_SCALE = [(k, n) for n in range(2, 14) for k in range(1, n) if k * (n - k) <= 12]
+
+
+def _assert_nonzero_with_nonnegative_q_coefficients(product, where):
+    assert not product.is_zero(), where
+    for label, c in product.items():
+        assert c.is_polynomial() and min(c.num.terms) >= 0, (where, label)
+        for coeff in c.num.terms.values():
+            assert coeff.denominator == 1 and coeff >= 0, (where, label, coeff)
+
+
+@pytest.mark.parametrize("k, n", DESK_SCALE, ids=[f"G({k},{n})" for k, n in DESK_SCALE])
+def test_schubert_products_are_nonzero_and_positive(k, n):
+    """The paper's two facts about quantum products of Schubert classes:
+    none vanishes, and each coefficient is a polynomial in q with
+    nonnegative integer coefficients."""
+    ring = GrassmannianRing(k, n)
+    for i, a in enumerate(ring.basis):
+        for b in ring.basis[i:]:
+            _assert_nonzero_with_nonnegative_q_coefficients(
+                ring.quantum_product(a, b), (a, b))
+
+
+def test_ig26_products_are_nonzero_and_positive(ig26):
+    for i, a in enumerate(ig26.basis):
+        for b in ig26.basis[i:]:
+            _assert_nonzero_with_nonnegative_q_coefficients(
+                ig26.multiply(QuantumElement.basis(a), QuantumElement.basis(b)), (a, b))
 
 
 def test_duality_delta_pairs():

@@ -1,0 +1,129 @@
+"""Package-level contracts: lazy exports, what each command imports, and
+immutable records."""
+
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import qeuler
+from qeuler import frobenius, presented, rootgkm, scalar
+from qeuler.errors import InvalidShape, NotRegular
+from qeuler.grassmannian import GrassmannianRing
+
+SRC = Path(__file__).parents[1] / "src"
+
+
+def run_python(*args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=120)
+
+
+def modules_loaded_by(*argv):
+    """Names of the modules ``python -m qeuler argv`` imports once the
+    ``qeuler`` package itself is in, read from ``-X importtime``."""
+    proc = run_python("-X", "importtime", "-m", "qeuler", *argv)
+    assert proc.returncode == 0, proc.stderr
+    names = [line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
+             if line.startswith("import time:")]
+    return set(names[names.index("qeuler"):])
+
+
+NOT_FOR_ORBITS = {"qeuler.frobenius", "qeuler.grassmannian", "qeuler.presented",
+                  "qeuler.scalar", "dataclasses"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("un-capacity", "--lambda", "3,1,0"),
+    ("orbit", "--family", "A", "--rank", "3", "--parabolic", "1,3", "chern"),
+], ids=["un-capacity", "orbit-chern"])
+def test_orbit_commands_load_only_the_orbit_modules(argv):
+    loaded = modules_loaded_by(*argv)
+    assert "qeuler.rootgkm" in loaded
+    assert not loaded & NOT_FOR_ORBITS
+
+
+def test_grassmannian_command_loads_no_presented_or_orbit_module():
+    loaded = modules_loaded_by("grassmannian", "-k", "2", "-n", "4", "euler")
+    assert "qeuler.grassmannian" in loaded
+    assert not loaded & {"qeuler.presented", "qeuler.rootgkm", "dataclasses"}
+
+
+def test_exports_load_on_first_use():
+    script = """
+import sys
+from importlib import import_module
+import qeuler
+assert not [m for m in sys.modules if m.startswith("qeuler.")], sys.modules
+assert set(qeuler.__all__) <= set(dir(qeuler))
+qeuler.load_algebra
+assert "qeuler.presented" in sys.modules and "qeuler.rootgkm" not in sys.modules
+try:
+    qeuler.no_such_name
+except AttributeError as exc:
+    assert "no_such_name" in str(exc)
+else:
+    raise SystemExit("no AttributeError")
+namespace = {}
+exec("from qeuler import *", namespace)
+for name in qeuler.__all__:
+    module = import_module("qeuler." + qeuler._EXPORTS[name])
+    assert namespace[name] is getattr(module, name), name
+print(len(qeuler.__all__))
+"""
+    proc = run_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{len(qeuler.__all__)}\n"
+
+
+def _records():
+    spec = rootgkm.make_orbit_spec("A", 2, (), (2, 1, 0))
+    graph = rootgkm.gkm_graph(spec)
+    algebra = GrassmannianRing(2, 4).to_frobenius()
+    with open(presented.bundled_ig26_path(), encoding="utf-8") as fh:
+        algebra_spec = presented.parse_spec(fh.read())
+    tree = scalar.parse_expression("-s[1]*2 + q")
+    return [tree, tree.left, tree.left.left, tree.left.right, tree.right,
+            scalar.Ref("1"), algebra.grading, algebra.diagnose(), algebra_spec,
+            spec.root_system, spec, rootgkm._coset_skeleton("A", 2, ()),
+            graph, graph.vertices[0], graph.edges[0], rootgkm.hz_upper_bound(spec)]
+
+
+def test_every_record_is_immutable():
+    records = _records()
+    kinds = {type(r) for r in records}
+    # every record class of the package is in the sample; OrbitSpec's field
+    # base is not a record of its own
+    declared = {value for module in (frobenius, presented, rootgkm, scalar)
+                for value in vars(module).values()
+                if isinstance(value, type) and issubclass(value, tuple)
+                and value.__module__ == module.__name__}
+    assert declared - {rootgkm._OrbitFields} == kinds
+    assert len(kinds) == 15
+    for record in records:
+        for field in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, getattr(record, field))
+
+
+def test_orbit_spec_checks_every_construction():
+    rs = rootgkm.build_root_system("A", 2)
+    weight = (Fraction(2), Fraction(1), Fraction(0))
+    with pytest.raises(InvalidShape, match="repeat"):
+        rootgkm.OrbitSpec(rs, (1, 1), weight)
+    with pytest.raises(InvalidShape, match="out of range"):
+        rootgkm.OrbitSpec(rs, (3,), weight)
+    with pytest.raises(NotRegular):
+        rootgkm.OrbitSpec(rs, (), (0, 0, 0))
+    spec = rootgkm.OrbitSpec(rs, (), weight)
+    assert spec == rootgkm.make_orbit_spec("A", 2, (), (2, 1, 0))
+    with pytest.raises(InvalidShape, match="repeat"):
+        spec._replace(parabolic=(1, 1))
+    with pytest.raises(InvalidShape, match="coordinates"):
+        rootgkm.OrbitSpec._make((rs, (), (1, 0)))

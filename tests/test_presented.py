@@ -1,8 +1,9 @@
 import json
+from fractions import Fraction
 
 import pytest
 
-from conftest import element, zero_divisor_check
+from conftest import element, same_tree, zero_divisor_check
 from qeuler.errors import (
     CyclicDefinition,
     InconsistentTable,
@@ -31,20 +32,23 @@ def read_bundled():
 # ---------------------------------------------------------------------------
 
 def test_expression_shapes():
-    from qeuler.presented import BinOp, Neg, QPower, Ref
+    from qeuler.presented import BinOp, Neg, Num, QPower, Ref
 
     ast = parse_expression("s[1]*s[2] - s[3]")
     assert isinstance(ast, BinOp) and ast.op == "-"
-    assert ast.left == BinOp("*", Ref("1"), Ref("2"))
-    assert ast.right == Ref("3")
+    assert same_tree(ast.left, BinOp("*", Ref("1"), Ref("2")))
+    assert same_tree(ast.right, Ref("3"))
 
     ast = parse_expression("-1/3*s[1]*(s[3] - 2*s[2,1])")
     assert isinstance(ast, BinOp) and ast.op == "*"
 
     ast = parse_expression("q^2")
-    assert ast == QPower(2)
-    assert parse_expression("q") == QPower(1)
-    assert parse_expression("-q") == Neg(QPower(1))
+    assert same_tree(ast, QPower(2))
+    assert same_tree(parse_expression("q"), QPower(1))
+    assert same_tree(parse_expression("-q"), Neg(QPower(1)))
+    # the node type counts, not only the fields
+    assert not same_tree(parse_expression("1"), QPower(1))
+    assert not same_tree(parse_expression("-s[1]"), Neg(Num(Fraction(1))))
 
 
 def test_expression_errors():

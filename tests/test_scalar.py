@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qeuler.scalar
+from conftest import same_tree
 from qeuler.errors import DivisionByZero, ParseError
 from qeuler.presented import expression_labels
 from qeuler.scalar import (
@@ -223,7 +224,7 @@ def test_parser_contract(text, scalar, expression):
         elif parse is parse_scalar:
             assert render_scalar(parse(text)) == expected
         else:
-            assert parse(text) == expected
+            assert same_tree(parse(text), expected)
 
 
 @pytest.mark.parametrize("text, column", [
