@@ -1,0 +1,167 @@
+"""The axiom checks behind ``FrobeniusAlgebra.validate``.
+
+Commutativity, the unit law, associativity, a nondegenerate pairing and,
+for graded algebras, term-by-term grading.  Associativity is first proved
+by Light's test on a generating set, and every basis triple is checked
+only when that proof fails.  The module is loaded on the first
+``validate()``, so a process that never validates does not compile it.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+from fractions import Fraction
+
+from .frobenius import QuantumElement, _poly_matrix_det_is_zero
+
+
+class Violation(str):
+    """One failed axiom found by ``FrobeniusAlgebra.validate``.
+
+    The string is the human-readable message; ``kind`` (``"commutativity"``,
+    ``"unit"``, ``"associativity"``, ``"pairing"`` or ``"grading"``) and
+    ``labels`` (the basis labels it names) are for programs.  A ``str``
+    subclass, so ``"associativity" in v`` still searches the text.
+    """
+
+    def __new__(cls, kind: str, labels, text: str):
+        self = super().__new__(cls, text)
+        self.kind = kind
+        self.labels = tuple(labels)
+        return self
+
+
+def validate(algebra):
+    """The violations of ``algebra``, in the order the axioms are listed
+    above; see ``FrobeniusAlgebra.validate``."""
+    out = []
+    n = algebra.rank
+    basis, table = algebra.basis, algebra.structure_constants
+    elems = [QuantumElement.basis(l) for l in basis]
+    for i in range(n):
+        for j in range(i, n):
+            a, b = basis[i], basis[j]
+            if table[(a, b)] != table[(b, a)]:
+                out.append(Violation("commutativity", (a, b),
+                                     f"commutativity fails for pair ({a}, {b})"))
+    for i, l in enumerate(basis):
+        if algebra.multiply(algebra.unit, elems[i]) != elems[i]:
+            out.append(Violation("unit", (l,), f"unit law fails at {l}"))
+    if out or not _light_test(algebra, elems):
+        out.extend(_associativity_violations(algebra, elems))
+    if _poly_matrix_det_is_zero(algebra.gram_matrix()):
+        out.append(Violation("pairing", (), "pairing matrix is degenerate"))
+    if algebra.grading is not None:
+        out.extend(_grading_violations(algebra))
+    return out
+
+
+def _associativity_violations(algebra, elems):
+    """(e_i e_j) e_k = e_i (e_j e_k) on every basis triple."""
+    out = []
+    n = algebra.rank
+    basis, table = algebra.basis, algebra.structure_constants
+    for i in range(n):
+        for j in range(n):
+            ij = table[(basis[i], basis[j])]
+            for k in range(n):
+                left = algebra.multiply(ij, elems[k])
+                jk = table[(basis[j], basis[k])]
+                right = algebra.multiply(elems[i], jk)
+                if left != right:
+                    triple = (basis[i], basis[j], basis[k])
+                    out.append(Violation(
+                        "associativity", triple,
+                        "associativity fails for triple ({}, {}, {})".format(*triple)))
+    return out
+
+
+def _light_test(algebra, elems) -> bool:
+    """True when associativity is proved from the generators alone.
+
+    Light's test (Clifford and Preston, *The Algebraic Theory of
+    Semigroups* I, 1.2): with the unit law, if 1 and S generate the
+    algebra and (x s) y = x (s y) for all basis x, y and s in S, the
+    algebra is associative, since the elements a with (x a) y = x (a y)
+    for all x, y form a subalgebra.  Commutativity must already hold: it
+    makes the conditions for (x, y) and (y, x) the same.  False means
+    only "not proved".
+    """
+    if not algebra.generators or not _spanned_by(algebra, algebra.generators):
+        return False
+    basis, table = algebra.basis, algebra.structure_constants
+    for s in algebra.generators:
+        for i, x in enumerate(basis):
+            xs = table[(x, s)]
+            for j in range(i, algebra.rank):
+                if (algebra.multiply(xs, elems[j])
+                        != algebra.multiply(elems[i], table[(s, basis[j])])):
+                    return False
+    return True
+
+
+def _spanned_by(algebra, generators) -> bool:
+    """True when the left-nested monomials 1, 1 s, (1 s) t, ... in the
+    generators span the algebra at q0, and hence over Q(q): full rank at
+    one point is full rank.  Breadth first; a monomial that depends on the
+    ones kept is not extended, as its products depend on theirs."""
+    unit = algebra._vector_at_point(algebra.unit)
+    # by commutativity, times s is the operator of e_s
+    operators = [algebra._operator_at_point(s) for s in generators]
+    if unit is None or None in operators:
+        return False
+    echelon = {}
+    queue = deque([unit])
+    while queue and len(echelon) < algebra.rank:
+        v = queue.popleft()
+        if _insert_independent(echelon, v):
+            queue.extend(_apply(op, v) for op in operators)
+    return len(echelon) == algebra.rank
+
+
+def _apply(op, v):
+    """The operator ``op`` (columns of nonzero ``(row, value)`` pairs)
+    applied to the vector v."""
+    out = [0] * len(v)
+    for column, c in zip(op, v):
+        if c:
+            for i, value in column:
+                out[i] += c * value
+    return out
+
+
+def _insert_independent(echelon, v) -> bool:
+    """Add v to ``echelon`` (pivot -> row, in the order added) unless it is
+    a combination of the rows already there; True when added."""
+    w = list(v)
+    for pivot, row in echelon.items():
+        c = w[pivot]
+        if c:
+            for j, value in row:
+                w[j] -= c * value
+    pivot = next((j for j, c in enumerate(w) if c), None)
+    if pivot is None:
+        return False
+    inv = 1 / Fraction(w[pivot])
+    echelon[pivot] = [(j, c * inv) for j, c in enumerate(w) if c]
+    return True
+
+
+def _grading_violations(algebra):
+    out = []
+    deg = algebra.grading.real_degree
+    two_n = deg[next(iter(algebra.unit.support()))]
+    twice_chern = 2 * algebra.grading.chern_number
+    for (a, b), prod in algebra.structure_constants.items():
+        want = deg[a] + deg[b] - two_n
+        for l, c in prod.items():
+            if not c.is_polynomial():
+                out.append(Violation("grading", (a, b),
+                                     f"non-polynomial coefficient in {a}*{b}"))
+                continue
+            for k in c.num.terms:
+                if deg[l] - twice_chern * k != want:
+                    out.append(Violation(
+                        "grading", (a, b, l),
+                        f"grading fails in {a}*{b}: term q^{k}*{l}"))
+    return out

@@ -73,7 +73,15 @@ class MissingDefinition(InputError):
 
 
 class InconsistentTable(InputError):
-    """A completed multiplication table violates the ring axioms."""
+    """A completed multiplication table violates the ring axioms.
+
+    ``violations`` lists every failed axiom as ``FrobeniusAlgebra.validate``
+    returns it; the message shows the first five.
+    """
+
+    def __init__(self, message, violations=()):
+        super().__init__(message)
+        self.violations = list(violations)
 
 
 class UnsupportedType(InputError):

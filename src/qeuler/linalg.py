@@ -2,11 +2,15 @@
 
 Matrices are lists of row lists.  Entries only need ``+ - * /``, truthiness
 (zero is falsy), and multiplication by plain ints, which both ``Fraction``
-and ``RationalFunction`` provide.  Elimination uses the first nonzero pivot;
-over an exact field no pivoting strategy is needed for correctness.  It
-works only on the nonzero entries of each pivot row, which pays on sparse
-matrices such as gram matrices of Schubert bases.
+and ``RationalFunction`` provide.  Plain ``int`` entries work too: an
+``int`` pivot is promoted to ``Fraction`` before anything is divided by
+it, so no result is ever a float.  Elimination uses the first nonzero
+pivot; over an exact field no pivoting strategy is needed for
+correctness.  It works only on the nonzero entries of each pivot row,
+which pays on sparse matrices such as gram matrices of Schubert bases.
 """
+
+from fractions import Fraction
 
 from .errors import SingularMatrix
 
@@ -35,6 +39,11 @@ def is_zero_matrix(a):
     return all(not x for row in a for x in row)
 
 
+def _exact(pivot):
+    """``pivot`` as a divisor that divides exactly: ``int / int`` is a float."""
+    return Fraction(pivot) if isinstance(pivot, int) else pivot
+
+
 def solve(a, b):
     """Solve A X = B for X by Gauss-Jordan elimination.
 
@@ -51,7 +60,7 @@ def solve(a, b):
         if pivot != col:
             aug[col], aug[pivot] = aug[pivot], aug[col]
         row = aug[col]
-        inv = row[col]
+        inv = _exact(row[col])
         # column col is not read again, and zero entries of the pivot row
         # stay zero and change no other row
         support = [j for j in range(col + 1, width) if row[j]]
@@ -80,7 +89,7 @@ def det(a):
             m[col], m[pivot] = m[pivot], m[col]
             sign = -sign
         row = m[col]
-        p = row[col]
+        p = _exact(row[col])
         result = result * p
         support = [j for j in range(col + 1, n) if row[j]]
         for r in range(col + 1, n):

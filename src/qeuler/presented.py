@@ -291,7 +291,8 @@ def complete_table(spec: AlgebraSpec, validate: bool = True) -> FrobeniusAlgebra
         chern_number=spec.chern_number,
     )
     algebra = FrobeniusAlgebra(labels, table, spec.unit_label, functional,
-                               grading=grading, name=spec.name)
+                               grading=grading, name=spec.name,
+                               generators=spec.generators)
     if validate:
         violations = algebra.validate()
         if violations:
@@ -299,7 +300,7 @@ def complete_table(spec: AlgebraSpec, validate: bool = True) -> FrobeniusAlgebra
             more = f" (+{len(violations) - 5} more)" if len(violations) > 5 else ""
             raise InconsistentTable(
                 f"completed table for {spec.name!r} is not a Frobenius algebra: "
-                f"{shown}{more}")
+                f"{shown}{more}", violations)
     return algebra
 
 

@@ -115,8 +115,10 @@ class QPolynomial:
             return self
         return QPolynomial({e: _div(c, lead) for e, c in self.terms.items()})
 
-    def evaluate(self, point: Fraction) -> Fraction:
-        total = Fraction(0)
+    def evaluate(self, point):
+        """The exact value at a rational point: an ``int`` for integer
+        coefficients at an integer point, else a ``Fraction``."""
+        total = 0
         for e, c in self.terms.items():
             total += c * point**e
         return total
@@ -275,11 +277,12 @@ class RationalFunction:
     def is_polynomial(self):
         return self.den is _P_ONE
 
-    def evaluate(self, point: Fraction) -> Fraction:
+    def evaluate(self, point):
+        """The exact value at a rational point, an ``int`` when integral."""
         d = self.den.evaluate(point)
         if not d:
             raise DivisionByZero(f"pole at q = {point}")
-        return self.num.evaluate(point) / d
+        return _div(self.num.evaluate(point), d)
 
     def _coerce(self, other):
         if isinstance(other, RationalFunction):

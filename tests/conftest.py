@@ -1,10 +1,12 @@
 import pytest
 
 from qeuler import linalg
-from qeuler.frobenius import QuantumElement
+from qeuler.frobenius import (QuantumElement, _poly_matrix_det_is_zero, base_field,
+                              change_basis, direct_sum, dual_numbers, nilpotent_chain,
+                              quadratic_extension)
 from qeuler.grassmannian import GrassmannianRing
 from qeuler.presented import bundled_ig26_path, load_algebra
-from qeuler.scalar import RationalFunction
+from qeuler.scalar import ONE, Q, ZERO, RationalFunction
 
 
 def zero_divisor_check(algebra, x: QuantumElement, y: QuantumElement) -> bool:
@@ -18,6 +20,55 @@ def new_basis_to_old(algebra, p, elem: QuantumElement) -> QuantumElement:
     """Express an element of ``change_basis(algebra, p)`` in the original basis."""
     vec = [elem.coefficient(l) for l in algebra.basis]
     return QuantumElement(dict(zip(algebra.basis, linalg.mat_vec(p, vec))))
+
+
+def trace_form_semisimple(algebra) -> bool:
+    """Semisimplicity without a dual basis or an Euler class.
+
+    In characteristic 0 an algebra is semisimple iff its trace form
+    T_ij = tr(L_{e_i e_j}) is nondegenerate (Bourbaki, *Algebra* VIII;
+    Abrams, Israel J. Math. 117 (2000)).  T_ij = sum_l c_ij^l tr(L_{e_l}),
+    and det T is zero-tested by the engine's exact helper.
+    """
+    traces = {l: algebra.trace_of_multiplication(QuantumElement.basis(l))
+              for l in algebra.basis}
+    form = [[sum((c * traces[l] for l, c in algebra.structure_constants[(a, b)].items()),
+                 ZERO)
+             for b in algebra.basis] for a in algebra.basis]
+    return not _poly_matrix_det_is_zero(form)
+
+
+# The direct sums of the benchmark's ``generic`` workload, mirrored here:
+# the blocks, whether each is a field, and the block kinds of each sum.
+KNOWN_ANSWER_BLOCKS = {
+    "base": (base_field, True),
+    "quad": (lambda: quadratic_extension(Q), True),
+    "dual": (dual_numbers, False),
+    "chain2": (lambda: nilpotent_chain(2), False),
+    "chain3": (lambda: nilpotent_chain(3), False),
+}
+KNOWN_ANSWER_SUMS = (("base", "base"), ("base", "dual"), ("base", "quad"),
+                     ("base", "base", "base"), ("dual", "chain2"), ("base", "chain3"),
+                     ("quad", "dual"), ("base", "base", "quad"))
+
+
+def known_answer_sum(kinds, rng):
+    """``(algebra, semisimple, field_factor)``: the direct sum of the blocks
+    moved by P = L*U, with L unit lower and U unit upper bidiagonal whose
+    off-diagonal entries are c*q, c in {-2, -1, 1, 2}.  P is unimodular
+    over Z[q].  The sum is semisimple iff every block is a field, and has
+    a field factor iff some block is one."""
+    algebra = KNOWN_ANSWER_BLOCKS[kinds[0]][0]()
+    for kind in kinds[1:]:
+        algebra = direct_sum(algebra, KNOWN_ANSWER_BLOCKS[kind][0]())
+    n = algebra.rank
+    low = linalg.identity(n, ONE, ZERO)
+    up = linalg.identity(n, ONE, ZERO)
+    for i in range(n - 1):
+        low[i + 1][i] = rng.choice((-2, -1, 1, 2)) * Q
+        up[i][i + 1] = rng.choice((-2, -1, 1, 2)) * Q
+    fields = [KNOWN_ANSWER_BLOCKS[kind][1] for kind in kinds]
+    return change_basis(algebra, linalg.mat_mul(low, up)), all(fields), any(fields)
 
 
 def same_tree(a, b) -> bool:

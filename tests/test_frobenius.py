@@ -5,12 +5,18 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import element, new_basis_to_old
+from conftest import (KNOWN_ANSWER_SUMS, element, known_answer_sum, new_basis_to_old,
+                      trace_form_semisimple)
+from qeuler import axioms
+from qeuler.axioms import Violation
 from qeuler.errors import DegeneratePairing, NotAUnit, UnknownLabel
 from qeuler.frobenius import (
     FrobeniusAlgebra,
     QuantumElement,
+    _poly_matrix_det_is_zero,
     base_field,
     change_basis,
     direct_sum,
@@ -18,6 +24,7 @@ from qeuler.frobenius import (
     nilpotent_chain,
     quadratic_extension,
 )
+from qeuler.grassmannian import GrassmannianRing
 from qeuler.scalar import ONE, Q, RationalFunction, ZERO
 
 SRC = Path(__file__).parents[1] / "src"
@@ -152,15 +159,81 @@ def test_validate_names_corrupted_triple(g24_algebra):
     violations = broken.validate()
     assert violations
     assert any("associativity" in v and "1" in v for v in violations)
+    assert all(isinstance(v, Violation) for v in violations)
+    first = next(v for v in violations if v.kind == "associativity")
+    assert first == "associativity fails for triple ({}, {}, {})".format(*first.labels)
 
 
 def test_validate_flags_degenerate_pairing():
     one = "1"
     table = {(one, one): QuantumElement.basis(one)}
     degenerate = FrobeniusAlgebra([one], table, one, {one: ZERO})
-    assert any("degenerate" in v for v in degenerate.validate())
+    assert degenerate.validate() == ["pairing matrix is degenerate"]
+    assert [(v.kind, v.labels) for v in degenerate.validate()] == [("pairing", ())]
     with pytest.raises(DegeneratePairing):
         degenerate.dual_basis()
+
+
+def rebuilt(algebra, table=None, functional=None, generators=()):
+    """``algebra`` with another table, functional or generator hint."""
+    return FrobeniusAlgebra(algebra.basis, table or algebra.structure_constants,
+                            algebra.unit, functional or algebra.functional,
+                            grading=algebra.grading, name=algebra.name,
+                            generators=generators)
+
+
+@pytest.fixture(scope="module")
+def perturbable(g24_algebra, ig26):
+    return {"G(2,4)": g24_algebra, "G(2,5)": GrassmannianRing(2, 5).to_frobenius(),
+            "IG(2,6)": ig26}
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_hinted_validate_equals_full_scan(perturbable, data):
+    # one entry of the table or of the functional changed, or nothing; a
+    # product changed in one order only breaks commutativity too
+    algebra = perturbable[data.draw(st.sampled_from(sorted(perturbable)))]
+    labels = st.sampled_from(algebra.basis)
+    change = data.draw(st.sampled_from(("product", "symmetric", "functional", "none")))
+    delta = RationalFunction.monomial(data.draw(st.sampled_from((-2, -1, 1, 2))),
+                                      data.draw(st.integers(0, 2)))
+    table, functional = dict(algebra.structure_constants), dict(algebra.functional)
+    if change == "functional":
+        label = data.draw(labels)
+        functional[label] = functional[label] + delta
+    elif change != "none":
+        a, b = data.draw(labels), data.draw(labels)
+        table[(a, b)] = table[(a, b)] + QuantumElement({data.draw(labels): delta})
+        if change == "symmetric":
+            table[(b, a)] = table[(a, b)]
+    hinted = rebuilt(algebra, table, functional, generators=algebra.generators)
+    got, want = hinted.validate(), rebuilt(algebra, table, functional).validate()
+    assert got == want
+    assert [(v.kind, v.labels) for v in got] == [(v.kind, v.labels) for v in want]
+
+
+def test_hint_that_does_not_generate_falls_back_to_full_scan(g24_algebra, monkeypatch):
+    full_scans = []
+    scan = axioms._associativity_violations
+    monkeypatch.setattr(axioms, "_associativity_violations",
+                        lambda algebra, elems: full_scans.append(algebra.name)
+                        or scan(algebra, elems))
+    assert g24_algebra.validate() == [] and full_scans == []
+    # K[e]/(e^3) with e2 * e2 = e1: (e1 e1) e2 = e1 but e1 (e1 e2) = 0
+    chain = nilpotent_chain(3)
+    table = dict(chain.structure_constants)
+    table[("e2", "e2")] = QuantumElement.basis("e1")
+    broken_chain = rebuilt(chain, table)
+    # the special classes of G(2,4) generate one summand only
+    for right, hint in ((dual_numbers(), ["A.1", "A.2"]), (broken_chain, ["1", "2"])):
+        total = direct_sum(g24_algebra, right)
+        hinted = rebuilt(total, generators=hint)
+        full_scans.clear()
+        got = hinted.validate()
+        assert full_scans == [total.name]
+        assert got == rebuilt(total).validate()
+    assert got and {v.kind for v in got} == {"associativity"}
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +340,61 @@ def test_semisimple_implies_field_factor_on_random_sums():
         e = report.euler_class
         assert report.euler_square.is_zero() == algebra.is_nilpotent(e)
         assert report.f_of_euler == RationalFunction(algebra.rank)
+
+
+def exact_is_unit(algebra, x) -> bool:
+    return not _poly_matrix_det_is_zero(algebra.operator_matrix(x))
+
+
+@pytest.mark.parametrize("kinds", KNOWN_ANSWER_SUMS, ids="+".join)
+def test_is_unit_and_trace_form_agree_on_known_answer_sums(kinds):
+    rng = random.Random("+".join(kinds))
+    algebra, semisimple, field_factor = known_answer_sum(kinds, rng)
+    report = algebra.diagnose()
+    assert (report.semisimple, report.field_factor) == (semisimple, field_factor)
+    assert trace_form_semisimple(algebra) == semisimple
+    elements = [report.euler_class, algebra.unit, algebra.unit.scale(Q - 1)]
+    elements += [QuantumElement.basis(l) for l in algebra.basis]
+    elements += [random_element(algebra, rng) for _ in range(4)]
+    for x in elements:
+        assert algebra.is_unit(x) == exact_is_unit(algebra, x), x
+
+
+SMALL_GRASSMANNIANS = [(k, n) for n in range(2, 10) for k in range(1, n) if k * (n - k) <= 8]
+
+
+@pytest.mark.parametrize("k,n", SMALL_GRASSMANNIANS,
+                         ids=[f"G({k},{n})" for k, n in SMALL_GRASSMANNIANS])
+def test_trace_form_agrees_with_diagnose_on_grassmannians(k, n):
+    algebra = GrassmannianRing(k, n).to_frobenius()
+    assert trace_form_semisimple(algebra) == algebra.diagnose().semisimple is True
+
+
+def test_trace_form_agrees_with_diagnose_on_ig26(ig26):
+    assert trace_form_semisimple(ig26) == ig26.diagnose().semisimple is False
+
+
+def test_is_unit_never_evaluates_at_a_pole(g24_algebra):
+    pole = ONE / (Q - 1)
+    # x^2 = 1/(q-1): the structure constants have a pole at q = 1
+    field = quadratic_extension(pole)
+    x = QuantumElement.basis("x")
+    for y in (field.unit, x, x.scale(Q - 1), field.unit + x.scale(pole)):
+        assert field.is_unit(y) == exact_is_unit(field, y) is True
+    assert trace_form_semisimple(field) == field.diagnose().semisimple is True
+    # x^2 = 1/(q-1)^2 splits: (q-1)x - 1 is a zero divisor, but a unit of
+    # the algebra that q = 1 gives if the poles are read as ones
+    split = quadratic_extension(pole * pole)
+    y = x.scale(Q - 1) - split.unit
+    assert split.is_unit(y) == exact_is_unit(split, y) is False
+    # elements with a pole at q = 1 in rings without one; the last is the
+    # zero divisor (sqrt(c) - x)/(q-1) for c = ((q-1)/q)^2
+    for y in (QuantumElement({"0": pole}), QuantumElement({"1": pole}),
+              QuantumElement({"0": ONE, "2,2": pole})):
+        assert g24_algebra.is_unit(y) == exact_is_unit(g24_algebra, y)
+    square = quadratic_extension((Q - 1) * (Q - 1) / (Q * Q))
+    y = QuantumElement({"1": ONE / Q, "x": -pole})
+    assert square.is_unit(y) == exact_is_unit(square, y) is False
 
 
 def test_quadratic_extension_is_semisimple():

@@ -281,8 +281,15 @@ def test_zero_divisor_check_edge_cases(ig26, g24_algebra):
 def test_corrupted_table_raises_inconsistent():
     raw = json.loads(read_bundled())
     raw["generator_products"]["1|1"] = [{"coeff": 1, "q": 0, "label": "2"}]
-    with pytest.raises(InconsistentTable):
+    with pytest.raises(InconsistentTable) as caught:
         complete_table(parse_spec(json.dumps(raw)))
+    violations = caught.value.violations
+    assert violations and {v.kind for v in violations} <= {
+        "commutativity", "unit", "associativity", "pairing", "grading"}
+    shown = "; ".join(violations[:5])
+    assert str(caught.value) == (
+        f"completed table for 'IG(2,6)' is not a Frobenius algebra: {shown}"
+        f" (+{len(violations) - 5} more)")
 
 
 def test_load_algebra_from_path(tmp_path):

@@ -397,10 +397,13 @@ def _leaves(draw):
     return ("leaf", num, den)
 
 
-_trees = st.recursive(
-    _leaves(),
-    lambda kids: st.tuples(st.sampled_from("+-*/"), kids, kids),
-    max_leaves=6)
+def _branches(kids):
+    # a named function: hypothesis checks that ``extend`` uses its argument
+    # by reading the source, which a lambda inside a call can defeat
+    return st.tuples(st.sampled_from("+-*/"), kids, kids)
+
+
+_trees = st.recursive(_leaves(), _branches, max_leaves=6)
 
 
 @settings(max_examples=300, deadline=None)
