@@ -2,9 +2,10 @@
 
 Commutativity, the unit law, associativity, a nondegenerate pairing and,
 for graded algebras, term-by-term grading.  Associativity is first proved
-by Light's test on a generating set, and every basis triple is checked
-only when that proof fails.  The module is loaded on the first
-``validate()``, so a process that never validates does not compile it.
+by Light's test on a generating set found at one rational point, and
+every basis triple is checked only when that proof fails.  The module is
+loaded on the first ``validate()``, so a process that never validates
+does not compile it.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ def _associativity_violations(algebra, elems):
 
 
 def _light_test(algebra, elems) -> bool:
-    """True when associativity is proved from the generators alone.
+    """True when associativity is proved from a generating set alone.
 
     Light's test (Clifford and Preston, *The Algebraic Theory of
     Semigroups* I, 1.2): with the unit law, if 1 and S generate the
@@ -87,10 +88,11 @@ def _light_test(algebra, elems) -> bool:
     makes the conditions for (x, y) and (y, x) the same.  False means
     only "not proved".
     """
-    if not algebra.generators or not _spanned_by(algebra, algebra.generators):
+    generators = _generating_set(algebra)
+    if generators is None:
         return False
     basis, table = algebra.basis, algebra.structure_constants
-    for s in algebra.generators:
+    for s in generators:
         for i, x in enumerate(basis):
             xs = table[(x, s)]
             for j in range(i, algebra.rank):
@@ -100,23 +102,31 @@ def _light_test(algebra, elems) -> bool:
     return True
 
 
-def _spanned_by(algebra, generators) -> bool:
-    """True when the left-nested monomials 1, 1 s, (1 s) t, ... in the
-    generators span the algebra at q0, and hence over Q(q): full rank at
-    one point is full rank.  Breadth first; a monomial that depends on the
-    ones kept is not extended, as its products depend on theirs."""
+def _generating_set(algebra):
+    """Labels whose left-nested monomials 1, 1 s, (1 s) t, ... span the
+    algebra at q0, and hence over Q(q): full rank at one point is full
+    rank.  In basis order, a label joins when its basis vector is not in
+    the span of the monomials in the labels chosen before it.  None when
+    the unit has a pole at q0 or the span falls short."""
     unit = algebra._vector_at_point(algebra.unit)
-    # by commutativity, times s is the operator of e_s
-    operators = [algebra._operator_at_point(s) for s in generators]
-    if unit is None or None in operators:
-        return False
-    echelon = {}
-    queue = deque([unit])
-    while queue and len(echelon) < algebra.rank:
-        v = queue.popleft()
-        if _insert_independent(echelon, v):
-            queue.extend(_apply(op, v) for op in operators)
-    return len(echelon) == algebra.rank
+    if unit is None:
+        return None
+    n, generators, echelon = algebra.rank, [], {}
+    _insert_independent(echelon, unit)
+    for i, label in enumerate(algebra.basis):
+        # an independent basis vector stays only until the span is rebuilt
+        if len(echelon) < n and _insert_independent(echelon, [int(j == i) for j in range(n)]):
+            generators.append(label)
+            # by commutativity, times s is the operator of e_s
+            operators = [algebra._operator_at_point(s) for s in generators]
+            # breadth first; a monomial that depends on the ones kept is
+            # not extended, as its products depend on theirs
+            echelon, queue = {}, deque([unit])
+            while queue and len(echelon) < n:
+                v = queue.popleft()
+                if _insert_independent(echelon, v):
+                    queue.extend(_apply(op, v) for op in operators)
+    return generators if len(echelon) == n else None
 
 
 def _apply(op, v):

@@ -11,8 +11,8 @@ validator (``qeuler.axioms``).
 Two yes/no questions first look for a cheap certificate and fall back to
 the exact proof only when it cannot decide: ``is_unit`` evaluates the
 multiplication operator at one rational point, and ``validate`` checks
-associativity against a generating set (Light's test) before it scans
-every basis triple.
+associativity against a generating set it finds there (Light's test)
+before it scans every basis triple.
 
 Instances are immutable after construction and all operations are pure.
 """
@@ -150,34 +150,35 @@ class FrobeniusAlgebra:
     """Commutative Frobenius algebra with explicit structure constants.
 
     ``structure_constants`` maps ordered label pairs to QuantumElements;
-    missing mirror pairs are filled in by symmetry.  ``functional`` maps
-    each label to f(e_label).  ``generators``, when given, names basis
-    labels that together with the unit should generate the algebra; it
-    is only a hint for ``validate``, which proves it before relying on it.
+    missing mirror pairs are filled in by symmetry, after which every pair
+    of basis labels must have a product, and every product may name only
+    basis labels (``UnknownLabel`` otherwise).  ``functional`` maps each
+    label to f(e_label).
     """
 
     def __init__(self, basis, structure_constants, unit, functional,
-                 grading=None, name=None, generators=()):
+                 grading=None, name=None):
         self.basis = list(basis)
         self.index = {label: i for i, label in enumerate(self.basis)}
         if len(self.index) != len(self.basis):
             raise ValueError("duplicate basis labels")
+        self.rank = len(self.basis)
         table = {}
         for (a, b), elem in structure_constants.items():
-            self._check_label(a)
-            self._check_label(b)
+            for label in (a, b, *elem.coeffs):
+                self._check_label(label)
             table[(a, b)] = elem
             if (b, a) not in structure_constants:
                 table[(b, a)] = elem
+        if len(table) != self.rank ** 2:
+            a, b = next((a, b) for a in self.basis for b in self.basis
+                        if (a, b) not in table)
+            raise UnknownLabel(f"no structure constant for ({a!r}, {b!r})")
         self.structure_constants = table
         self.unit = unit if isinstance(unit, QuantumElement) else QuantumElement.basis(unit)
         self.functional = {l: _as_scalar(c) for l, c in functional.items()}
         self.grading = grading
         self.name = name
-        self.generators = tuple(generators)
-        for g in self.generators:
-            self._check_label(g)
-        self.rank = len(self.basis)
         self._gram = None
         self._dual = None
         self._euler = None
@@ -197,11 +198,8 @@ class FrobeniusAlgebra:
             self._check_label(a)
             for b, cb in y.items():
                 self._check_label(b)
-                prod = self.structure_constants.get((a, b))
-                if prod is None:
-                    raise UnknownLabel(f"no structure constant for ({a!r}, {b!r})")
                 c = ca * cb
-                for l, cl in prod.items():
+                for l, cl in self.structure_constants[(a, b)].items():
                     s = acc.get(l, ZERO) + c * cl
                     if s:
                         acc[l] = s
@@ -287,18 +285,14 @@ class FrobeniusAlgebra:
 
     def _operator_at_point(self, label):
         """The operator of e_label at q0 as columns, each the list of
-        nonzero ``(i, value)`` of e_label * e_j there; None when the table
-        lacks a pair.  Kept on the algebra, one label at a time."""
+        nonzero ``(i, value)`` of e_label * e_j there.  Kept on the
+        algebra, one label at a time."""
         op = self._operators.get(label)
         if op is None:
             q0 = self._point()
-            op = []
-            for b in self.basis:
-                prod = self.structure_constants.get((label, b))
-                if prod is None:
-                    return None
-                op.append([(self.index[l], c.evaluate(q0))
-                           for l, c in prod.items() if l in self.index])
+            op = [[(self.index[l], c.evaluate(q0))
+                   for l, c in self.structure_constants[(label, b)].items()]
+                  for b in self.basis]
             self._operators[label] = op
         return op
 
@@ -314,18 +308,14 @@ class FrobeniusAlgebra:
         return vec
 
     def _matrix_at_point(self, x: QuantumElement):
-        """The matrix of y -> x * y at q0; None when x has a pole there or
-        the table lacks a pair."""
+        """The matrix of y -> x * y at q0; None when x has a pole there."""
         vec = self._vector_at_point(x)
         if vec is None:
             return None
         m = [[0] * self.rank for _ in range(self.rank)]
         for label, value in zip(self.basis, vec):
             if value:
-                op = self._operator_at_point(label)
-                if op is None:
-                    return None
-                for j, column in enumerate(op):
+                for j, column in enumerate(self._operator_at_point(label)):
                     for i, entry in column:
                         m[i][j] += value * entry
         return m
@@ -376,10 +366,11 @@ class FrobeniusAlgebra:
     def validate(self):
         """Check every algebra axiom; returns a list of ``axioms.Violation``s.
 
-        Associativity is proved by Light's test when the unit law and
-        commutativity hold and the ``generators`` hint is proved to
-        generate; otherwise, or when that test fails, every basis triple is
-        checked, so the violations listed never depend on the hint.
+        Once the unit law and commutativity hold, associativity is proved
+        by Light's test on a generating set that ``validate`` finds itself
+        at q0; when the unit has a pole at q0, or an axiom or that test
+        fails, every basis triple is checked, so the violations listed
+        never depend on the shortcut.
         """
         from .axioms import validate
         return validate(self)

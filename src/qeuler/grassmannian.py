@@ -235,11 +235,9 @@ class GrassmannianRing:
             real_degree={partition_label(p): self.degree(p) for p in self.basis},
             chern_number=self.chern_number,
         )
-        # the special classes generate the ring (Giambelli)
-        specials = [partition_label((p,)) for p in range(1, self.width + 1)]
         return FrobeniusAlgebra(
             labels, table, "0", functional, grading=grading,
-            name=f"QH(G({self.k},{self.n}))", generators=specials,
+            name=f"QH(G({self.k},{self.n}))",
         )
 
     # -- rendering ---------------------------------------------------------------

@@ -122,6 +122,8 @@ def parse_spec(text: str) -> AlgebraSpec:
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: {exc.msg}",
                          line=exc.lineno, column=exc.colno) from None
+    except (RecursionError, ValueError) as exc:  # too deep; an int past the digit limit
+        raise ParseError(f"not valid JSON: {exc}") from None
     _typed(raw, dict, "the top level")
     name = _field(raw, "name", str)
     complex_dimension = _field(raw, "complex_dimension", int)
@@ -233,8 +235,9 @@ def parse_spec(text: str) -> AlgebraSpec:
 
 # -- completion ------------------------------------------------------------------
 
-def complete_table(spec: AlgebraSpec, validate: bool = True) -> FrobeniusAlgebra:
-    """Expand the generator columns into the full multiplication table.
+def complete_table(spec: AlgebraSpec) -> FrobeniusAlgebra:
+    """Expand the generator columns into the full multiplication table,
+    then validate it (``InconsistentTable`` on any violation).
 
     Column by column: the unit column is trivial, generator columns come
     from the file, and each defined column is evaluated by applying the
@@ -291,22 +294,24 @@ def complete_table(spec: AlgebraSpec, validate: bool = True) -> FrobeniusAlgebra
         chern_number=spec.chern_number,
     )
     algebra = FrobeniusAlgebra(labels, table, spec.unit_label, functional,
-                               grading=grading, name=spec.name,
-                               generators=spec.generators)
-    if validate:
-        violations = algebra.validate()
-        if violations:
-            shown = "; ".join(violations[:5])
-            more = f" (+{len(violations) - 5} more)" if len(violations) > 5 else ""
-            raise InconsistentTable(
-                f"completed table for {spec.name!r} is not a Frobenius algebra: "
-                f"{shown}{more}", violations)
+                               grading=grading, name=spec.name)
+    violations = algebra.validate()
+    if violations:
+        shown = "; ".join(violations[:5])
+        more = f" (+{len(violations) - 5} more)" if len(violations) > 5 else ""
+        raise InconsistentTable(
+            f"completed table for {spec.name!r} is not a Frobenius algebra: "
+            f"{shown}{more}", violations)
     return algebra
 
 
 def load_algebra(path) -> FrobeniusAlgebra:
     with open(path, encoding="utf-8") as fh:
-        return complete_table(parse_spec(fh.read()))
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not valid UTF-8: {exc.reason} at byte {exc.start}") from None
+    return complete_table(parse_spec(text))
 
 
 def bundled_ig26_path():

@@ -505,7 +505,7 @@ def hz_upper_bound(spec: OrbitSpec) -> CapacityBound:
     return CapacityBound(bound, tuple(chain), degree)
 
 
-def brute_force_bound(spec: OrbitSpec, max_edges: int | None = None) -> Fraction:
+def brute_force_bound(spec: OrbitSpec) -> Fraction:
     """Exhaustive minimum over simple paths; independent check of Dijkstra.
 
     Guarded to at most 30 cosets.  Prunes a partial path as soon as its
@@ -518,8 +518,6 @@ def brute_force_bound(spec: OrbitSpec, max_edges: int | None = None) -> Fraction
         raise TooLarge(f"{n} cosets exceed the brute-force guard of 30")
     rs = spec.root_system
     target = _coset_skeleton(rs.family, rs.rank, spec.parabolic).w0_index
-    if max_edges is None:
-        max_edges = n - 1
 
     adjacency = {}
     for e in graph.edges:
@@ -532,12 +530,10 @@ def brute_force_bound(spec: OrbitSpec, max_edges: int | None = None) -> Fraction
     visited = [False] * n
     visited[0] = True
 
-    def search(u, total, edges_used):
+    def search(u, total):
         if u == target:
             if best[0] is None or total < best[0]:
                 best[0] = total
-            return
-        if edges_used == max_edges:
             return
         for v, w in adjacency.get(u, ()):
             if visited[v]:
@@ -546,10 +542,10 @@ def brute_force_bound(spec: OrbitSpec, max_edges: int | None = None) -> Fraction
             if best[0] is not None and nt >= best[0]:
                 break  # neighbors sorted by weight; all later ones are worse
             visited[v] = True
-            search(v, nt, edges_used + 1)
+            search(v, nt)
             visited[v] = False
 
-    search(0, Fraction(0), 0)
+    search(0, Fraction(0))
     if best[0] is None:
         raise NotRegular("no path to the longest-element coset")
     return best[0]

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -240,6 +241,19 @@ def test_bad_data_file_exits_2_naming_the_json_path(tmp_path, edit, path):
     assert path in proc.stderr
 
 
+@pytest.mark.parametrize("content", [
+    b'{"name": "IG(2,6)\xff"}',
+    b"[" * 100_000,
+    b'{"chern_number": ' + b"7" * 5000 + b"}",
+], ids=["not-utf-8", "100000-brackets", "5000-digit-integer"])
+def test_unreadable_data_file_exits_2_with_one_parse_error(tmp_path, capsys, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    code, out, err = run_cli(capsys, "algebra", "--file", str(bad), "diagnose")
+    assert (code, out) == (2, "")
+    assert err.startswith("ParseError: not valid ") and err.count("\n") == 1
+
+
 def _edit_first_definition(prefix="", suffix=""):
     def edit(raw):
         first = raw["definitions"][0]
@@ -288,3 +302,89 @@ def test_optimized_interpreter_gives_same_diagnose():
     optimized = run_module(*argv, flags=("-O",))
     assert plain.returncode == optimized.returncode == 0
     assert optimized.stdout == plain.stdout != ""
+
+
+# -- fuzzing: random argv and one-field edits of ig26.json, in-process ------------
+
+_INTS = ("-1", "0", "1", "2", "3", "4", "5", "x", "")
+_FUZZ_FLAGS = {
+    "grassmannian": {"-k": _INTS, "-n": _INTS + ("6",), "--format": ("text", "md", "json")},
+    "algebra": {"--format": ("text", "md", "json")},
+    "orbit": {"--family": tuple("ABCDEa"), "--rank": ("-1", "0", "1", "2", "3", "4", "x"),
+              "--parabolic": ("", "1", "2", "1,3", "0", "9", "1,1", "x", "-1"),
+              "--lambda": ("3,1,0", "1,1,0", "1/0,1", "", "a", "5,3/2,-1", "2,1",
+                           "4,3,2,1,0", "0"),
+              "--kappa": ("1", "0", "-1", "1/2", "abc", "1/0"),
+              "--format": ("text", "json", "dot")},
+    "un-capacity": {"--lambda": ("3,1,0", "1,1,0", "3,1/0", "", "x", "2,1", "5,3/2,-1"),
+                    "--format": ("text", "json")},
+    "nope": {},
+}
+_RING_ACTIONS = ("table", "euler", "diagnose", "product")
+_FUZZ_ACTIONS = {"grassmannian": _RING_ACTIONS, "algebra": _RING_ACTIONS,
+                 "orbit": ("chern", "monotone-weight", "gkm", "hz-bound"),
+                 "un-capacity": (), "nope": ()}
+_FUZZ_LABELS = ("1", "2", "1,1", "0", "2,1", "x", "", "-1", "9", "1,2", "s[1]")
+_FUZZ_VALUES = (None, True, 0, -1, 7, 10**6, 1.5, "", "x", "1/0", "3/2", [], {},
+                "s[1]*", "q^-1", "2,1", "0", "s[1]*s[9]", "s[1", "-" * 200)
+
+
+def _fuzz_argv(rng, files):
+    """Documented subcommands and flags (no -h, no --allow-large), each flag
+    present with probability 0.9 and valued from a pool that mixes good and
+    bad values; orbit ranks stay <= 4."""
+    command = rng.choices(list(_FUZZ_FLAGS), (30, 10, 40, 15, 5))[0]
+    argv = [command]
+    flags = dict(_FUZZ_FLAGS[command])
+    if command == "algebra":
+        flags["--file"] = files
+    for flag, values in flags.items():
+        if rng.random() < 0.9:
+            argv += [flag, rng.choice(values)]
+    if _FUZZ_ACTIONS[command] and rng.random() < 0.95:
+        argv.append(rng.choice(_FUZZ_ACTIONS[command]))
+    if command in ("grassmannian", "algebra"):
+        argv += rng.choices(_FUZZ_LABELS, k=rng.choice((0, 2, 2)))
+    return argv
+
+
+def _json_paths(node, path=()):
+    """Every key path below ``node``, to inner nodes and leaves alike."""
+    if isinstance(node, list):
+        node = dict(enumerate(node))
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield path + (key,)
+            yield from _json_paths(child, path + (key,))
+
+
+def _mutated(raw, rng):
+    """A copy of ``raw`` with one field, at any depth, removed or replaced."""
+    raw = json.loads(json.dumps(raw))
+    *parents, last = rng.choice(list(_json_paths(raw)))
+    node = raw
+    for key in parents:
+        node = node[key]
+    if rng.random() < 0.25:
+        del node[last]
+    else:
+        node[last] = rng.choice(_FUZZ_VALUES)
+    return raw
+
+
+def test_fuzzed_argv_and_data_files_exit_cleanly(tmp_path, capsys):
+    rng = random.Random(1507)
+    files = (str(bundled_ig26_path()), str(tmp_path), str(tmp_path / "missing.json"))
+    runs = [_fuzz_argv(rng, files) for _ in range(300)]
+    raw = json.loads(bundled_ig26_path().read_text(encoding="utf-8"))
+    for i in range(20):
+        mutant = tmp_path / f"mutant{i}.json"
+        mutant.write_text(json.dumps(_mutated(raw, rng)), encoding="utf-8")
+        runs.append(["algebra", "--file", str(mutant), *rng.choice(
+            (["table"], ["euler"], ["diagnose"], ["product", "1", "2"]))])
+    codes = []
+    for argv in runs:
+        codes.append(main(argv))
+        err = capsys.readouterr().err
+        assert codes[-1] in (0, 1, 2, 3) and err.count("\n") <= 1, (argv, err)
+    assert {0, 1, 2} <= set(codes)

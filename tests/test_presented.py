@@ -202,7 +202,7 @@ def test_bundled_file_parses_with_12_classes():
 
 
 def test_ig26_completion_is_valid(ig26):
-    # load_algebra ran complete_table with validation on; double-check here
+    # complete_table validated the table inside load_algebra; double-check here
     assert ig26.validate() == []
     assert ig26.rank == 12
 
