@@ -14,6 +14,13 @@ multiplication operator at one rational point, and ``validate`` checks
 associativity against a generating set it finds there (Light's test)
 before it scans every basis triple.
 
+Mirror rule: the constructor stores a product and its mirror as one
+object when the table gives only one order, and the gram matrix reads f
+once for such a pair; a pair whose two orders are two objects is read in
+both, so a table that is wrong in one order only keeps its asymmetry.
+The Euler class sums the structure constants of e_i * e_b in that order,
+without building the products e_i * e_i^dual.
+
 Instances are immutable after construction and all operations are pure.
 """
 
@@ -176,7 +183,10 @@ class FrobeniusAlgebra:
             raise UnknownLabel(f"no structure constant for ({a!r}, {b!r})")
         self.structure_constants = table
         self.unit = unit if isinstance(unit, QuantumElement) else QuantumElement.basis(unit)
+        for label in (*self.unit.coeffs, *functional):
+            self._check_label(label)
         self.functional = {l: _as_scalar(c) for l, c in functional.items()}
+        self._support = [(l, c) for l, c in self.functional.items() if c]
         self.grading = grading
         self.name = name
         self._gram = None
@@ -210,9 +220,10 @@ class FrobeniusAlgebra:
     def f(self, x: QuantumElement) -> RationalFunction:
         """The Frobenius functional, extended linearly."""
         total = ZERO
-        for l, c in x.items():
-            value = self.functional.get(l)
-            if value:
+        coeffs = x.coeffs
+        for l, value in self._support:
+            c = coeffs.get(l)
+            if c is not None:
                 total = total + c * value
         return total
 
@@ -220,14 +231,21 @@ class FrobeniusAlgebra:
         return self.f(self.multiply(x, y))
 
     def gram_matrix(self):
-        """Matrix of eta on the basis: eta[i][j] = f(e_i * e_j)."""
+        """Matrix of eta on the basis: eta[i][j] = f(e_i * e_j).
+
+        Mirror rule: f of the product for (a, b) is reused for (b, a) only
+        when the table holds one object for both orders; otherwise f is
+        read in both orders, so the matrix equals f applied entry by entry.
+        """
         if self._gram is None:
-            rows = []
-            for a in self.basis:
-                row = []
-                for b in self.basis:
-                    row.append(self.f(self.structure_constants[(a, b)]))
-                rows.append(row)
+            table, n = self.structure_constants, self.rank
+            rows = [[None] * n for _ in range(n)]
+            for i, a in enumerate(self.basis):
+                for j in range(i, n):
+                    b = self.basis[j]
+                    ab, ba = table[(a, b)], table[(b, a)]
+                    rows[i][j] = value = self.f(ab)
+                    rows[j][i] = value if ba is ab else self.f(ba)
             self._gram = rows
         return self._gram
 
@@ -248,12 +266,25 @@ class FrobeniusAlgebra:
         return self._dual
 
     def euler_class(self) -> QuantumElement:
-        """sum over the basis of e_i * e_i^dual; independent of the basis."""
+        """sum over the basis of e_i * e_i^dual; independent of the basis.
+
+        One sum of dual_i[b] * (e_i * e_b) over i and b, read from the
+        table in the order (e_i, e_b) as ``multiply(e_i, dual_i)`` reads
+        it, so the value is the same on a table that is not commutative.
+        The gram matrix behind the duals follows the mirror rule of
+        ``gram_matrix``.
+        """
         if self._euler is None:
-            total = QuantumElement()
+            table, acc = self.structure_constants, {}
             for label, dual in zip(self.basis, self.dual_basis()):
-                total = total + self.multiply(QuantumElement.basis(label), dual)
-            self._euler = total
+                for b, cb in dual.items():
+                    for l, cl in table[(label, b)].items():
+                        s = acc.get(l, ZERO) + cb * cl
+                        if s:
+                            acc[l] = s
+                        elif l in acc:
+                            del acc[l]
+            self._euler = QuantumElement(acc)
         return self._euler
 
     # -- multiplication operators -------------------------------------------

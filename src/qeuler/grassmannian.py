@@ -61,8 +61,10 @@ class GrassmannianRing:
         self.chern_number = n
         self.complex_dimension = k * (n - k)
         self.basis_index = {p: i for i, p in enumerate(self.basis)}
+        self._labels = {p: partition_label(p) for p in self.basis}
         # every table the ring fills lives, and is freed, with the ring
         self._product_cache = {}
+        self._scalar_cache = {}  # sorted nonzero (q_power, coefficient) terms -> scalar
         self._pieri_cache = {}  # (p, lam) -> quantum Pieri terms
         self._jacobi_trudi_cache = {}  # mu -> untruncated Jacobi-Trudi monomials
         self._giambelli_cache = {}  # mu -> Giambelli monomials
@@ -149,7 +151,7 @@ class GrassmannianRing:
         return results
 
     def quantum_pieri(self, p: int, lam: Partition) -> QuantumElement:
-        return _collect(Counter(self.quantum_pieri_raw(p, lam)))
+        return self._collect(Counter(self.quantum_pieri_raw(p, lam)))
 
     def _jacobi_trudi(self, mu: Partition):
         """``_jacobi_trudi_monomials(mu, k)``, which the Giambelli route and
@@ -198,7 +200,7 @@ class GrassmannianRing:
                     terms = nxt
                 for (part, d), c in terms.items():
                     acc[(part, d)] = acc.get((part, d), 0) + sign * c
-            cached = _collect(acc)
+            cached = self._collect(acc)
             self._product_cache[key] = cached
         return cached
 
@@ -217,13 +219,33 @@ class GrassmannianRing:
             nu, d, sign = reduced
             key = (nu, d)
             acc[key] = acc.get(key, 0) + sign * c
-        return _collect(acc)
+        return self._collect(acc)
+
+    def _collect(self, acc) -> QuantumElement:
+        """Element from {(partition, q_power): coefficient}, q_power >= 0.
+
+        Each distinct coefficient is one ``RationalFunction`` that every
+        product of the ring shares, so a table holds as many scalar
+        objects as it has coefficient values.
+        """
+        by_part = {}
+        for (part, d), c in acc.items():
+            if c:
+                by_part.setdefault(part, []).append((d, c))
+        coeffs = {}
+        for part, terms in by_part.items():
+            key = tuple(sorted(terms))
+            scalar = self._scalar_cache.get(key)
+            if scalar is None:
+                scalar = self._scalar_cache[key] = RationalFunction(QPolynomial(key))
+            coeffs[self._labels[part]] = scalar
+        return QuantumElement(coeffs)
 
     # -- compilation -----------------------------------------------------------
 
     def to_frobenius(self) -> FrobeniusAlgebra:
         """Compile to a Frobenius algebra: f = coefficient at the point class."""
-        labels = [partition_label(p) for p in self.basis]
+        labels = [self._labels[p] for p in self.basis]
         table = {}
         for i, a in enumerate(self.basis):
             for j, b in enumerate(self.basis):
@@ -232,7 +254,7 @@ class GrassmannianRing:
         point = partition_label((self.width,) * self.k)
         functional = {l: (1 if l == point else 0) for l in labels}
         grading = Grading(
-            real_degree={partition_label(p): self.degree(p) for p in self.basis},
+            real_degree={self._labels[p]: self.degree(p) for p in self.basis},
             chern_number=self.chern_number,
         )
         return FrobeniusAlgebra(
@@ -272,15 +294,6 @@ def enumerate_basis(k: int, n: int):
         raise ComputeError(f"found {len(found)} partitions in the {k} x {n - k} box, "
                            f"expected {comb(n, k)}")
     return sorted(found, key=lambda p: (sum(p), p))
-
-
-def _collect(acc) -> QuantumElement:
-    """Element from {(partition, q_power): coefficient}, q_power >= 0."""
-    by_label = {}
-    for (part, d), c in acc.items():
-        by_label.setdefault(part, {})[d] = c
-    return QuantumElement({partition_label(part): RationalFunction(QPolynomial(terms))
-                           for part, terms in by_label.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -249,6 +249,11 @@ def test_table_with_a_missing_pair_or_an_unknown_label_is_rejected():
         FrobeniusAlgebra(["1", "e"], {("1", "1"): one, ("1", "e"): e,
                                       ("e", "e"): QuantumElement.basis("x")},
                          "1", {"1": 0, "e": 1})
+    table = {("1", "1"): one, ("1", "e"): e, ("e", "e"): QuantumElement()}
+    with pytest.raises(UnknownLabel, match="'x'"):
+        FrobeniusAlgebra(["1", "e"], table, "x", {"1": 0, "e": 1})
+    with pytest.raises(UnknownLabel, match="'y'"):
+        FrobeniusAlgebra(["1", "e"], table, "1", {"1": 0, "e": 1, "y": 2})
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +329,39 @@ def test_euler_class_basis_independent_dual_numbers():
     p = random_invertible_matrix(rng, 2)
     moved = change_basis(a, p)
     assert new_basis_to_old(a, p, moved.euler_class()) == a.euler_class()
+
+
+def one_order_perturbed(g24_algebra):
+    """G(2,4) with s[1] * s[2,1] moved by s[2,2] + s[1] in that order only:
+    f reads 2 there and 1 on the mirror, and the pairing stays
+    nondegenerate."""
+    table = dict(g24_algebra.structure_constants)
+    table[("1", "2,1")] = (table[("1", "2,1")] + QuantumElement.basis("2,2")
+                           + QuantumElement.basis("1"))
+    return rebuilt(g24_algebra, table)
+
+
+def test_gram_matrix_reads_a_pair_twice_unless_it_is_one_object(g24_algebra, ig26):
+    moved = one_order_perturbed(g24_algebra)
+    for algebra in (g24_algebra, ig26, moved):
+        table = algebra.structure_constants
+        assert algebra.gram_matrix() == [[algebra.f(table[(a, b)]) for b in algebra.basis]
+                                         for a in algebra.basis]
+    i, j = moved.index["1"], moved.index["2,1"]
+    assert moved.gram_matrix()[i][j] == 2 and moved.gram_matrix()[j][i] == 1
+
+
+def test_euler_class_is_the_sum_of_the_products_with_the_duals(g24_algebra, ig26):
+    algebras = [g24_algebra, ig26, one_order_perturbed(g24_algebra)]
+    algebras += [known_answer_sum(kinds, random.Random("+".join(kinds)))[0]
+                 for kinds in KNOWN_ANSWER_SUMS]
+    algebras.append(change_basis(g24_algebra, random_invertible_matrix(
+        random.Random(3344), g24_algebra.rank, with_q=True)))
+    for algebra in algebras:
+        total = QuantumElement()
+        for label, dual in zip(algebra.basis, algebra.dual_basis()):
+            total = total + algebra.multiply(QuantumElement.basis(label), dual)
+        assert algebra.euler_class() == total, algebra.name
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import element, g24_expected
 from qeuler.errors import InvalidShape, InvalidSpecialClass, UnknownLabel
-from qeuler.frobenius import QuantumElement
+from qeuler.frobenius import FrobeniusAlgebra, QuantumElement
 from qeuler.grassmannian import (
     GrassmannianRing,
     enumerate_basis,
@@ -116,8 +116,7 @@ def test_rim_hook_examples(g24):
 def test_sign_calibration_against_pieri(g24):
     """Pin the border-strip sign convention: (-1)^(k-height) reproduces the
     quantum Pieri products of G(2,4); (-1)^(height-1) does not."""
-    from qeuler.grassmannian import (_classical_product_rows_capped, _collect,
-                                     _jacobi_trudi_monomials)
+    from qeuler.grassmannian import _classical_product_rows_capped, _jacobi_trudi_monomials
 
     def oracle(lam, mu, rule):
         acc = {}
@@ -131,7 +130,7 @@ def test_sign_calibration_against_pieri(g24):
             if rule == "height-minus-one" and (d * (g24.k - 1)) % 2:
                 sign = -sign
             acc[(nu, d)] = acc.get((nu, d), 0) + sign * c
-        return _collect(acc)
+        return g24._collect(acc)
 
     match = {"k-minus-height": 0, "height-minus-one": 0}
     for rule in match:
@@ -350,3 +349,22 @@ def test_g36_diagnose_semisimple():
     report = algebra.diagnose()
     assert report.semisimple and report.field_factor
     assert report.f_of_euler == RationalFunction(20)
+
+
+# ---------------------------------------------------------------------------
+# work counted, not timed
+# ---------------------------------------------------------------------------
+
+def test_a_table_holds_one_scalar_per_coefficient_value():
+    algebra = GrassmannianRing(3, 7).to_frobenius()
+    coeffs = [c for prod in algebra.structure_constants.values() for c in prod.coeffs.values()]
+    assert len({id(c) for c in coeffs}) == len(set(coeffs)) == 7
+
+
+def test_diagnose_multiplies_once_on_a_grassmannian(monkeypatch):
+    calls = []
+    multiply = FrobeniusAlgebra.multiply
+    monkeypatch.setattr(FrobeniusAlgebra, "multiply",
+                        lambda self, x, y: calls.append(1) or multiply(self, x, y))
+    GrassmannianRing(3, 7).to_frobenius().diagnose()
+    assert len(calls) == 1  # E * E
