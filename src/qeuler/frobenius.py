@@ -27,10 +27,11 @@ Instances are immutable after construction and all operations are pure.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count, islice
 from typing import NamedTuple
 
 from . import linalg
-from .errors import ComputeError, DegeneratePairing, DivisionByZero, NotAUnit, UnknownLabel
+from .errors import DegeneratePairing, DivisionByZero, NotAUnit, UnknownLabel
 from .scalar import (ONE, ZERO, QPolynomial, RationalFunction, _join_terms, poly_gcd,
                      render_scalar)
 
@@ -46,7 +47,10 @@ def _as_scalar(c) -> RationalFunction:
 class QuantumElement:
     """Finitely supported map from basis labels to nonzero Q(q) scalars.
 
-    Supports addition, subtraction, negation, and scalar multiplication.
+    The constructor is the one place where terms merge: it takes a dict or
+    any iterable of ``(label, coefficient)`` pairs, adds the coefficients
+    of each label and drops the zero sums.  Supports addition,
+    subtraction, negation, and scalar multiplication.
     Products live on the owning algebra, which knows the structure
     constants.
     """
@@ -89,14 +93,7 @@ class QuantumElement:
     def __add__(self, other):
         if not isinstance(other, QuantumElement):
             return NotImplemented
-        out = dict(self.coeffs)
-        for label, c in other.coeffs.items():
-            s = out.get(label, ZERO) + c
-            if s:
-                out[label] = s
-            elif label in out:
-                del out[label]
-        return QuantumElement(out)
+        return QuantumElement([*self.coeffs.items(), *other.coeffs.items()])
 
     def __sub__(self, other):
         if not isinstance(other, QuantumElement):
@@ -203,19 +200,14 @@ class FrobeniusAlgebra:
 
     def multiply(self, x: QuantumElement, y: QuantumElement) -> QuantumElement:
         """Bilinear extension of the structure constants."""
-        acc = {}
+        terms = []
         for a, ca in x.items():
             self._check_label(a)
             for b, cb in y.items():
                 self._check_label(b)
                 c = ca * cb
-                for l, cl in self.structure_constants[(a, b)].items():
-                    s = acc.get(l, ZERO) + c * cl
-                    if s:
-                        acc[l] = s
-                    elif l in acc:
-                        del acc[l]
-        return QuantumElement(acc)
+                terms += [(l, c * cl) for l, cl in self.structure_constants[(a, b)].items()]
+        return QuantumElement(terms)
 
     def f(self, x: QuantumElement) -> RationalFunction:
         """The Frobenius functional, extended linearly."""
@@ -258,11 +250,9 @@ class FrobeniusAlgebra:
                 inv = linalg.solve(eta, linalg.identity(n, ONE, ZERO))
             except linalg.SingularMatrix as exc:
                 raise DegeneratePairing("pairing matrix is singular") from exc
-            duals = []
-            for j in range(n):
-                duals.append(QuantumElement(
-                    {self.basis[i]: inv[i][j] for i in range(n)}))
-            self._dual = duals
+            self._dual = [QuantumElement([(self.basis[i], inv[i][j])
+                                          for i in range(n) if inv[i][j]])
+                          for j in range(n)]
         return self._dual
 
     def euler_class(self) -> QuantumElement:
@@ -275,16 +265,10 @@ class FrobeniusAlgebra:
         ``gram_matrix``.
         """
         if self._euler is None:
-            table, acc = self.structure_constants, {}
-            for label, dual in zip(self.basis, self.dual_basis()):
-                for b, cb in dual.items():
-                    for l, cl in table[(label, b)].items():
-                        s = acc.get(l, ZERO) + cb * cl
-                        if s:
-                            acc[l] = s
-                        elif l in acc:
-                            del acc[l]
-            self._euler = QuantumElement(acc)
+            table = self.structure_constants
+            self._euler = QuantumElement([
+                (l, cb * cl) for label, dual in zip(self.basis, self.dual_basis())
+                for b, cb in dual.items() for l, cl in table[(label, b)].items()])
         return self._euler
 
     # -- multiplication operators -------------------------------------------
@@ -308,10 +292,7 @@ class FrobeniusAlgebra:
         if self._q0 is None:
             dens = [c.den for prod in self.structure_constants.values()
                     for c in prod.coeffs.values() if not c.is_polynomial()]
-            q0 = 1
-            while not all(d.evaluate(q0) for d in dens):
-                q0 += 1
-            self._q0 = q0
+            self._q0 = next(_regular_points(dens))
         return self._q0
 
     def _operator_at_point(self, label):
@@ -493,44 +474,38 @@ class FrobeniusAlgebra:
 # ---------------------------------------------------------------------------
 # exact zero tests for matrices over Q(q)
 #
-# Both tests clear denominators and then decide by evaluating at enough
-# rational points: a polynomial of degree at most D vanishing at D+1 points
-# is zero.  This avoids symbolic determinant blowup on rank-20 matrices.
+# Both tests decide by evaluating m at enough integer points.  With L the
+# lcm of the denominators of m, L*m is a polynomial matrix whose entries
+# have degree at most maxdeg = max(deg num + deg L - deg den) over the
+# nonzero entries of m.  So a polynomial of degree d in the entries of m,
+# times L^d, is a polynomial in q of degree at most d*maxdeg, zero iff it
+# vanishes at d*maxdeg + 1 points.  The points skip the roots of L: there
+# L^d is a nonzero factor and every entry of m has a value.  This avoids
+# symbolic determinant blowup on rank-20 matrices.
 # ---------------------------------------------------------------------------
 
-def _clear_denominators(m):
-    """Return (N, maxdeg): N integer-matrix-of-polynomials equal to m times
-    the product of all denominators; only zero-ness of powers/dets matters."""
-    common = QPolynomial.constant(1)
-    for row in m:
-        for x in row:
-            if not x.is_polynomial():
-                extra, _ = divmod(x.den, poly_gcd(common, x.den))
-                common = common * extra
-    cleared = []
-    for row in m:
-        new_row = []
-        for x in row:
-            if x.is_polynomial():
-                new_row.append(x.num * common)
-                continue
-            quot, rem = divmod(common, x.den)
-            if not rem.is_zero():
-                raise ComputeError(f"common denominator is not divisible by {x.den}")
-            new_row.append(x.num * quot)
-        cleared.append(new_row)
-    maxdeg = max((p.degree() for row in cleared for p in row), default=-1)
-    return cleared, maxdeg
+def _regular_points(polys):
+    """The positive integers, in increasing order, that are a root of no
+    polynomial in ``polys``."""
+    return (point for point in count(1) if all(p.evaluate(point) for p in polys))
 
 
 def _evaluations(m, degree: int):
-    """Yield m, denominators cleared, at enough rational points to decide
-    whether a polynomial of ``degree`` in its entries vanishes; nothing when
-    every entry is zero."""
-    cleared, maxdeg = _clear_denominators(m)
-    for point in range(1, degree * maxdeg + 2):
-        point = Fraction(point)
-        yield [[p.evaluate(point) for p in row] for row in cleared]
+    """Yield m at enough integer points, none a root of the lcm L of its
+    denominators, to decide whether a polynomial of ``degree`` in its
+    entries vanishes; nothing when every entry is zero."""
+    lcm = QPolynomial.constant(1)
+    for row in m:
+        for x in row:
+            if not x.is_polynomial():
+                extra, _ = divmod(x.den, poly_gcd(lcm, x.den))
+                lcm = lcm * extra
+    maxdeg = max((x.num.degree() + lcm.degree() - x.den.degree()
+                  for row in m for x in row if x), default=-1)
+    if maxdeg < 0:
+        return
+    for point in islice(_regular_points([lcm]), degree * maxdeg + 1):
+        yield [[x.evaluate(point) for x in row] for row in m]
 
 
 def _poly_matrix_det_is_zero(m) -> bool:

@@ -63,10 +63,8 @@ class GrassmannianRing:
         self.basis_index = {p: i for i, p in enumerate(self.basis)}
         self._labels = {p: partition_label(p) for p in self.basis}
         # every table the ring fills lives, and is freed, with the ring
-        self._product_cache = {}
         self._scalar_cache = {}  # sorted nonzero (q_power, coefficient) terms -> scalar
         self._pieri_cache = {}  # (p, lam) -> quantum Pieri terms
-        self._jacobi_trudi_cache = {}  # mu -> untruncated Jacobi-Trudi monomials
         self._giambelli_cache = {}  # mu -> Giambelli monomials
         self._classical_cache = {}  # (lam, p) -> classical Pieri step of the oracle
 
@@ -153,15 +151,6 @@ class GrassmannianRing:
     def quantum_pieri(self, p: int, lam: Partition) -> QuantumElement:
         return self._collect(Counter(self.quantum_pieri_raw(p, lam)))
 
-    def _jacobi_trudi(self, mu: Partition):
-        """``_jacobi_trudi_monomials(mu, k)``, which the Giambelli route and
-        the rim-hook oracle share; the ring keeps it, so each mu is expanded
-        once."""
-        cached = self._jacobi_trudi_cache.get(mu)
-        if cached is None:
-            cached = self._jacobi_trudi_cache[mu] = _jacobi_trudi_monomials(mu, self.k)
-        return cached
-
     def _giambelli_monomials(self, mu: Partition):
         """Expansion of s_mu as a signed sum of products of special classes.
 
@@ -173,7 +162,7 @@ class GrassmannianRing:
         cached = self._giambelli_cache.get(mu)
         if cached is None:
             cached = self._giambelli_cache[mu] = tuple(
-                (sign, factors) for sign, factors in self._jacobi_trudi(mu)
+                (sign, factors) for sign, factors in _jacobi_trudi_monomials(mu, self.k)
                 if all(p <= self.width for p in factors))
         return cached
 
@@ -181,28 +170,25 @@ class GrassmannianRing:
         """Quantum product of two Schubert classes via Pieri and Giambelli."""
         self.check_member(lam)
         self.check_member(mu)
-        key = (lam, mu) if lam <= mu else (mu, lam)
-        cached = self._product_cache.get(key)
-        if cached is None:
-            acc = {}
-            for sign, factors in self._giambelli_monomials(key[1]):
-                terms = {(key[0], 0): 1}
-                for p in factors:
-                    nxt = {}
-                    for (part, d), c in terms.items():
-                        # quantum_pieri_raw runs only for steps not yet kept
-                        step = self._pieri_cache.get((p, part))
-                        if step is None:
-                            step = self.quantum_pieri_raw(p, part)
-                        for part2, d2 in step:
-                            k2 = (part2, d + d2)
-                            nxt[k2] = nxt.get(k2, 0) + c
-                    terms = nxt
+        # expand the larger in tuple order, so both orders run the same steps
+        small, large = sorted((lam, mu))
+        acc = {}
+        for sign, factors in self._giambelli_monomials(large):
+            terms = {(small, 0): 1}
+            for p in factors:
+                nxt = {}
                 for (part, d), c in terms.items():
-                    acc[(part, d)] = acc.get((part, d), 0) + sign * c
-            cached = self._collect(acc)
-            self._product_cache[key] = cached
-        return cached
+                    # quantum_pieri_raw runs only for steps not yet kept
+                    step = self._pieri_cache.get((p, part))
+                    if step is None:
+                        step = self.quantum_pieri_raw(p, part)
+                    for part2, d2 in step:
+                        k2 = (part2, d + d2)
+                        nxt[k2] = nxt.get(k2, 0) + c
+                terms = nxt
+            for (part, d), c in terms.items():
+                acc[(part, d)] = acc.get((part, d), 0) + sign * c
+        return self._collect(acc)
 
     # -- rim-hook oracle route -------------------------------------------------
 
@@ -212,7 +198,8 @@ class GrassmannianRing:
         self.check_member(mu)
         acc = {}
         for rho, c in _classical_product_rows_capped(
-                lam, self._jacobi_trudi(mu), self.k, self._classical_cache).items():
+                lam, _jacobi_trudi_monomials(mu, self.k), self.k,
+                self._classical_cache).items():
             reduced = rim_hook_reduce(rho, self.k, self.n)
             if reduced is None:
                 continue

@@ -168,7 +168,7 @@ def parse_spec(text: str) -> AlgebraSpec:
             raise ParseError(f"key {key!r} does not start with a generator")
         if b not in label_set:
             raise UnknownLabel(f"label {b!r} in key {key!r} not in the basis")
-        coeffs = {}
+        coeffs = []
         at = f"generator_products[{json.dumps(key)}]"
         for i, term in enumerate(_typed(terms, list, at)):
             where = f"{at}[{i}]"
@@ -177,10 +177,9 @@ def parse_spec(text: str) -> AlgebraSpec:
             if label not in label_set:
                 raise UnknownLabel(
                     f"label {label!r} in product {key!r} not in the basis")
-            c = RationalFunction.monomial(
+            coeffs.append((label, RationalFunction.monomial(
                 _coeff_from_json(term.get("coeff", 1), f"{where}.coeff"),
-                _field(term, "q", int, where, default=0))
-            coeffs[label] = coeffs.get(label, 0 * c) + c
+                _field(term, "q", int, where, default=0))))
         products[(g, b)] = QuantumElement(coeffs)
     for g in generators:
         for b in labels:

@@ -60,23 +60,30 @@ class QPolynomial:
 
     Coefficients are ``int`` when integral and ``Fraction`` otherwise.  Zero
     coefficients are never stored; the zero polynomial has an empty term
-    map.  Exponents are nonnegative integers.
+    map.  Exponents are nonnegative integers.  The constructor is the one
+    place where terms merge: it takes a dict or any iterable of
+    ``(exponent, coefficient)`` pairs, sums the pairs of each exponent and
+    drops the zero sums.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
+        if terms is None or isinstance(terms, dict):
+            sums = terms or {}
+        else:
+            sums = {}
+            for exp, c in terms:
+                sums[exp] = sums[exp] + c if exp in sums else c
         tidy = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for exp, c in items:
-                if exp < 0:
-                    raise ValueError("polynomial exponents must be >= 0")
-                c = _coeff(_coeff(c) + tidy.get(exp, 0))
-                if c:
-                    tidy[exp] = c
-                elif exp in tidy:
-                    del tidy[exp]
+        for exp, c in sums.items():
+            if exp < 0:
+                raise ValueError("polynomial exponents must be >= 0")
+            # every sum goes through _coeff, so a float is refused even
+            # when it cancels
+            c = _coeff(c)
+            if c:
+                tidy[exp] = c
         object.__setattr__(self, "terms", tidy)
 
     def __setattr__(self, name, value):
@@ -126,14 +133,7 @@ class QPolynomial:
     def __add__(self, other):
         if not isinstance(other, QPolynomial):
             return NotImplemented
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
-        return QPolynomial(out)
+        return QPolynomial([*self.terms.items(), *other.terms.items()])
 
     def __sub__(self, other):
         if not isinstance(other, QPolynomial):
@@ -145,16 +145,8 @@ class QPolynomial:
 
     def __mul__(self, other):
         if isinstance(other, QPolynomial):
-            out = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    e = e1 + e2
-                    s = out.get(e, 0) + c1 * c2
-                    if s:
-                        out[e] = s
-                    elif e in out:
-                        del out[e]
-            return QPolynomial(out)
+            return QPolynomial([(e1 + e2, c1 * c2) for e1, c1 in self.terms.items()
+                                for e2, c2 in other.terms.items()])
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
         c = _coeff(other)

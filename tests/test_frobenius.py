@@ -5,18 +5,21 @@ import sys
 from pathlib import Path
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.polys.matrices import DomainMatrix
 
 from conftest import (KNOWN_ANSWER_SUMS, element, known_answer_sum, new_basis_to_old,
                       trace_form_semisimple)
-from qeuler import axioms
+from qeuler import axioms, linalg
 from qeuler.axioms import Violation
-from qeuler.errors import DegeneratePairing, NotAUnit, UnknownLabel
+from qeuler.errors import DegeneratePairing, NotAUnit, SingularMatrix, UnknownLabel
 from qeuler.frobenius import (
     FrobeniusAlgebra,
     QuantumElement,
     _poly_matrix_det_is_zero,
+    _poly_matrix_power_is_zero,
     base_field,
     change_basis,
     direct_sum,
@@ -25,7 +28,7 @@ from qeuler.frobenius import (
     quadratic_extension,
 )
 from qeuler.grassmannian import GrassmannianRing
-from qeuler.scalar import ONE, Q, RationalFunction, ZERO
+from qeuler.scalar import ONE, Q, RationalFunction, ZERO, parse_scalar
 
 SRC = Path(__file__).parents[1] / "src"
 
@@ -448,6 +451,111 @@ def test_is_unit_never_evaluates_at_a_pole(g24_algebra):
     square = quadratic_extension((Q - 1) * (Q - 1) / (Q * Q))
     y = QuantumElement({"1": ONE / Q, "x": -pole})
     assert square.is_unit(y) == exact_is_unit(square, y) is False
+
+
+def test_the_zero_element_is_nilpotent_and_no_unit(g24_algebra, ig26):
+    # the constructor merges the pairs of a label and drops zero sums
+    assert QuantumElement([("a", ONE), ("b", Q), ("a", -ONE)]) == QuantumElement({"b": Q})
+    for algebra in (dual_numbers(), base_field(), nilpotent_chain(3), g24_algebra, ig26):
+        assert not algebra.is_unit(QuantumElement()), algebra.name
+        assert algebra.is_nilpotent(QuantumElement()), algebra.name
+
+
+def test_exact_unit_test_counts_its_evaluation_points(ig26, monkeypatch):
+    """Work-counting tripwire: one ``linalg.det`` call per evaluation point
+    of the exact test, plus the one at q0 where ``is_unit`` looks for a
+    certificate."""
+    calls = []
+    det = linalg.det
+    monkeypatch.setattr(linalg, "det", lambda a: calls.append(a) or det(a))
+    ig26.diagnose()
+    counts = [len(calls)]
+    pole = ONE / (Q - 1)
+    x = QuantumElement.basis("x")
+    split = quadratic_extension(pole * pole)
+    square = quadratic_extension((Q - 1) * (Q - 1) / (Q * Q))
+    for algebra, y in ((split, x.scale(Q - 1) - split.unit),
+                       (square, QuantumElement({"1": ONE / Q, "x": -pole}))):
+        calls.clear()
+        assert not algebra.is_unit(y)
+        counts.append(len(calls))
+    assert counts == [26, 6, 5]
+
+
+# ---------------------------------------------------------------------------
+# the exact zero tests against sympy
+# ---------------------------------------------------------------------------
+
+DENOMINATORS = [parse_scalar(text)
+                for text in ("q - 1", "q - 2", "q^2 + 1", "q", "(q - 1)*(q - 3)")]
+
+
+def random_entry(rng):
+    x = sum((rng.randint(-3, 3) * Q ** e for e in range(rng.randint(1, 3))), ZERO)
+    return x / rng.choice(DENOMINATORS) if rng.random() < 0.5 else x
+
+
+def random_matrix(rng, n, singular=False):
+    """A random n x n matrix over Q(q); when ``singular``, one row is a
+    Q(q)-combination of the others."""
+    rows = [[random_entry(rng) for _ in range(n)] for _ in range(n - singular)]
+    if singular:
+        weights = [random_entry(rng) for _ in rows]
+        rows.insert(rng.randrange(n), [sum((w * row[j] for w, row in zip(weights, rows)),
+                                           ZERO) for j in range(n)])
+    return rows
+
+
+def random_nilpotent(rng, n):
+    """P*N*P^-1 with P over Q(q) and N strictly upper triangular, with
+    integer entries that are not zero."""
+    while True:
+        p = random_matrix(rng, n)
+        try:
+            p_inv = linalg.solve(p, linalg.identity(n, ONE, ZERO))
+        except SingularMatrix:
+            continue
+        nil = [[RationalFunction(rng.choice((-2, -1, 1, 2)) if j > i else 0)
+                for j in range(n)] for i in range(n)]
+        return linalg.mat_mul(linalg.mat_mul(p, nil), p_inv)
+
+
+def to_sympy(m):
+    """m as a sympy matrix over the field QQ(q), whose entries are kept
+    cancelled like ``sympy.cancel`` keeps an expression; ``cancel`` on
+    expression trees takes minutes for a 3 x 3 cube."""
+    q = sympy.Symbol("q")
+    field = sympy.QQ.frac_field(q)
+
+    def poly(p):
+        return field.from_sympy(sum((sympy.Rational(c.numerator, c.denominator) * q ** e
+                                     for e, c in p.terms.items()), sympy.Integer(0)))
+
+    return DomainMatrix([[poly(x.num) / poly(x.den) for x in row] for row in m],
+                        (len(m), len(m)), field)
+
+
+# Nonzero, yet zero at the first points: det diag(y, z) at q = 2..5 and the
+# square of [[0, 1], [x, 0]] at q = 2..6.  A degree bound that leaves out
+# deg L, or the factor d, stops before a point where they are not zero.
+Y, Z, X = (parse_scalar(text) for text in (
+    "(q - 2)*(q - 3)/(q - 1)", "(q - 4)*(q - 5)/(q - 1)",
+    "(q - 2)*(q - 3)*(q - 4)*(q - 5)*(q - 6)/((q - 1)*(q - 1)*(q - 1))"))
+
+
+def test_exact_zero_tests_agree_with_sympy():
+    rng = random.Random(1507)
+    dets = [random_matrix(rng, n, singular) for n in (2, 3, 4) for singular in (0, 1) * 3]
+    powers = [random_matrix(rng, n) for n in (2, 3) for _ in range(3)]
+    powers += [random_nilpotent(rng, n) for n in (2, 3) for _ in range(3)]
+    dets += powers + [[[Y, ZERO], [ZERO, Z]]]
+    powers.append([[ZERO, ONE], [X, ZERO]])
+    got = [_poly_matrix_det_is_zero(m) for m in dets]
+    assert got == [not to_sympy(m).det() for m in dets]
+    assert set(got) == {True, False}
+    got = [_poly_matrix_power_is_zero(m, len(m)) for m in powers]
+    assert got == [(to_sympy(m) ** len(m)).is_zero_matrix for m in powers]
+    assert set(got) == {True, False}
 
 
 def test_quadratic_extension_is_semisimple():

@@ -1,6 +1,7 @@
 """Package-level contracts: lazy exports, what each command imports, and
 immutable records."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -93,6 +94,27 @@ def _records():
             scalar.Ref("1"), algebra.grading, algebra.diagnose(), algebra_spec,
             spec.root_system, spec, rootgkm._coset_skeleton("A", 2, ()),
             graph, graph.vertices[0], graph.edges[0], rootgkm.hz_upper_bound(spec)]
+
+
+def test_every_module_reads_each_of_its_imports():
+    """A module-level import that its module never reads is a leftover;
+    ``__init__`` is left out, since it binds names for other modules."""
+    unread = []
+    for path in sorted((SRC / "qeuler").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for stmt in tree.body:
+            if (not isinstance(stmt, (ast.Import, ast.ImportFrom))
+                    or getattr(stmt, "module", None) == "__future__"):
+                continue
+            for alias in stmt.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                if name not in read:
+                    unread.append(f"{path.name}: {name}")
+    assert unread == []
 
 
 def test_every_record_is_immutable():

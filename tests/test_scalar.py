@@ -87,6 +87,11 @@ def test_zero_canonical():
     x = RationalFunction(QPolynomial(), poly((3, 7), (1, 2)))
     assert x == ZERO
     assert x.den == QPolynomial.constant(1)
+    # the constructor merges the pairs of an exponent and drops zero sums
+    merged = QPolynomial([(2, 1), (0, Fraction(1, 2)), (2, -1), (0, Fraction(1, 2))])
+    assert merged.terms == {0: 1} and type(merged.terms[0]) is int
+    with pytest.raises(TypeError):
+        QPolynomial([(0, 0.5), (0, -0.5)])
 
 
 # ---------------------------------------------------------------------------
