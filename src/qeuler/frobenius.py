@@ -568,12 +568,12 @@ def change_basis(algebra: FrobeniusAlgebra, p) -> FrobeniusAlgebra:
     n = algebra.rank
     p = [[_as_scalar(x) for x in row] for row in p]
     p_inv = linalg.solve(p, linalg.identity(n, ONE, ZERO))
+    # the nonzero entries of each column of p_inv, keyed by its old label
+    columns = {l: [(algebra.basis[i], p_inv[i][j]) for i in range(n) if p_inv[i][j]]
+               for j, l in enumerate(algebra.basis)}
 
     def old_to_new(elem: QuantumElement) -> QuantumElement:
-        vec = [elem.coefficient(l) for l in algebra.basis]
-        new_vec = linalg.mat_vec(p_inv, vec)
-        return QuantumElement(
-            {algebra.basis[i]: new_vec[i] for i in range(n)})
+        return QuantumElement([(m, x * c) for l, c in elem.items() for m, x in columns[l]])
 
     new_elems = []
     for j in range(n):

@@ -3,9 +3,8 @@
 Classes are indexed by partitions in the k x (n-k) box.  Products are
 computed two independent ways:
 
-* ``quantum_product`` expands one factor through the Giambelli determinant
-  in the special classes s_1 .. s_{n-k} and applies the quantum Pieri rule
-  repeatedly;
+* ``quantum_product`` and ``to_frobenius`` apply the quantum Pieri rule
+  alone, in a recursion on the rows of one factor;
 * ``rim_hook_product`` computes the classical Littlewood-Richardson
   expansion in at most k rows (Jacobi-Trudi determinant plus classical
   Pieri steps) and then reduces each term by removing border strips of
@@ -51,7 +50,7 @@ def _pad(p: Partition, k: int) -> tuple:
 
 
 class GrassmannianRing:
-    """QH of G(k, n): basis, duality, Pieri, Giambelli, rim-hook oracle."""
+    """QH of G(k, n): basis, duality, the Pieri recursion, rim-hook oracle."""
 
     def __init__(self, k: int, n: int):
         self.basis = enumerate_basis(k, n)  # raises InvalidShape unless 0 < k < n
@@ -65,7 +64,6 @@ class GrassmannianRing:
         # every table the ring fills lives, and is freed, with the ring
         self._scalar_cache = {}  # sorted nonzero (q_power, coefficient) terms -> scalar
         self._pieri_cache = {}  # (p, lam) -> quantum Pieri terms
-        self._giambelli_cache = {}  # mu -> Giambelli monomials
         self._classical_cache = {}  # (lam, p) -> classical Pieri step of the oracle
 
     def check_member(self, p: Partition):
@@ -85,7 +83,7 @@ class GrassmannianRing:
         """Real degree of the class: 2*(dim - |p|)."""
         return 2 * (self.complex_dimension - sum(p))
 
-    # -- quantum Pieri / Giambelli route --------------------------------------
+    # -- quantum Pieri route -------------------------------------------------
 
     def quantum_pieri_raw(self, p: int, lam: Partition):
         """Multiply by the special class s_p.
@@ -151,44 +149,42 @@ class GrassmannianRing:
     def quantum_pieri(self, p: int, lam: Partition) -> QuantumElement:
         return self._collect(Counter(self.quantum_pieri_raw(p, lam)))
 
-    def _giambelli_monomials(self, mu: Partition):
-        """Expansion of s_mu as a signed sum of products of special classes.
+    def _product_terms(self, lam: Partition, mu: Partition, known: dict):
+        """Raw terms {(partition, q_power): coefficient} of s_lam * s_mu.
 
-        Determinant of the k x k matrix with entries s_{mu_i + j - i},
-        where entries outside 0..n-k vanish and s_0 = 1: the Jacobi-Trudi
-        expansion without the monomials that hold an s_p with p > n-k.
-        The ring keeps it, so each mu is expanded once.
+        With p the last part of mu and nu the rest, s_p * s_nu is s_mu plus
+        classes mu'' of the same size that are lexicographically larger
+        than mu, and it has no q-term since nu has fewer than k rows; so
+        s_lam * s_mu = s_p * (s_lam * s_nu) - sum s_lam * s_mu''.
+        ``known`` maps each mu already reached to its terms, for this lam.
         """
-        cached = self._giambelli_cache.get(mu)
-        if cached is None:
-            cached = self._giambelli_cache[mu] = tuple(
-                (sign, factors) for sign, factors in _jacobi_trudi_monomials(mu, self.k)
-                if all(p <= self.width for p in factors))
-        return cached
+        terms = known.get(mu)
+        if terms is not None:
+            return terms
+        if not mu:
+            terms = {(lam, 0): 1}
+        else:
+            p, nu = mu[-1], mu[:-1]
+            terms = {}
+            for (part, d), c in self._product_terms(lam, nu, known).items():
+                for part2, d2 in self.quantum_pieri_raw(p, part):
+                    key = (part2, d + d2)
+                    terms[key] = terms.get(key, 0) + c
+            for other, _ in self.quantum_pieri_raw(p, nu):
+                if other != mu:
+                    for key, c in self._product_terms(lam, other, known).items():
+                        terms[key] = terms.get(key, 0) - c
+            terms = {key: c for key, c in terms.items() if c}
+        known[mu] = terms
+        return terms
 
     def quantum_product(self, lam: Partition, mu: Partition) -> QuantumElement:
-        """Quantum product of two Schubert classes via Pieri and Giambelli."""
+        """Quantum product of two Schubert classes by the Pieri recursion."""
         self.check_member(lam)
         self.check_member(mu)
-        # expand the larger in tuple order, so both orders run the same steps
-        small, large = sorted((lam, mu))
-        acc = {}
-        for sign, factors in self._giambelli_monomials(large):
-            terms = {(small, 0): 1}
-            for p in factors:
-                nxt = {}
-                for (part, d), c in terms.items():
-                    # quantum_pieri_raw runs only for steps not yet kept
-                    step = self._pieri_cache.get((p, part))
-                    if step is None:
-                        step = self.quantum_pieri_raw(p, part)
-                    for part2, d2 in step:
-                        k2 = (part2, d + d2)
-                        nxt[k2] = nxt.get(k2, 0) + c
-                terms = nxt
-            for (part, d), c in terms.items():
-                acc[(part, d)] = acc.get((part, d), 0) + sign * c
-        return self._collect(acc)
+        # recurse on the class earlier in the basis; both orders run the same steps
+        first, last = sorted((lam, mu), key=self.basis_index.__getitem__)
+        return self._collect(self._product_terms(last, first, {}))
 
     # -- rim-hook oracle route -------------------------------------------------
 
@@ -234,10 +230,11 @@ class GrassmannianRing:
         """Compile to a Frobenius algebra: f = coefficient at the point class."""
         labels = [self._labels[p] for p in self.basis]
         table = {}
-        for i, a in enumerate(self.basis):
-            for j, b in enumerate(self.basis):
-                if i <= j:
-                    table[(labels[i], labels[j])] = self.quantum_product(a, b)
+        for j, b in enumerate(self.basis):
+            known = {}  # the products with b, column j of the table
+            for i in range(j + 1):
+                table[(labels[i], labels[j])] = self._collect(
+                    self._product_terms(b, self.basis[i], known))
         point = partition_label((self.width,) * self.k)
         functional = {l: (1 if l == point else 0) for l in labels}
         grading = Grading(

@@ -111,7 +111,7 @@ def test_criterion_4_oracle_equivalence(rings):
         pairs += count
     elapsed = time.perf_counter() - start
     report(ok and elapsed < 30.0,
-           f"criterion 4: Pieri/Giambelli route equals rim-hook oracle on all "
+           f"criterion 4: Pieri route equals rim-hook oracle on all "
            f"{pairs} pairs ({elapsed:.2f}s < 30s)")
 
 

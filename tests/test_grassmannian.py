@@ -142,19 +142,20 @@ def test_sign_calibration_against_pieri(g24):
 
 
 def test_oracle_agrees_everywhere():
-    for k, n in [(2, 4), (2, 5), (3, 6)]:
+    # every ordered pair of the first three rings; unordered pairs of the
+    # other rings of the benchmark mix
+    for k, n in [(2, 4), (2, 5), (3, 6), (3, 5), (2, 6), (4, 6), (2, 7), (3, 7),
+                 (5, 7), (2, 8)]:
         ring = GrassmannianRing(k, n)
-        for a in ring.basis:
-            for b in ring.basis:
-                assert ring.quantum_product(a, b) == ring.rim_hook_product(a, b), (
-                    k, n, a, b)
-    # the other rings of the benchmark mix, on unordered pairs
-    for k, n in [(3, 5), (2, 6), (4, 6), (2, 7), (3, 7), (5, 7), (2, 8)]:
-        ring = GrassmannianRing(k, n)
+        ordered = (k, n) in [(2, 4), (2, 5), (3, 6)]
         for i, a in enumerate(ring.basis):
-            for b in ring.basis[i:]:
+            for b in ring.basis if ordered else ring.basis[i:]:
                 assert ring.quantum_product(a, b) == ring.rim_hook_product(a, b), (
                     k, n, a, b)
+        # the table fills its columns without quantum_product
+        for (a, b), product in ring.to_frobenius().structure_constants.items():
+            assert product == ring.rim_hook_product(
+                parse_partition(a), parse_partition(b)), (k, n, a, b)
 
 
 def _jacobi_trudi_by_permutations(mu, k):

@@ -2,6 +2,7 @@
 immutable records."""
 
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
@@ -15,7 +16,8 @@ from qeuler import frobenius, presented, rootgkm, scalar
 from qeuler.errors import InvalidShape, NotRegular
 from qeuler.grassmannian import GrassmannianRing
 
-SRC = Path(__file__).parents[1] / "src"
+ROOT = Path(__file__).parents[1]
+SRC = ROOT / "src"
 
 
 def run_python(*args):
@@ -149,3 +151,20 @@ def test_orbit_spec_checks_every_construction():
         spec._replace(parabolic=(1, 1))
     with pytest.raises(InvalidShape, match="coordinates"):
         rootgkm.OrbitSpec._make((rs, (), (1, 0)))
+
+
+def test_every_traced_name_exists():
+    """The benchmark's tracer wraps names by ``owner.__dict__[attr]``; a
+    name it lists and the package lost would break only the traced runs."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for layer, owner_name, attrs in tracer.TARGETS:
+        owner = importlib.import_module(f"qeuler.{layer}")
+        if owner_name:
+            owner = getattr(owner, owner_name)
+        missing += [f"{layer}.{owner_name}.{attr}" for attr in attrs
+                    if attr not in vars(owner)]
+    assert missing == []
