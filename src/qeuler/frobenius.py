@@ -18,10 +18,21 @@ Mirror rule: the constructor stores a product and its mirror as one
 object when the table gives only one order, and the gram matrix reads f
 once for such a pair; a pair whose two orders are two objects is read in
 both, so a table that is wrong in one order only keeps its asymmetry.
-The Euler class sums the structure constants of e_i * e_b in that order,
-without building the products e_i * e_i^dual.
 
-Instances are immutable after construction and all operations are pure.
+The Euler class E = sum(e_i * e_i^dual) takes one of two routes.  On an
+algebra whose axioms are known to hold (tables from
+``GrassmannianRing.to_frobenius``, the bundled constructors, a
+``direct_sum`` of two such algebras, a ``change_basis`` of one, and any
+table on which ``validate()`` found no violation) it solves G * E = t once,
+with G the gram matrix and t_j = tr(L_{e_j}) read off the diagonal of the
+table.  That rests on f(E * x) = tr(L_x) (Abrams, Israel J. Math. 117
+(2000)), which needs a commutative, associative table.  Every other table
+keeps the sum over the dual basis, which sums the structure constants of
+e_i * e_b in that order, without building the products e_i * e_i^dual.
+
+Instances are immutable after construction and all operations are pure;
+what they keep later (caches, and the mark that ``validate()`` sets) changes
+no result.
 """
 
 from __future__ import annotations
@@ -77,6 +88,14 @@ class QuantumElement:
     @classmethod
     def basis(cls, label):
         return cls({label: ONE})
+
+    @classmethod
+    def _from_canonical(cls, coeffs: dict):
+        """Store ``coeffs`` as is: a dict whose every value is already a
+        nonzero ``RationalFunction``, for a caller that built it so."""
+        elem = object.__new__(cls)
+        object.__setattr__(elem, "coeffs", coeffs)
+        return elem
 
     def coefficient(self, label) -> RationalFunction:
         return self.coeffs.get(label, ZERO)
@@ -191,6 +210,9 @@ class FrobeniusAlgebra:
         self._euler = None
         self._q0 = None
         self._operators = {}
+        # True when the axioms are known to hold, so f(E * x) = tr(L_x)
+        # gives the Euler class; set by the constructors and validate()
+        self._axioms_hold = False
 
     def _check_label(self, label):
         if label not in self.index:
@@ -258,17 +280,34 @@ class FrobeniusAlgebra:
     def euler_class(self) -> QuantumElement:
         """sum over the basis of e_i * e_i^dual; independent of the basis.
 
-        One sum of dual_i[b] * (e_i * e_b) over i and b, read from the
-        table in the order (e_i, e_b) as ``multiply(e_i, dual_i)`` reads
-        it, so the value is the same on a table that is not commutative.
-        The gram matrix behind the duals follows the mirror rule of
-        ``gram_matrix``.
+        Where the axioms are known to hold (see the module docstring), E
+        is the one solution of G * E = t, t_j = tr(L_{e_j}).  The reason:
+        f(e_j * E) = sum_i f(e_i^dual * (e_j * e_i)) = sum_i c_{j,i}^i,
+        where the first step reorders and regroups e_j * (e_i * e_i^dual),
+        which needs a commutative, associative table.  Only the diagonal
+        entries c_{j,b}^b of the table are read for t.
+
+        Any other table gets one sum of dual_i[b] * (e_i * e_b) over i and
+        b, read from the table in the order (e_i, e_b) as
+        ``multiply(e_i, dual_i)`` reads it, so the value is the same on a
+        table that is not commutative.  The gram matrix behind the duals
+        follows the mirror rule of ``gram_matrix``.
         """
         if self._euler is None:
             table = self.structure_constants
-            self._euler = QuantumElement([
-                (l, cb * cl) for label, dual in zip(self.basis, self.dual_basis())
-                for b, cb in dual.items() for l, cl in table[(label, b)].items()])
+            if self._axioms_hold:
+                traces = [[sum(filter(None, (table[(a, b)].coeffs.get(b)
+                                             for b in self.basis)), ZERO)]
+                          for a in self.basis]
+                try:
+                    sol = linalg.solve(self.gram_matrix(), traces)
+                except linalg.SingularMatrix as exc:
+                    raise DegeneratePairing("pairing matrix is singular") from exc
+                self._euler = QuantumElement(zip(self.basis, (row[0] for row in sol)))
+            else:
+                self._euler = QuantumElement([
+                    (l, cb * cl) for label, dual in zip(self.basis, self.dual_basis())
+                    for b, cb in dual.items() for l, cl in table[(label, b)].items()])
         return self._euler
 
     # -- multiplication operators -------------------------------------------
@@ -385,7 +424,10 @@ class FrobeniusAlgebra:
         never depend on the shortcut.
         """
         from .axioms import validate
-        return validate(self)
+        violations = validate(self)
+        if not violations:
+            self._axioms_hold = True
+        return violations
 
     # -- rendering -----------------------------------------------------------
 
@@ -529,6 +571,13 @@ def _power_is_zero(a, power: int) -> bool:
 # constructions
 # ---------------------------------------------------------------------------
 
+def _axioms_known(algebra: FrobeniusAlgebra) -> FrobeniusAlgebra:
+    """Mark an algebra built from a table whose axioms hold by
+    construction, so that ``euler_class`` takes the trace route."""
+    algebra._axioms_hold = True
+    return algebra
+
+
 def direct_sum(a: FrobeniusAlgebra, b: FrobeniusAlgebra) -> FrobeniusAlgebra:
     """Orthogonal direct sum: cross products vanish, functionals add.
 
@@ -555,7 +604,9 @@ def direct_sum(a: FrobeniusAlgebra, b: FrobeniusAlgebra) -> FrobeniusAlgebra:
         for y in b.basis:
             table[(left(x), right(y))] = zero  # the mirror pair is filled in by symmetry
     name = f"{a.name or 'A'} (+) {b.name or 'B'}"
-    return FrobeniusAlgebra(basis, table, unit, functional, name=name)
+    out = FrobeniusAlgebra(basis, table, unit, functional, name=name)
+    out._axioms_hold = a._axioms_hold and b._axioms_hold
+    return out
 
 
 def change_basis(algebra: FrobeniusAlgebra, p) -> FrobeniusAlgebra:
@@ -588,8 +639,10 @@ def change_basis(algebra: FrobeniusAlgebra, p) -> FrobeniusAlgebra:
         algebra.basis[j]: algebra.f(new_elems[j]) for j in range(n)
     }
     unit = old_to_new(algebra.unit)
-    return FrobeniusAlgebra(algebra.basis, table, unit, functional,
-                            name=f"{algebra.name or 'algebra'} (new basis)")
+    out = FrobeniusAlgebra(algebra.basis, table, unit, functional,
+                           name=f"{algebra.name or 'algebra'} (new basis)")
+    out._axioms_hold = algebra._axioms_hold  # an isomorphic copy
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -605,15 +658,15 @@ def dual_numbers() -> FrobeniusAlgebra:
         (eps, eps): QuantumElement(),
     }
     functional = {one: ZERO, eps: ONE}
-    return FrobeniusAlgebra([one, eps], table, one, functional,
-                            name="K[e]/(e^2)")
+    return _axioms_known(FrobeniusAlgebra([one, eps], table, one, functional,
+                                          name="K[e]/(e^2)"))
 
 
 def base_field(label="1") -> FrobeniusAlgebra:
     """Q(q) itself as a rank-1 Frobenius algebra with f = identity."""
     table = {(label, label): QuantumElement.basis(label)}
-    return FrobeniusAlgebra([label], table, label, {label: ONE},
-                            name="Q(q)")
+    return _axioms_known(FrobeniusAlgebra([label], table, label, {label: ONE},
+                                          name="Q(q)"))
 
 
 def quadratic_extension(c) -> FrobeniusAlgebra:
@@ -626,8 +679,8 @@ def quadratic_extension(c) -> FrobeniusAlgebra:
         (x, x): QuantumElement({one: c}),
     }
     functional = {one: ZERO, x: ONE}
-    return FrobeniusAlgebra([one, x], table, one, functional,
-                            name=f"Q(q)[x]/(x^2 - {render_scalar(c)})")
+    return _axioms_known(FrobeniusAlgebra([one, x], table, one, functional,
+                                          name=f"Q(q)[x]/(x^2 - {render_scalar(c)})"))
 
 
 def nilpotent_chain(m: int) -> FrobeniusAlgebra:
@@ -641,5 +694,5 @@ def nilpotent_chain(m: int) -> FrobeniusAlgebra:
             else:
                 table[(labels[i], labels[j])] = QuantumElement()
     functional = {l: (ONE if i == m - 1 else ZERO) for i, l in enumerate(labels)}
-    return FrobeniusAlgebra(labels, table, labels[0], functional,
-                            name=f"K[e]/(e^{m})")
+    return _axioms_known(FrobeniusAlgebra(labels, table, labels[0], functional,
+                                          name=f"K[e]/(e^{m})"))

@@ -20,7 +20,7 @@ from collections import Counter
 from math import comb
 
 from .errors import ComputeError, InvalidShape, InvalidSpecialClass, UnknownLabel
-from .frobenius import FrobeniusAlgebra, Grading, QuantumElement
+from .frobenius import FrobeniusAlgebra, Grading, QuantumElement, _axioms_known
 from .scalar import QPolynomial, RationalFunction
 
 Partition = tuple
@@ -209,7 +209,9 @@ class GrassmannianRing:
 
         Each distinct coefficient is one ``RationalFunction`` that every
         product of the ring shares, so a table holds as many scalar
-        objects as it has coefficient values.
+        objects as it has coefficient values.  Those are canonical and
+        nonzero, and each label comes once, so the element stores the
+        dict as is.
         """
         by_part = {}
         for (part, d), c in acc.items():
@@ -222,7 +224,7 @@ class GrassmannianRing:
             if scalar is None:
                 scalar = self._scalar_cache[key] = RationalFunction(QPolynomial(key))
             coeffs[self._labels[part]] = scalar
-        return QuantumElement(coeffs)
+        return QuantumElement._from_canonical(coeffs)
 
     # -- compilation -----------------------------------------------------------
 
@@ -241,10 +243,10 @@ class GrassmannianRing:
             real_degree={self._labels[p]: self.degree(p) for p in self.basis},
             chern_number=self.chern_number,
         )
-        return FrobeniusAlgebra(
+        return _axioms_known(FrobeniusAlgebra(
             labels, table, "0", functional, grading=grading,
             name=f"QH(G({self.k},{self.n}))",
-        )
+        ))
 
     # -- rendering ---------------------------------------------------------------
 

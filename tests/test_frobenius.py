@@ -28,6 +28,7 @@ from qeuler.frobenius import (
     quadratic_extension,
 )
 from qeuler.grassmannian import GrassmannianRing
+from qeuler.presented import bundled_ig26_path, load_algebra
 from qeuler.scalar import ONE, Q, RationalFunction, ZERO, parse_scalar
 
 SRC = Path(__file__).parents[1] / "src"
@@ -365,6 +366,53 @@ def test_euler_class_is_the_sum_of_the_products_with_the_duals(g24_algebra, ig26
         for label, dual in zip(algebra.basis, algebra.dual_basis()):
             total = total + algebra.multiply(QuantumElement.basis(label), dual)
         assert algebra.euler_class() == total, algebra.name
+
+
+def dual_basis_sum(algebra) -> QuantumElement:
+    """sum of e_i * e_i^dual, one ``multiply`` per basis element."""
+    total = QuantumElement()
+    for label, dual in zip(algebra.basis, algebra.dual_basis()):
+        total = total + algebra.multiply(QuantumElement.basis(label), dual)
+    return total
+
+
+def test_trace_route_agrees_with_the_dual_basis_sum(g24_algebra, ig26):
+    """Every algebra whose axioms are known takes the trace route, and its
+    Euler class is the dual-basis sum."""
+    algebras = [GrassmannianRing(k, n).to_frobenius()
+                for n in range(2, 10) for k in range(1, n) if k * (n - k) <= 8]
+    algebras.append(ig26)
+    algebras += [known_answer_sum(kinds, random.Random("+".join(kinds)))[0]
+                 for kinds in KNOWN_ANSWER_SUMS]
+    algebras.append(change_basis(g24_algebra, random_invertible_matrix(
+        random.Random(3344), g24_algebra.rank, with_q=True)))
+    for algebra in algebras:
+        assert algebra._axioms_hold, algebra.name
+        assert algebra.euler_class() == dual_basis_sum(algebra), algebra.name
+
+
+def test_a_sum_with_an_unchecked_table_keeps_the_dual_basis_sum(g24_algebra):
+    """A direct sum takes the trace route only when both summands do: the
+    one-order perturbation of G(2,4) is not commutative, and the trace
+    identity does not hold on it."""
+    pair = direct_sum(base_field(), one_order_perturbed(g24_algebra))
+    assert pair.euler_class() == dual_basis_sum(pair)
+
+
+def test_diagnose_solves_once_for_the_euler_class(monkeypatch):
+    """Work-counting tripwire: ``diagnose`` makes one ``linalg.solve`` call,
+    with a single right-hand side, and never builds the dual basis."""
+    algebras = [GrassmannianRing(3, 6).to_frobenius(), load_algebra(bundled_ig26_path())]
+    solves, duals = [], []
+    solve, dual_basis = linalg.solve, FrobeniusAlgebra.dual_basis
+    monkeypatch.setattr(linalg, "solve", lambda a, b: solves.append(b) or solve(a, b))
+    monkeypatch.setattr(FrobeniusAlgebra, "dual_basis",
+                        lambda self: duals.append(self) or dual_basis(self))
+    for algebra in algebras:
+        solves.clear()
+        algebra.diagnose()
+        assert [[len(row) for row in rhs] for rhs in solves] == [[1] * algebra.rank]
+    assert duals == []
 
 
 # ---------------------------------------------------------------------------
