@@ -57,24 +57,25 @@ def validate(algebra):
     return out
 
 
+def _failing_triples(algebra, elems, middles, after: bool):
+    """The triples (x, s, y) of basis labels with s in ``middles`` and
+    (x s) y != x (s y), in the order x, s, y; with ``after``, only the y
+    that come after x in the basis."""
+    basis, table = algebra.basis, algebra.structure_constants
+    for i, x in enumerate(basis):
+        for s in middles:
+            xs = table[(x, s)]
+            for j in range(i + 1 if after else 0, algebra.rank):
+                if (algebra.multiply(xs, elems[j])
+                        != algebra.multiply(elems[i], table[(s, basis[j])])):
+                    yield x, s, basis[j]
+
+
 def _associativity_violations(algebra, elems):
     """(e_i e_j) e_k = e_i (e_j e_k) on every basis triple."""
-    out = []
-    n = algebra.rank
-    basis, table = algebra.basis, algebra.structure_constants
-    for i in range(n):
-        for j in range(n):
-            ij = table[(basis[i], basis[j])]
-            for k in range(n):
-                left = algebra.multiply(ij, elems[k])
-                jk = table[(basis[j], basis[k])]
-                right = algebra.multiply(elems[i], jk)
-                if left != right:
-                    triple = (basis[i], basis[j], basis[k])
-                    out.append(Violation(
-                        "associativity", triple,
-                        "associativity fails for triple ({}, {}, {})".format(*triple)))
-    return out
+    return [Violation("associativity", triple,
+                      "associativity fails for triple ({}, {}, {})".format(*triple))
+            for triple in _failing_triples(algebra, elems, algebra.basis, after=False)]
 
 
 def _light_test(algebra, elems) -> bool:
@@ -90,17 +91,8 @@ def _light_test(algebra, elems) -> bool:
     x < y are checked.  False means only "not proved".
     """
     generators = _generating_set(algebra)
-    if generators is None:
-        return False
-    basis, table = algebra.basis, algebra.structure_constants
-    for s in generators:
-        for i, x in enumerate(basis):
-            xs = table[(x, s)]
-            for j in range(i + 1, algebra.rank):
-                if (algebra.multiply(xs, elems[j])
-                        != algebra.multiply(elems[i], table[(s, basis[j])])):
-                    return False
-    return True
+    return generators is not None and next(
+        _failing_triples(algebra, elems, generators, after=True), None) is None
 
 
 def _generating_set(algebra):
@@ -159,9 +151,14 @@ def _insert_independent(echelon, v) -> bool:
 
 
 def _grading_violations(algebra):
-    out = []
     deg = algebra.grading.real_degree
-    two_n = deg[next(iter(algebra.unit.support()))]
+    unit_degrees = {deg[l] for l in algebra.unit.coeffs}
+    if len(unit_degrees) != 1:
+        # a zero unit, or one that mixes degrees, leaves no degree to check against
+        return [Violation("grading", algebra.unit.coeffs,
+                          "grading fails at the unit: no single degree")]
+    (two_n,) = unit_degrees
+    out = []
     twice_chern = 2 * algebra.grading.chern_number
     for (a, b), prod in algebra.structure_constants.items():
         want = deg[a] + deg[b] - two_n

@@ -155,7 +155,7 @@ def _orbit_output(args) -> str:
                 "N": numbers["N"],
             })
         parts = [f"n(a{a}) = {v}" for a, v in sorted(numbers["n"].items())]
-        return "; ".join(parts) + f"; N = {numbers['N']}\n"
+        return "; ".join([*parts, f"N = {numbers['N']}"]) + "\n"
 
     if args.action == "monotone-weight":
         lam = rootgkm.monotone_weight(family, args.rank, parabolic,

@@ -5,8 +5,8 @@ constants for basis products, a unit element, and the values of a linear
 functional on the basis.  The induced pairing eta(x, y) = f(x * y) must be
 nondegenerate.  On top of that this module computes dual bases, the Euler
 class sum(e_i * e_i^dual), unit and nilpotency tests for elements, the
-semisimplicity / field-factor diagnosis, direct sums, and an axiom
-validator (``qeuler.axioms``).
+semisimplicity / field-factor diagnosis, direct sums, an axiom validator
+(``qeuler.axioms``), and the bundled algebras, each Q(q)[x]/(x^m - c).
 
 Two yes/no questions first look for a cheap certificate and fall back to
 the exact proof only when it cannot decide: ``is_unit`` evaluates the
@@ -30,9 +30,9 @@ table.  That rests on f(E * x) = tr(L_x) (Abrams, Israel J. Math. 117
 keeps the sum over the dual basis, which sums the structure constants of
 e_i * e_b in that order, without building the products e_i * e_i^dual.
 
-Instances are immutable after construction and all operations are pure;
-what they keep later (caches, and the mark that ``validate()`` sets) changes
-no result.
+Instances are immutable after construction and all operations are pure.
+They keep the gram matrix, q0 and the operators at q0, which later calls
+read again, and the mark that ``validate()`` sets; none changes a result.
 """
 
 from __future__ import annotations
@@ -176,7 +176,8 @@ class FrobeniusAlgebra:
     missing mirror pairs are filled in by symmetry, after which every pair
     of basis labels must have a product, and every product may name only
     basis labels (``UnknownLabel`` otherwise).  ``functional`` maps each
-    label to f(e_label).
+    label to f(e_label).  A ``grading`` gives a degree to every basis label
+    and to no other (``UnknownLabel`` otherwise).
     """
 
     def __init__(self, basis, structure_constants, unit, functional,
@@ -203,11 +204,15 @@ class FrobeniusAlgebra:
             self._check_label(label)
         self.functional = {l: _as_scalar(c) for l, c in functional.items()}
         self._support = [(l, c) for l, c in self.functional.items() if c]
+        if grading is not None:
+            for label in grading.real_degree:
+                self._check_label(label)
+            if len(grading.real_degree) != self.rank:
+                missing = next(l for l in self.basis if l not in grading.real_degree)
+                raise UnknownLabel(f"no degree for label {missing!r}")
         self.grading = grading
         self.name = name
         self._gram = None
-        self._dual = None
-        self._euler = None
         self._q0 = None
         self._operators = {}
         # True when the axioms are known to hold, so f(E * x) = tr(L_x)
@@ -265,17 +270,13 @@ class FrobeniusAlgebra:
 
     def dual_basis(self):
         """Basis elements e_j^dual with f(e_i * e_j^dual) = delta_ij."""
-        if self._dual is None:
-            eta = self.gram_matrix()
-            n = self.rank
-            try:
-                inv = linalg.solve(eta, linalg.identity(n, ONE, ZERO))
-            except linalg.SingularMatrix as exc:
-                raise DegeneratePairing("pairing matrix is singular") from exc
-            self._dual = [QuantumElement([(self.basis[i], inv[i][j])
-                                          for i in range(n) if inv[i][j]])
-                          for j in range(n)]
-        return self._dual
+        n = self.rank
+        try:
+            inv = linalg.solve(self.gram_matrix(), linalg.identity(n, ONE, ZERO))
+        except linalg.SingularMatrix as exc:
+            raise DegeneratePairing("pairing matrix is singular") from exc
+        return [QuantumElement([(self.basis[i], inv[i][j]) for i in range(n) if inv[i][j]])
+                for j in range(n)]
 
     def euler_class(self) -> QuantumElement:
         """sum over the basis of e_i * e_i^dual; independent of the basis.
@@ -293,22 +294,18 @@ class FrobeniusAlgebra:
         table that is not commutative.  The gram matrix behind the duals
         follows the mirror rule of ``gram_matrix``.
         """
-        if self._euler is None:
-            table = self.structure_constants
-            if self._axioms_hold:
-                traces = [[sum(filter(None, (table[(a, b)].coeffs.get(b)
-                                             for b in self.basis)), ZERO)]
-                          for a in self.basis]
-                try:
-                    sol = linalg.solve(self.gram_matrix(), traces)
-                except linalg.SingularMatrix as exc:
-                    raise DegeneratePairing("pairing matrix is singular") from exc
-                self._euler = QuantumElement(zip(self.basis, (row[0] for row in sol)))
-            else:
-                self._euler = QuantumElement([
-                    (l, cb * cl) for label, dual in zip(self.basis, self.dual_basis())
-                    for b, cb in dual.items() for l, cl in table[(label, b)].items()])
-        return self._euler
+        table = self.structure_constants
+        if not self._axioms_hold:
+            return QuantumElement([
+                (l, cb * cl) for label, dual in zip(self.basis, self.dual_basis())
+                for b, cb in dual.items() for l, cl in table[(label, b)].items()])
+        traces = [[sum(filter(None, (table[(a, b)].coeffs.get(b) for b in self.basis)), ZERO)]
+                  for a in self.basis]
+        try:
+            sol = linalg.solve(self.gram_matrix(), traces)
+        except linalg.SingularMatrix as exc:
+            raise DegeneratePairing("pairing matrix is singular") from exc
+        return QuantumElement(zip(self.basis, (row[0] for row in sol)))
 
     # -- multiplication operators -------------------------------------------
 
@@ -646,53 +643,40 @@ def change_basis(algebra: FrobeniusAlgebra, p) -> FrobeniusAlgebra:
 
 
 # ---------------------------------------------------------------------------
-# small bundled test algebras
+# small bundled test algebras, each Q(q)[x]/(x^m - c)
 # ---------------------------------------------------------------------------
+
+def _monogenic(labels, c, name) -> FrobeniusAlgebra:
+    """Q(q)[x]/(x^m - c) on the basis 1, x, ..., x^(m-1) named by the m
+    ``labels``, with f = the coefficient of x^(m-1).  Only the pairs
+    i <= j are given; the constructor mirrors them."""
+    m = len(labels)
+    table = {}
+    for i in range(m):
+        for j in range(i, m):
+            table[(labels[i], labels[j])] = (
+                QuantumElement.basis(labels[i + j]) if i + j < m
+                else QuantumElement({labels[i + j - m]: c}))
+    functional = {l: (ONE if i == m - 1 else ZERO) for i, l in enumerate(labels)}
+    return _axioms_known(FrobeniusAlgebra(labels, table, labels[0], functional, name=name))
+
 
 def dual_numbers() -> FrobeniusAlgebra:
     """K[eps]/(eps^2) with f(a + b*eps) = b; the minimal non-field example."""
-    one, eps = "1", "e"
-    table = {
-        (one, one): QuantumElement.basis(one),
-        (one, eps): QuantumElement.basis(eps),
-        (eps, eps): QuantumElement(),
-    }
-    functional = {one: ZERO, eps: ONE}
-    return _axioms_known(FrobeniusAlgebra([one, eps], table, one, functional,
-                                          name="K[e]/(e^2)"))
+    return _monogenic(["1", "e"], ZERO, "K[e]/(e^2)")
 
 
 def base_field(label="1") -> FrobeniusAlgebra:
     """Q(q) itself as a rank-1 Frobenius algebra with f = identity."""
-    table = {(label, label): QuantumElement.basis(label)}
-    return _axioms_known(FrobeniusAlgebra([label], table, label, {label: ONE},
-                                          name="Q(q)"))
+    return _monogenic([label], ZERO, "Q(q)")
 
 
 def quadratic_extension(c) -> FrobeniusAlgebra:
     """Q(q)[x]/(x^2 - c) with f(a + b*x) = b; a field when c is a non-square."""
-    one, x = "1", "x"
     c = _as_scalar(c)
-    table = {
-        (one, one): QuantumElement.basis(one),
-        (one, x): QuantumElement.basis(x),
-        (x, x): QuantumElement({one: c}),
-    }
-    functional = {one: ZERO, x: ONE}
-    return _axioms_known(FrobeniusAlgebra([one, x], table, one, functional,
-                                          name=f"Q(q)[x]/(x^2 - {render_scalar(c)})"))
+    return _monogenic(["1", "x"], c, f"Q(q)[x]/(x^2 - {render_scalar(c)})")
 
 
 def nilpotent_chain(m: int) -> FrobeniusAlgebra:
     """K[e]/(e^m) with f = coefficient of e^(m-1); indecomposable, not a field."""
-    labels = [f"e{i}" for i in range(m)]
-    table = {}
-    for i in range(m):
-        for j in range(m):
-            if i + j < m:
-                table[(labels[i], labels[j])] = QuantumElement.basis(labels[i + j])
-            else:
-                table[(labels[i], labels[j])] = QuantumElement()
-    functional = {l: (ONE if i == m - 1 else ZERO) for i, l in enumerate(labels)}
-    return _axioms_known(FrobeniusAlgebra(labels, table, labels[0], functional,
-                                          name=f"K[e]/(e^{m})"))
+    return _monogenic([f"e{i}" for i in range(m)], ZERO, f"K[e]/(e^{m})")

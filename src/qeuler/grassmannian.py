@@ -4,7 +4,11 @@ Classes are indexed by partitions in the k x (n-k) box.  Products are
 computed two independent ways:
 
 * ``quantum_product`` and ``to_frobenius`` apply the quantum Pieri rule
-  alone, in a recursion on the rows of one factor;
+  (Bertram, Adv. Math. 128 (1997)) alone, in a recursion on the rows of
+  one factor.  s_p * s_lam has two halves, each an interlacing
+  enumeration: s_mu for lam_i <= mu_i <= lam_{i-1} (lam_0 = n - k) and
+  |mu| = |lam| + p, and, when lam has k rows, q * s_nu for
+  lam_{i+1} - 1 <= nu_i <= lam_i - 1 (nu_k >= 0) and |nu| = |lam| + p - n;
 * ``rim_hook_product`` computes the classical Littlewood-Richardson
   expansion in at most k rows (Jacobi-Trudi determinant plus classical
   Pieri steps) and then reduces each term by removing border strips of
@@ -17,7 +21,7 @@ assumption.
 from __future__ import annotations
 
 from collections import Counter
-from math import comb
+from itertools import combinations
 
 from .errors import ComputeError, InvalidShape, InvalidSpecialClass, UnknownLabel
 from .frobenius import FrobeniusAlgebra, Grading, QuantumElement, _axioms_known
@@ -100,51 +104,14 @@ class GrassmannianRing:
                 f"special class index must be in 1..{self.width}, got {p}")
         self.check_member(lam)
         lam_p = _pad(lam, self.k)
-        out = [(mu, 0) for mu in self._strips_above(lam_p, p)]
-        qsize = sum(lam) + p - self.n
-        if qsize >= 0 and lam_p[self.k - 1] >= 1:
-            for nu in self._quantum_partitions(lam_p, qsize):
-                out.append((nu, 1))
+        # the two halves of the rule, with the bounds of the module docstring
+        size = sum(lam) + p
+        out = [(mu, 0) for mu in _interlacing(lam_p, (self.width,) + lam_p[:-1], size)]
+        if size >= self.n and lam_p[-1] >= 1:
+            out += [(nu, 1) for nu in _interlacing(
+                [x - 1 for x in lam_p[1:]] + [0], [x - 1 for x in lam_p], size - self.n)]
         cached = self._pieri_cache[(p, lam)] = tuple(out)
         return cached
-
-    def _strips_above(self, lam_p, p):
-        """Partitions in the box adding a horizontal strip of size p to lam."""
-        results = []
-
-        def rec(i, remaining, acc, upper):
-            if i == self.k:
-                if remaining == 0:
-                    results.append(tuple(x for x in acc if x))
-                return
-            low = lam_p[i]
-            high = min(upper, low + remaining)
-            for mu_i in range(low, high + 1):
-                rec(i + 1, remaining - (mu_i - low), acc + [mu_i],
-                    lam_p[i])  # strip condition: mu_{i+1} <= lam_i
-
-        rec(0, p, [], self.width)
-        return results
-
-    def _quantum_partitions(self, lam_p, size):
-        """Partitions nu with lam_1 - 1 >= nu_1 >= lam_2 - 1 >= ... >= nu_k >= 0
-        and |nu| = size."""
-        results = []
-
-        def rec(i, remaining, acc):
-            if i == self.k:
-                if remaining == 0:
-                    results.append(tuple(x for x in acc if x))
-                return
-            upper = lam_p[i] - 1
-            lower = lam_p[i + 1] - 1 if i + 1 < self.k else 0
-            lower = max(lower, 0)
-            for nu_i in range(lower, upper + 1):
-                if nu_i <= remaining:
-                    rec(i + 1, remaining - nu_i, acc + [nu_i])
-
-        rec(0, size, [])
-        return results
 
     def quantum_pieri(self, p: int, lam: Partition) -> QuantumElement:
         return self._collect(Counter(self.quantum_pieri_raw(p, lam)))
@@ -262,24 +229,29 @@ class GrassmannianRing:
 
 
 def enumerate_basis(k: int, n: int):
-    """All partitions in the k x (n-k) box, sorted by (size, lex)."""
+    """All partitions in the k x (n-k) box, sorted by (size, lex): one per
+    k-subset s_1 < ... < s_k of range(n), lam_i = s_{k+1-i} - (k - i)."""
     if k <= 0 or k >= n:
         raise InvalidShape(f"need 0 < k < n, got k={k}, n={n}")
-    width = n - k
-    found = []
-
-    def rec(row, maxpart, acc):
-        found.append(tuple(acc))
-        if row == k:
-            return
-        for part in range(1, maxpart + 1):
-            rec(row + 1, part, acc + [part])
-
-    rec(0, width, [])
-    if len(found) != comb(n, k):
-        raise ComputeError(f"found {len(found)} partitions in the {k} x {n - k} box, "
-                           f"expected {comb(n, k)}")
+    found = [tuple(x for x in (s[i] - i for i in reversed(range(k))) if x)
+             for s in combinations(range(n), k)]
     return sorted(found, key=lambda p: (sum(p), p))
+
+
+def _interlacing(lows, highs, total: int):
+    """The x with lows[i] <= x[i] <= highs[i] and sum(x) = total, in
+    lexicographic order, each as a partition without its zeros: the bounds
+    of both halves of quantum Pieri keep x weakly decreasing.  ``least``
+    and ``most`` bound what x[i+1:] can sum to, so no branch is a dead end.
+    """
+    least, most = sum(lows), sum(highs)
+    partial = [((), total)]
+    for low, high in zip(lows, highs):
+        least -= low
+        most -= high
+        partial = [(acc + (x,) if x else acc, left - x) for acc, left in partial
+                   for x in range(max(low, left - most), min(high, left - least) + 1)]
+    return [acc for acc, _ in partial]
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,9 @@ The file format is a JSON object::
 
 Every non-generator, non-unit label must be defined exactly once, and each
 defining expression may reference only generators, q, scalars, and labels
-defined earlier.  Completion then computes the product of every basis pair
-by rewriting the right factor through its definition, and hands the result
+defined earlier; the first bad reference in text order is the one
+reported.  Completion then computes the product of every basis pair by
+rewriting the right factor through its definition, and hands the result
 to the Frobenius validator; a validation failure is reported as
 ``InconsistentTable`` and means the data file itself is wrong.
 
@@ -52,17 +53,18 @@ from .scalar import (BinOp, Neg, Num, QPower, RationalFunction, Ref, _evaluate,
                      _unchain, parse_expression)
 
 
-def expression_labels(expr) -> set:
-    labels, stack = set(), [expr]
+def expression_labels(expr):
+    """The labels ``expr`` references, each once, in text order (set-like)."""
+    labels, stack = {}, [expr]
     while stack:
         node = stack.pop()
         if isinstance(node, Ref):
-            labels.add(node.label)
+            labels[node.label] = None
         elif isinstance(node, Neg):
             stack.append(node.arg)
         elif isinstance(node, BinOp):
-            stack += (node.left, node.right)
-    return labels
+            stack += (node.right, node.left)
+    return labels.keys()
 
 
 # -- algebra spec ---------------------------------------------------------------
@@ -187,7 +189,6 @@ def parse_spec(text: str) -> AlgebraSpec:
                 raise MissingDefinition(f"no generator product for {g!r} * {b!r}")
 
     defined = []
-    seen = set()
     available = set(generators) | {unit}
     for i, entry in enumerate(raw_definitions):
         where = f"definitions[{i}]"
@@ -196,7 +197,7 @@ def parse_spec(text: str) -> AlgebraSpec:
         text_expr = _field(entry, "expr", str, where)
         if label not in label_set:
             raise UnknownLabel(f"defined label {label!r} not in the basis")
-        if label in seen or label in available:
+        if label in available:
             raise ParseError(f"label {label!r} defined more than once")
         try:
             expr = parse_expression(text_expr)
@@ -212,7 +213,6 @@ def parse_spec(text: str) -> AlgebraSpec:
                     f"definition of {label!r} references {ref!r}, "
                     "which is not defined yet")
         defined.append((label, expr))
-        seen.add(label)
         available.add(label)
 
     for l in labels:

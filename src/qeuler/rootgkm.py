@@ -305,10 +305,7 @@ def chern_numbers(spec: OrbitSpec) -> dict:
                 f"Chern number of simple root {a + 1} is {value}, "
                 "not a positive integer")
         values[a + 1] = int(value)
-    n = 0
-    for v in values.values():
-        n = gcd(n, v)
-    return {"n": values, "N": n}
+    return {"n": values, "N": gcd(*values.values())}
 
 
 def monotone_weight(family: str, rank: int, parabolic, kappa=1) -> Vector:

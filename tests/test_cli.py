@@ -102,6 +102,12 @@ def test_orbit_chern(capsys):
         "--parabolic", "1,3", "chern")
     assert code == 0
     assert out == "n(a2) = 4; N = 4\n"
+    # a point orbit has no crossing roots: N alone, with no separator before it
+    code, out, _ = run_cli(
+        capsys, "orbit", "--family", "A", "--rank", "2",
+        "--parabolic", "1,2", "chern")
+    assert code == 0
+    assert out == "N = 0\n"
 
 
 def test_orbit_monotone_weight(capsys):
@@ -280,6 +286,18 @@ def test_bad_definition_exits_2_naming_the_definition(tmp_path, edit, message):
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert proc.stderr == f"ParseError: in definition of '1,1': {message}\n"
+
+
+def test_bad_references_are_reported_in_text_order(tmp_path, monkeypatch):
+    # 'zz' comes first in the text; '4,3' is defined later and 'yy' is unknown
+    def edit(raw):
+        raw["definitions"][0]["expr"] = "s[zz]*s[4,3] + s[yy]"
+    for seed in ("0", "1", "5"):
+        monkeypatch.setenv("PYTHONHASHSEED", seed)
+        proc = _diagnose_edited(tmp_path, edit)
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            "UnknownLabel: definition of '1,1' references unknown label 'zz'\n"), seed
 
 
 @pytest.mark.parametrize("edit", [

@@ -17,6 +17,7 @@ from qeuler.axioms import Violation
 from qeuler.errors import DegeneratePairing, NotAUnit, SingularMatrix, UnknownLabel
 from qeuler.frobenius import (
     FrobeniusAlgebra,
+    Grading,
     QuantumElement,
     _poly_matrix_det_is_zero,
     _poly_matrix_power_is_zero,
@@ -29,7 +30,7 @@ from qeuler.frobenius import (
 )
 from qeuler.grassmannian import GrassmannianRing
 from qeuler.presented import bundled_ig26_path, load_algebra
-from qeuler.scalar import ONE, Q, RationalFunction, ZERO, parse_scalar
+from qeuler.scalar import ONE, Q, RationalFunction, ZERO, parse_scalar, render_scalar
 
 SRC = Path(__file__).parents[1] / "src"
 
@@ -129,18 +130,47 @@ print(a.render_table("md", unit_cell="1").splitlines()[0])
 """
 
 
-def test_direct_sum_unit_renders_every_label_under_any_hash_seed():
-    # a unit of two labels has no bare label, whatever order its set has
+def run_python(code: str, hash_seed: str) -> str:
+    """stdout of ``python -c code`` in a fresh interpreter with that
+    PYTHONHASHSEED."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    env["PYTHONHASHSEED"] = hash_seed
+    done = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_direct_sum_unit_renders_every_label_under_any_hash_seed():
+    # a unit of two labels has no bare label, whatever order its set has
     for seed in ("0", "1", "2", "3", "4", "5", "77", "4242"):
-        env["PYTHONHASHSEED"] = seed
-        done = subprocess.run([sys.executable, "-c", _RENDER_SUM_UNIT],
-                              capture_output=True, text=True, env=env, timeout=60)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout == (
+        assert run_python(_RENDER_SUM_UNIT, seed) == (
             "s[A.1] + s[B.1]\n| * | s[A.1] | s[A.e] | s[B.1] | s[B.e] |\n"), seed
+
+
+# every bundled constructor: name, labels, unit, functional and table, as pinned values
+@pytest.mark.parametrize("make, name, basis, unit, functional, table", [
+    (lambda: base_field("u"), "Q(q)", ["u"], {"u": "1"}, {"u": "1"},
+     "s[u] * s[u] = 1\n"),
+    (dual_numbers, "K[e]/(e^2)", ["1", "e"], {"1": "1"}, {"1": "0", "e": "1"},
+     "s[1] * s[1] = 1\ns[1] * s[e] = s[e]\ns[e] * s[1] = s[e]\ns[e] * s[e] = 0\n"),
+    (lambda: quadratic_extension(Q * Q - 1), "Q(q)[x]/(x^2 - q^2 - 1)", ["1", "x"],
+     {"1": "1"}, {"1": "0", "x": "1"},
+     "s[1] * s[1] = 1\ns[1] * s[x] = s[x]\ns[x] * s[1] = s[x]\ns[x] * s[x] = q^2 - 1\n"),
+    (lambda: nilpotent_chain(3), "K[e]/(e^3)", ["e0", "e1", "e2"], {"e0": "1"},
+     {"e0": "0", "e1": "0", "e2": "1"},
+     "s[e0] * s[e0] = 1\ns[e0] * s[e1] = s[e1]\ns[e0] * s[e2] = s[e2]\n"
+     "s[e1] * s[e0] = s[e1]\ns[e1] * s[e1] = s[e2]\ns[e1] * s[e2] = 0\n"
+     "s[e2] * s[e0] = s[e2]\ns[e2] * s[e1] = 0\ns[e2] * s[e2] = 0\n"),
+], ids=["base_field", "dual_numbers", "quadratic_extension", "nilpotent_chain"])
+def test_bundled_algebras_are_pinned(make, name, basis, unit, functional, table):
+    algebra = make()
+    assert (algebra.name, algebra.basis) == (name, basis)
+    assert {l: render_scalar(c) for l, c in algebra.unit.items()} == unit
+    assert {l: render_scalar(c) for l, c in algebra.functional.items()} == functional
+    assert algebra.render_table("text") == table
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +196,26 @@ def test_validate_names_corrupted_triple(g24_algebra):
     assert all(isinstance(v, Violation) for v in violations)
     first = next(v for v in violations if v.kind == "associativity")
     assert first == "associativity fails for triple ({}, {}, {})".format(*first.labels)
+
+
+_GRADED_UNITS = """
+from qeuler.frobenius import FrobeniusAlgebra, Grading, QuantumElement
+one, e = QuantumElement.basis("1"), QuantumElement.basis("e")
+table = {("1", "1"): one, ("1", "e"): e, ("e", "e"): QuantumElement()}
+for unit in (QuantumElement(), one + e):
+    algebra = FrobeniusAlgebra(["1", "e"], table, unit, {"1": 0, "e": 1},
+                               grading=Grading({"1": 2, "e": 0}, 1))
+    print([(v.kind, v.labels, str(v)) for v in algebra.validate() if v.kind == "grading"])
+"""
+
+
+def test_a_unit_without_one_degree_is_one_grading_violation_under_any_hash_seed():
+    # a zero unit, and a unit whose labels have two degrees
+    for seed in ("0", "2"):
+        assert run_python(_GRADED_UNITS, seed) == (
+            "[('grading', (), 'grading fails at the unit: no single degree')]\n"
+            "[('grading', ('1', 'e'), 'grading fails at the unit: no single degree')]\n"
+        ), seed
 
 
 def test_validate_flags_degenerate_pairing():
@@ -258,6 +308,13 @@ def test_table_with_a_missing_pair_or_an_unknown_label_is_rejected():
         FrobeniusAlgebra(["1", "e"], table, "x", {"1": 0, "e": 1})
     with pytest.raises(UnknownLabel, match="'y'"):
         FrobeniusAlgebra(["1", "e"], table, "1", {"1": 0, "e": 1, "y": 2})
+    # a grading must give a degree to each basis label, and to no other
+    with pytest.raises(UnknownLabel, match="'e'"):
+        FrobeniusAlgebra(["1", "e"], table, "1", {"1": 0, "e": 1},
+                         grading=Grading({"1": 2}, 1))
+    with pytest.raises(UnknownLabel, match="'z'"):
+        FrobeniusAlgebra(["1", "e"], table, "1", {"1": 0, "e": 1},
+                         grading=Grading({"1": 2, "e": 0, "z": 4}, 1))
 
 
 # ---------------------------------------------------------------------------

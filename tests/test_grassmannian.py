@@ -28,6 +28,14 @@ def test_enumerate_basis_g24():
 def test_enumerate_basis_small():
     assert enumerate_basis(1, 2) == [(), (1,)]
     assert len(enumerate_basis(3, 6)) == 20
+    # against a filter of every k-tuple of parts in 0..n-k
+    for n in range(2, 14):
+        for k in range(1, n):
+            if k * (n - k) <= 12:
+                box = [tuple(x for x in parts if x)
+                       for parts in itertools.product(range(n - k + 1), repeat=k)
+                       if list(parts) == sorted(parts, reverse=True)]
+                assert enumerate_basis(k, n) == sorted(box, key=lambda p: (sum(p), p))
 
 
 def test_enumerate_basis_rejects_bad_shape():
