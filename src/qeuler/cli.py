@@ -20,6 +20,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from math import factorial
 
 from .errors import ComputeError, InputError, TooLarge
 
@@ -70,6 +71,8 @@ def _build_parser() -> _Parser:
 
 def _parse_rational(text: str) -> Fraction:
     try:
+        if "e" in text.lower():  # Fraction reads exponents; 1e5000 is too long to print
+            raise ValueError(text)
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise InputError(f"cannot parse rational number {text!r}") from None
@@ -136,9 +139,22 @@ def _algebra_output(algebra, ring, action, labels, fmt):
 
 # -- orbit actions --------------------------------------------------------------
 
+# the largest Weyl group that gkm and hz-bound enumerate: B6 and C6
+MAX_WEYL_ORDER = 46_080
+
+
 def _orbit_output(args) -> str:
     from . import rootgkm
     family = args.family.upper()
+    if args.action in ("gkm", "hz-bound") and args.rank >= 1:
+        # |W| is (r+1)! for A_r, 2^r r! for B_r and C_r, 2^(r-1) r! for D_r; it grows
+        # with r, so past rank 20 the rank-20 order is a lower bound that fails already
+        r = min(args.rank, 20)
+        order = factorial(r + 1) if family == "A" else factorial(r) << (r - (family == "D"))
+        if order > MAX_WEYL_ORDER:
+            size = order if r == args.rank else f"more than {order}"
+            raise TooLarge(f"the Weyl group of {family}{args.rank} has {size} elements, "
+                           f"over the guard of {MAX_WEYL_ORDER} for gkm and hz-bound")
     parabolic = _parse_indices(args.parabolic)
     if args.weight is not None:
         weight = _parse_rationals(args.weight)
@@ -167,19 +183,11 @@ def _orbit_output(args) -> str:
     if args.action == "gkm":
         graph = rootgkm.gkm_graph(spec)
         if args.format == "json":
-            payload = {
-                "vertices": [rootgkm.word_text(v.word) for v in graph.vertices],
-                "edges": [
-                    {
-                        "from": rootgkm.word_text(graph.vertices[e.source].word),
-                        "to": rootgkm.word_text(graph.vertices[e.target].word),
-                        "root": rootgkm.root_text(spec.root_system, e.root),
-                        "weight": str(e.weight),
-                    }
-                    for e in graph.edges
-                ],
-            }
-            return _json_text(payload)
+            words = [v.word for v in graph.vertices]
+            return _json_text({
+                "vertices": [rootgkm.word_text(w) for w in words],
+                "edges": [rootgkm.edge_to_json(spec, words, e) for e in graph.edges],
+            })
         return rootgkm.to_dot(spec, graph)
 
     result = rootgkm.hz_upper_bound(spec)

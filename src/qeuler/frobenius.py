@@ -629,7 +629,8 @@ def change_basis(algebra: FrobeniusAlgebra, p) -> FrobeniusAlgebra:
             {algebra.basis[i]: p[i][j] for i in range(n)}))
     table = {}
     for i in range(n):
-        for j in range(n):
+        # a commutative table needs only j >= i; the constructor mirrors it
+        for j in range(i if algebra._axioms_hold else 0, n):
             prod = algebra.multiply(new_elems[i], new_elems[j])
             table[(algebra.basis[i], algebra.basis[j])] = old_to_new(prod)
     functional = {

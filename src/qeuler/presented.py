@@ -21,17 +21,9 @@ rewriting the right factor through its definition, and hands the result
 to the Frobenius validator; a validation failure is reported as
 ``InconsistentTable`` and means the data file itself is wrong.
 
-Expression grammar (labels are the partition strings of the data file,
-wrapped as ``s[...]`` so that ``s[2,1]`` is unambiguous next to rationals)::
-
-    expr   := term (("+" | "-") term)*
-    term   := factor ("*" factor)*
-    factor := "-" factor | int ("/" int)? | "q" ("^" ["-"] int)? | "s[" label "]" | "(" expr ")"
-
-``qeuler.scalar.parse_expression`` reads it with the same parser as scalars:
-spaces may separate any two tokens, a sum may have any number of terms, and
-minus signs or parentheses nested deeper than ``scalar.MAX_DEPTH`` levels are
-a ``ParseError``.
+Defining expressions follow the expression grammar of ``qeuler.scalar``,
+where ``s[...]`` wraps a label of the data file (``s[2,1]`` is unambiguous
+next to rationals).
 """
 
 from __future__ import annotations
@@ -49,8 +41,7 @@ from .errors import (
     UnknownLabel,
 )
 from .frobenius import FrobeniusAlgebra, Grading, QuantumElement
-from .scalar import (BinOp, Neg, Num, QPower, RationalFunction, Ref, _evaluate,
-                     _unchain, parse_expression)
+from .scalar import BinOp, Neg, RationalFunction, Ref, _act, parse_expression
 
 
 def expression_labels(expr):
@@ -250,36 +241,11 @@ def complete_table(spec: AlgebraSpec) -> FrobeniusAlgebra:
 
     def times_column(x: QuantumElement, column_label: str) -> QuantumElement:
         col = columns[column_label]
-        total = QuantumElement()
-        for b, c in x.items():
-            total = total + col[b].scale(c)
-        return total
-
-    def apply(x: QuantumElement, expr) -> QuantumElement:
-        if isinstance(expr, (Num, QPower)):
-            return x.scale(_evaluate(expr))
-        if isinstance(expr, Ref):
-            return times_column(x, expr.label)
-        if isinstance(expr, Neg):
-            return -apply(x, expr.arg)
-        if not isinstance(expr, BinOp):
-            raise TypeError(f"unknown expression node {expr!r}")
-        # y is x times the chain so far: a sum applies each term to x, a
-        # product applies the next factor to y
-        leftmost, ops = _unchain(expr)
-        y = apply(x, leftmost)
-        for op in ops:
-            if op.op == "*":
-                y = apply(y, op.right)
-            elif op.op == "+":
-                y = y + apply(x, op.right)
-            else:
-                y = y - apply(x, op.right)
-        return y
+        return QuantumElement([(l, y * c) for b, c in x.items() for l, y in col[b].items()])
 
     for label, expr in spec.definitions:
         columns[label] = {
-            b: apply(QuantumElement.basis(b), expr) for b in labels
+            b: _act(QuantumElement.basis(b), expr, times_column) for b in labels
         }
 
     table = {}

@@ -413,7 +413,6 @@ def weyl_cosets(spec: OrbitSpec):
 class GkmVertex(NamedTuple):
     index: int
     word: tuple   # shortest word in simple reflections
-    point: Vector  # image of the weight under the representative
 
 
 class GkmEdge(NamedTuple):
@@ -437,10 +436,7 @@ def gkm_graph(spec: OrbitSpec) -> GkmGraph:
     rs = spec.root_system
     sk = _coset_skeleton(rs.family, rs.rank, spec.parabolic)
     weights = [pairing(spec.weight, r) for r in sk.crossing]
-    vertices = tuple(
-        GkmVertex(i, word, act(w, spec.weight))
-        for i, (w, word) in enumerate(sk.reps)
-    )
+    vertices = tuple(GkmVertex(i, word) for i, (_, word) in enumerate(sk.reps))
     edges = []
     for u, v, r_indices in sk.pairs:
         cost, r_idx = min((weights[r], r) for r in r_indices)
@@ -464,8 +460,9 @@ def hz_upper_bound(spec: OrbitSpec) -> CapacityBound:
     sk = _coset_skeleton(rs.family, rs.rank, spec.parabolic)
     source, target = 0, sk.w0_index
 
-    dist = {source: (Fraction(0), 0)}
-    parent = {}
+    # v -> (distance, edges, parent, edge index): tuple order is the tie
+    # break, fewest edges and then the earliest parent
+    best = {source: (Fraction(0), 0, None, None)}
     heap = [(Fraction(0), 0, source)]
     done = set()
     while heap:
@@ -480,26 +477,22 @@ def hz_upper_bound(spec: OrbitSpec) -> CapacityBound:
             v = edge.target if edge.source == u else edge.source
             if v in done:
                 continue
-            cand = (d + edge.weight, n_edges + 1)
-            if v not in dist or (cand[0], cand[1], u) < (
-                    dist[v][0], dist[v][1], parent[v][0]):
-                dist[v] = cand
-                parent[v] = (u, e_idx)
+            cand = (d + edge.weight, n_edges + 1, u, e_idx)
+            if v not in best or cand < best[v]:
+                best[v] = cand
                 heapq.heappush(heap, (cand[0], cand[1], v))
-    if target not in dist and target != source:
+    if target not in best:
         raise NotRegular("fixed-point graph is not connected")
 
     chain = []
     node = target
     while node != source:
-        prev, e_idx = parent[node]
+        _, _, node, e_idx = best[node]
         chain.append(graph.edges[e_idx])
-        node = prev
     chain.reverse()
     degree = tuple(
         sum(e.degree[t] for e in chain) for t in range(len(graph.free_simple_indices)))
-    bound = dist[target][0] if target != source else Fraction(0)
-    return CapacityBound(bound, tuple(chain), degree)
+    return CapacityBound(best[target][0], tuple(chain), degree)
 
 
 def brute_force_bound(spec: OrbitSpec) -> Fraction:
@@ -605,20 +598,22 @@ def to_dot(spec: OrbitSpec, graph: GkmGraph | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
+def edge_to_json(spec: OrbitSpec, words, edge: GkmEdge) -> dict:
+    """An edge as JSON, its ends named by ``words[i]``, the word of vertex i."""
+    return {
+        "from": word_text(words[edge.source]),
+        "to": word_text(words[edge.target]),
+        "root": root_text(spec.root_system, edge.root),
+        "weight": str(edge.weight),
+    }
+
+
 def bound_to_json(spec: OrbitSpec, result: CapacityBound) -> dict:
     rs = spec.root_system
     sk = _coset_skeleton(rs.family, rs.rank, spec.parabolic)
-    reps = sk.reps
-    chain = []
-    for e in result.chain:
-        chain.append({
-            "from": word_text(reps[e.source][1]),
-            "to": word_text(reps[e.target][1]),
-            "root": root_text(rs, e.root),
-            "weight": str(e.weight),
-        })
+    words = [word for _, word in sk.reps]
     return {
         "bound": str(result.bound),
-        "chain": chain,
+        "chain": [edge_to_json(spec, words, e) for e in result.chain],
         "degree": {f"a{a}": d for a, d in zip(sk.free, result.degree)},
     }

@@ -20,7 +20,8 @@ In a scalar ``/`` divides and ``s[...]`` is an error.  In an expression
 ``/`` only joins two integers into one rational (``-1/3*s[1]``).  Spaces may
 separate any two tokens, minus signs and parentheses may nest at most
 ``MAX_DEPTH`` levels deep, and a sum or product may have any number of
-terms.  Errors are ``ParseError``s carrying a 1-based column.
+terms.  Errors are ``ParseError``s carrying a 1-based column.  One walker,
+``_act``, evaluates the trees of both grammars.
 
 >>> parse_scalar("(q^2 - 1)/(q - 1)")
 RationalFunction('q + 1')
@@ -546,7 +547,7 @@ class _Parser:
         return sign * int(digits.group())
 
 
-def _unchain(node, ops="+-*/"):
+def _unchain(node, ops):
     """The leftmost operand of a chain of ``ops`` and the BinOps that apply
     to it, in order: ``a + b*c - d`` gives ``a`` and the nodes of ``+ b*c``
     and ``- d``.  Walkers loop over these instead of recursing on ``left``,
@@ -559,32 +560,35 @@ def _unchain(node, ops="+-*/"):
     return node, chain
 
 
-def _evaluate(node) -> RationalFunction:
+def _act(x, node, ref=None):
+    """``x`` times the value of the tree ``node``, ``x`` a scalar or an element
+    of a presented algebra; ``ref(x, label)`` is ``x`` times ``s[label]``."""
     if isinstance(node, Num):
-        return RationalFunction(node.value)
+        return x * RationalFunction(node.value)
     if isinstance(node, QPower):
-        return RationalFunction.monomial(1, node.exponent)
+        return x * RationalFunction.monomial(1, node.exponent)
+    if isinstance(node, Ref):
+        return ref(x, node.label)
     if isinstance(node, Neg):
-        return -_evaluate(node.arg)
+        return -_act(x, node.arg, ref)
     if node.op in "+-":
         # a run of sums and differences only: a quotient such as
         # (q^2 - 1)/(q - 1) is a "/" node above its parenthesised sums
         leftmost, chain = _unchain(node, "+-")
-        terms = [_evaluate(leftmost)]
+        terms = [_act(x, leftmost, ref)]
         for op in chain:
-            right = _evaluate(op.right)
-            terms.append(right if op.op == "+" else -right)
+            term = _act(x, op.right, ref)
+            terms.append(term if op.op == "+" else -term)
         # added pairwise, so an n-term sum copies O(n log n) terms, not O(n^2)
         while len(terms) > 1:
             odd = terms[-1:] if len(terms) % 2 else []
             terms = [a + b for a, b in zip(terms[::2], terms[1::2])] + odd
         return terms[0]
     leftmost, chain = _unchain(node, "*/")
-    value = _evaluate(leftmost)
+    y = _act(x, leftmost, ref)
     for op in chain:
-        right = _evaluate(op.right)
-        value = value * right if op.op == "*" else value / right
-    return value
+        y = _act(y, op.right, ref) if op.op == "*" else y / _act(ONE, op.right)
+    return y
 
 
 def parse_scalar(text: str) -> RationalFunction:
@@ -593,7 +597,7 @@ def parse_scalar(text: str) -> RationalFunction:
     >>> parse_scalar("3/16*q^-2")
     RationalFunction('3/16*q^-2')
     """
-    return _evaluate(_Parser(text, refs=False).parse())
+    return _act(ONE, _Parser(text, refs=False).parse())
 
 
 def parse_expression(text: str):

@@ -196,6 +196,15 @@ def test_allow_large_lifts_guard(capsys):
     (["un-capacity", "--lambda", "3,1/0"], "InputError"),
     (["orbit", "--family", "A", "--rank", "2", "--parabolic", "1,1",
       "hz-bound"], "InvalidShape"),
+    # Fraction reads exponents, and these values have too many digits to print
+    (["un-capacity", "--lambda", "1e5000,0"], "InputError"),
+    (["orbit", "--family", "A", "--rank", "1", "--lambda", "1e5000,0", "hz-bound"],
+     "InputError"),
+    (["orbit", "--family", "A", "--rank", "2", "--kappa", "1e-5000",
+      "monotone-weight"], "InputError"),
+    # gkm and hz-bound refuse Weyl groups past B6 and C6 before enumerating
+    (["orbit", "--family", "A", "--rank", "8", "hz-bound"], "TooLarge"),
+    (["orbit", "--family", "D", "--rank", "7", "gkm"], "TooLarge"),
 ])
 def test_bad_orbit_input_exits_2_without_traceback(argv, error):
     proc = run_module(*argv)
@@ -203,6 +212,27 @@ def test_bad_orbit_input_exits_2_without_traceback(argv, error):
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith(error + ":")
+    assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("family,rank,action,size", [
+    ("B", 7, "gkm", "645120"), ("C", 7, "hz-bound", "645120"),
+    ("A", 10**9, "gkm", "more than 51090942171709440000"),
+])
+def test_weyl_group_guard_names_the_order_from_its_closed_form(
+        capsys, family, rank, action, size):
+    code, out, err = run_cli(capsys, "orbit", "--family", family, "--rank", str(rank),
+                             action)
+    assert (code, out) == (2, "")
+    assert err == (f"TooLarge: the Weyl group of {family}{rank} has {size} elements, "
+                   "over the guard of 46080 for gkm and hz-bound\n")
+
+
+def test_largest_type_a_group_under_the_guard_still_runs():
+    proc = run_module("orbit", "--family", "A", "--rank", "7",
+                      "--parabolic", "1,2,3,4,5,6", "hz-bound")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "8\n"
 
 
 def test_largest_guarded_grassmannian_diagnoses_in_seconds():
@@ -331,8 +361,8 @@ _FUZZ_FLAGS = {
     "orbit": {"--family": tuple("ABCDEa"), "--rank": ("-1", "0", "1", "2", "3", "4", "x"),
               "--parabolic": ("", "1", "2", "1,3", "0", "9", "1,1", "x", "-1"),
               "--lambda": ("3,1,0", "1,1,0", "1/0,1", "", "a", "5,3/2,-1", "2,1",
-                           "4,3,2,1,0", "0"),
-              "--kappa": ("1", "0", "-1", "1/2", "abc", "1/0"),
+                           "4,3,2,1,0", "0", "1e5000,0"),
+              "--kappa": ("1", "0", "-1", "1/2", "abc", "1/0", "1e5000"),
               "--format": ("text", "json", "dot")},
     "un-capacity": {"--lambda": ("3,1,0", "1,1,0", "3,1/0", "", "x", "2,1", "5,3/2,-1"),
                     "--format": ("text", "json")},

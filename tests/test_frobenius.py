@@ -402,6 +402,20 @@ def one_order_perturbed(g24_algebra):
     return rebuilt(g24_algebra, table)
 
 
+def test_change_basis_multiplies_a_pair_once_only_where_the_axioms_are_known(
+        g24_algebra):
+    """On a table known to be commutative, (a, b) and (b, a) of the moved
+    table are one object; an unchecked table keeps both orders."""
+    moved, _, _ = known_answer_sum(("base", "base", "quad"), random.Random(15))
+    table = moved.structure_constants
+    assert moved._axioms_hold
+    assert all(table[(a, b)] is table[(b, a)] for a in moved.basis for b in moved.basis)
+    perturbed = one_order_perturbed(g24_algebra)
+    same = change_basis(perturbed, linalg.identity(perturbed.rank, ONE, ZERO))
+    assert same.structure_constants == perturbed.structure_constants
+    assert same.structure_constants[("1", "2,1")] != same.structure_constants[("2,1", "1")]
+
+
 def test_gram_matrix_reads_a_pair_twice_unless_it_is_one_object(g24_algebra, ig26):
     moved = one_order_perturbed(g24_algebra)
     for algebra in (g24_algebra, ig26, moved):

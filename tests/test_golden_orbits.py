@@ -70,5 +70,30 @@ def test_orbit_outputs_match_golden(family, rank):
             assert _record(family, rank, tuple(expected["parabolic"])) == expected
 
 
+# sha256 of ``orbit ... gkm --format json``, captured before its edge
+# records and those of ``hz-bound`` came to share one renderer
+GKM_JSON_SHA256 = {
+    ("A", "2", "--lambda", "3,1,0"):
+        "d9a8198b38436b0c2796f593e4750e874637e7645dfe1e18d4119a0199d02a4c",
+    ("B", "3", "--parabolic", "1"):
+        "229049ab4db78a0e822cac24c9767f6da95d60f3cc58ccc9afb27ae7b7486284",
+    ("C", "3"):
+        "c631e54ad2072fc963927de8b3a8b98e8f3671a6235ed5f52e06c7cb40afe0e1",
+    ("D", "4", "--parabolic", "1,3"):
+        "40dc81f52e3b8e75bc5bcb039b7f88a7bb51677f1242ac1c3eeced670aded907",
+}
+
+
+@pytest.mark.parametrize("args", GKM_JSON_SHA256, ids=" ".join)
+def test_gkm_json_matches_pinned_hash(args):
+    family, rank, *rest = args
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["orbit", "--family", family, "--rank", rank, *rest,
+                     "gkm", "--format", "json"])
+    assert code == 0
+    assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == GKM_JSON_SHA256[args]
+
+
 if __name__ == "__main__":
     print(json.dumps([_record(*case) for case in _cases()], indent=1))

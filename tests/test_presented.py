@@ -32,7 +32,7 @@ def read_bundled():
 # ---------------------------------------------------------------------------
 
 def test_expression_shapes():
-    from qeuler.presented import BinOp, Neg, Num, QPower, Ref
+    from qeuler.scalar import BinOp, Neg, Num, QPower, Ref
 
     ast = parse_expression("s[1]*s[2] - s[3]")
     assert isinstance(ast, BinOp) and ast.op == "-"

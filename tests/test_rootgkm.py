@@ -242,6 +242,8 @@ def test_gkm_graph_full_flag_a2():
     spec = rg.make_orbit_spec("A", 2, (), (2, 0, -2))
     graph = rg.gkm_graph(spec)
     assert len(graph.vertices) == 6
+    assert graph.vertices[5] == rg.GkmVertex(5, (1, 2, 1))
+    assert rg.GkmVertex._fields == ("index", "word")
     assert len(graph.edges) == 9
     assert graph.germs_per_vertex == 3
     assert all(e.weight > 0 for e in graph.edges)
