@@ -42,7 +42,7 @@ from itertools import count, islice
 from typing import NamedTuple
 
 from . import linalg
-from .errors import DegeneratePairing, DivisionByZero, NotAUnit, UnknownLabel
+from .errors import DegeneratePairing, DivisionByZero, InputError, NotAUnit, UnknownLabel
 from .scalar import (ONE, ZERO, QPolynomial, RationalFunction, _join_terms, poly_gcd,
                      render_scalar)
 
@@ -185,7 +185,8 @@ class FrobeniusAlgebra:
         self.basis = list(basis)
         self.index = {label: i for i, label in enumerate(self.basis)}
         if len(self.index) != len(self.basis):
-            raise ValueError("duplicate basis labels")
+            label = next(l for i, l in enumerate(self.basis) if self.index[l] != i)
+            raise InputError(f"basis label {label!r} appears more than once")
         self.rank = len(self.basis)
         table = {}
         for (a, b), elem in structure_constants.items():

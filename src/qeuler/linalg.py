@@ -4,13 +4,15 @@ Matrices are lists of row lists.  Entries only need ``+ - * /``, truthiness
 (zero is falsy), and multiplication by plain ints, which both ``Fraction``
 and ``RationalFunction`` provide.  Plain ``int`` entries work too: an
 ``int`` pivot is promoted to ``Fraction`` before anything is divided by
-it, so no result is ever a float.  Elimination uses the first nonzero
-pivot; over an exact field no pivoting strategy is needed for
+it, so no result is ever a float.  ``solve`` and ``det`` share one forward
+elimination, ``_forward``, which takes the first nonzero pivot of each
+column; over an exact field no pivoting strategy is needed for
 correctness.  It works only on the nonzero entries of each pivot row,
 which pays on sparse matrices such as gram matrices of Schubert bases.
 """
 
 from fractions import Fraction
+from math import prod
 
 from .errors import SingularMatrix
 
@@ -44,61 +46,65 @@ def _exact(pivot):
     return Fraction(pivot) if isinstance(pivot, int) else pivot
 
 
-def solve(a, b):
-    """Solve A X = B for X by Gauss-Jordan elimination.
+def _clear(rows, col, row, support):
+    """From each of ``rows``, subtract ``row`` times that row's entry in column
+    ``col``, over the columns in ``support`` only; column ``col`` is left as is."""
+    if not support:
+        return
+    for other in rows:
+        factor = other[col]
+        if factor:
+            for j in support:
+                other[j] = other[j] - factor * row[j]
 
-    ``b`` is a matrix (one column per right-hand side).  Raises
-    ``SingularMatrix`` when A is not invertible.
-    """
-    n = len(a)
-    aug = [list(a[i]) + list(b[i]) for i in range(n)]
-    width = len(aug[0])
+
+def _forward(m, n):
+    """Reduce the first ``n`` columns of ``m`` in place, top down: each column
+    takes the first nonzero pivot at or below the diagonal, divides the pivot
+    row's later nonzero entries by it and clears the rows below only.
+
+    Returns the pivots, one per column until a column has none, and the sign
+    of the row swaps."""
+    pivots, sign = [], 1
     for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col]), None)
+        pivot = next((r for r in range(col, len(m)) if m[r][col]), None)
         if pivot is None:
-            raise SingularMatrix(f"no pivot in column {col}")
-        if pivot != col:
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-        row = aug[col]
-        inv = _exact(row[col])
-        # column col is not read again, and zero entries of the pivot row
-        # stay zero and change no other row
-        support = [j for j in range(col + 1, width) if row[j]]
-        for j in support:
-            row[j] = row[j] / inv
-        for r in range(n):
-            other = aug[r]
-            factor = other[col]
-            if r != col and factor:
-                for j in support:
-                    other[j] = other[j] - factor * row[j]
-    return [row[n:] for row in aug]
-
-
-def det(a):
-    """Determinant by fraction-producing Gaussian elimination."""
-    n = len(a)
-    m = [list(row) for row in a]
-    sign = 1
-    result = 1
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col]), None)
-        if pivot is None:
-            return 0 * m[0][0]
+            break
         if pivot != col:
             m[col], m[pivot] = m[pivot], m[col]
             sign = -sign
         row = m[col]
         p = _exact(row[col])
-        result = result * p
-        support = [j for j in range(col + 1, n) if row[j]]
-        for r in range(col + 1, n):
-            other = m[r]
-            if other[col]:
-                factor = other[col] / p
-                for j in support:
-                    other[j] = other[j] - factor * row[j]
-    return sign * result
+        pivots.append(p)
+        # zero entries of the pivot row stay zero and change no other row
+        support = [j for j in range(col + 1, len(row)) if row[j]]
+        for j in support:
+            row[j] = row[j] / p
+        _clear(m[col + 1:], col, row, support)
+    return pivots, sign
+
+
+def solve(a, b):
+    """Solve A X = B for X (``b`` has one column per right-hand side): the
+    forward pass on [A | B], then back substitution over the right-hand-side
+    columns nonzero in each pivot row.  Raises ``SingularMatrix`` when A is
+    not invertible."""
+    n = len(a)
+    aug = [list(a[i]) + list(b[i]) for i in range(n)]
+    pivots, _ = _forward(aug, n)
+    if len(pivots) < n:
+        raise SingularMatrix(f"no pivot in column {len(pivots)}")
+    for col in reversed(range(n)):
+        row = aug[col]
+        _clear(aug[:col], col, row, [j for j in range(n, len(row)) if row[j]])
+    return [row[n:] for row in aug]
+
+
+def det(a):
+    """Determinant: the signed product of the forward pass's pivots."""
+    n = len(a)
+    pivots, sign = _forward([list(row) for row in a], n)
+    return prod(pivots, start=sign) if len(pivots) == n else 0 * a[0][0]
 
 
 def identity(n, one, zero):

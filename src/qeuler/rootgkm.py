@@ -172,21 +172,11 @@ def longest_element(family: str, rank: int):
 
 @lru_cache(maxsize=None)
 def fundamental_weights(rs: RootSystem):
-    """Vectors w_a in the span of the simple roots with <w_a, b-coroot> = delta."""
-    k = rs.rank
-    m = [
-        [pairing(rs.simple_roots[b], rs.simple_roots[beta]) for b in range(k)]
-        for beta in range(k)
-    ]
-    inv = linalg.solve(m, linalg.identity(k, Fraction(1), Fraction(0)))
-    weights = []
-    for a in range(k):
-        vec = [Fraction(0)] * rs.dim
-        for b in range(k):
-            for t in range(rs.dim):
-                vec[t] += inv[b][a] * rs.simple_roots[b][t]
-        weights.append(tuple(vec))
-    return tuple(weights)
+    """Vectors w_a in the span of the simple roots with <w_a, b-coroot> = delta:
+    the rows of C^-1 times the simple roots, C[a][b] = <alpha_a, b-coroot>."""
+    simple = rs.simple_roots
+    c = [[pairing(x, y) for y in simple] for x in simple]
+    return tuple(map(tuple, linalg.solve(c, simple)))
 
 
 @lru_cache(maxsize=None)
@@ -194,17 +184,18 @@ def _root_coordinates(family: str, rank: int) -> dict:
     """root -> (coroot coordinates, simple-root coordinates), for every root.
 
     Pairing against the fundamental weights reads off the first directly:
-    <w_a, x> picks the a-th coordinate of any x in the coroot lattice.
+    <w_a, x> picks the a-th coordinate of any x in the coroot lattice.  Only
+    a root's nonzero coordinates (at most two) enter the pairings.
     """
     rs = build_root_system(family, rank)
     weights = fundamental_weights(rs)
+    simple_norms = [dot(s, s) for s in rs.simple_roots]
     table = {}
     for root in rs.roots:
-        co = tuple(pairing(w, root) for w in weights)
-        norm = dot(root, root)
-        table[root] = (co, tuple(
-            co[a] * norm / dot(rs.simple_roots[a], rs.simple_roots[a])
-            for a in range(rank)))
+        support = [(t, x) for t, x in enumerate(root) if x]
+        norm = sum(x * x for _, x in support)
+        co = tuple(2 * sum(w[t] * x for t, x in support) / norm for w in weights)
+        table[root] = (co, tuple(c * norm / s for c, s in zip(co, simple_norms)))
     return table
 
 

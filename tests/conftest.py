@@ -1,4 +1,6 @@
 import pytest
+import sympy
+from sympy.polys.matrices import DomainMatrix
 
 from qeuler import linalg
 from qeuler.frobenius import (QuantumElement, _poly_matrix_det_is_zero, base_field,
@@ -69,6 +71,21 @@ def known_answer_sum(kinds, rng):
         up[i][i + 1] = rng.choice((-2, -1, 1, 2)) * Q
     fields = [KNOWN_ANSWER_BLOCKS[kind][1] for kind in kinds]
     return change_basis(algebra, linalg.mat_mul(low, up)), all(fields), any(fields)
+
+
+def to_sympy(m):
+    """m as a sympy matrix over the field QQ(q), whose entries are kept
+    cancelled like ``sympy.cancel`` keeps an expression; ``cancel`` on
+    expression trees takes minutes for a 3 x 3 cube."""
+    q = sympy.Symbol("q")
+    field = sympy.QQ.frac_field(q)
+
+    def poly(p):
+        return field.from_sympy(sum((sympy.Rational(c.numerator, c.denominator) * q ** e
+                                     for e, c in p.terms.items()), sympy.Integer(0)))
+
+    return DomainMatrix([[poly(x.num) / poly(x.den) for x in row] for row in m],
+                        (len(m), len(m[0])), field)
 
 
 def same_tree(a, b) -> bool:

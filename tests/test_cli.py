@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -108,6 +109,17 @@ def test_orbit_chern(capsys):
         "--parabolic", "1,2", "chern")
     assert code == 0
     assert out == "N = 0\n"
+
+
+def test_orbit_chern_of_rank_40_runs_in_seconds():
+    """The root coordinates read each root's nonzero entries only; dense
+    pairings of every root with every weight made this take tens of seconds."""
+    start = time.perf_counter()
+    proc = run_module("orbit", "--family", "A", "--rank", "40", "chern")
+    assert proc.returncode == 0, proc.stderr
+    assert time.perf_counter() - start < 10
+    assert proc.stdout.endswith("; N = 2\n")
+
 
 
 def test_orbit_monotone_weight(capsys):

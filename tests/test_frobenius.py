@@ -5,16 +5,15 @@ import sys
 from pathlib import Path
 
 import pytest
-import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy.polys.matrices import DomainMatrix
 
 from conftest import (KNOWN_ANSWER_SUMS, element, known_answer_sum, new_basis_to_old,
-                      trace_form_semisimple)
-from qeuler import axioms, linalg
+                      to_sympy, trace_form_semisimple)
+from qeuler import axioms, frobenius, linalg, scalar
 from qeuler.axioms import Violation
-from qeuler.errors import DegeneratePairing, NotAUnit, SingularMatrix, UnknownLabel
+from qeuler.errors import (DegeneratePairing, InputError, NotAUnit, SingularMatrix,
+                           UnknownLabel)
 from qeuler.frobenius import (
     FrobeniusAlgebra,
     Grading,
@@ -317,6 +316,13 @@ def test_table_with_a_missing_pair_or_an_unknown_label_is_rejected():
                          grading=Grading({"1": 2, "e": 0, "z": 4}, 1))
 
 
+def test_a_repeated_basis_label_is_an_input_error():
+    one = QuantumElement.basis("1")
+    for basis in (["1", "1"], ["1", "e", "e"]):
+        with pytest.raises(InputError, match=repr(basis[-1])):
+            FrobeniusAlgebra(basis, {("1", "1"): one}, "1", {"1": 1})
+
+
 # ---------------------------------------------------------------------------
 # engine identities
 # ---------------------------------------------------------------------------
@@ -486,6 +492,19 @@ def test_diagnose_solves_once_for_the_euler_class(monkeypatch):
     assert duals == []
 
 
+def test_diagnose_makes_few_gcds_on_a_known_answer_sum(monkeypatch):
+    """Work-counting tripwire: the Euler class solve and the unit test of
+    one ``generic`` input stay within 27 ``poly_gcd`` calls."""
+    algebra, _, _ = known_answer_sum(("base", "base", "quad"), random.Random(1507))
+    calls = []
+    poly_gcd = scalar.poly_gcd
+    counting = lambda a, b: calls.append(1) or poly_gcd(a, b)
+    monkeypatch.setattr(scalar, "poly_gcd", counting)
+    monkeypatch.setattr(frobenius, "poly_gcd", counting)
+    assert algebra.diagnose().semisimple
+    assert 0 < len(calls) <= 27
+
+
 # ---------------------------------------------------------------------------
 # random small algebras: semisimple implies field factor
 # ---------------------------------------------------------------------------
@@ -637,21 +656,6 @@ def random_nilpotent(rng, n):
         nil = [[RationalFunction(rng.choice((-2, -1, 1, 2)) if j > i else 0)
                 for j in range(n)] for i in range(n)]
         return linalg.mat_mul(linalg.mat_mul(p, nil), p_inv)
-
-
-def to_sympy(m):
-    """m as a sympy matrix over the field QQ(q), whose entries are kept
-    cancelled like ``sympy.cancel`` keeps an expression; ``cancel`` on
-    expression trees takes minutes for a 3 x 3 cube."""
-    q = sympy.Symbol("q")
-    field = sympy.QQ.frac_field(q)
-
-    def poly(p):
-        return field.from_sympy(sum((sympy.Rational(c.numerator, c.denominator) * q ** e
-                                     for e, c in p.terms.items()), sympy.Integer(0)))
-
-    return DomainMatrix([[poly(x.num) / poly(x.den) for x in row] for row in m],
-                        (len(m), len(m)), field)
 
 
 # Nonzero, yet zero at the first points: det diag(y, z) at q = 2..5 and the

@@ -119,6 +119,20 @@ def test_every_module_reads_each_of_its_imports():
     assert unread == []
 
 
+def test_no_assert_and_no_float_literal_in_the_package():
+    """``python -O`` strips asserts, so invariants are real checks; and all
+    arithmetic is exact, so no float (or complex) literal appears."""
+    found = []
+    for path in sorted((SRC / "qeuler").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno}: assert")
+            elif isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+                found.append(f"{path.name}:{node.lineno}: {node.value!r}")
+    assert found == []
+
+
+
 def test_every_record_is_immutable():
     records = _records()
     kinds = {type(r) for r in records}

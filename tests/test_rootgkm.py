@@ -35,6 +35,25 @@ def test_simple_roots_span_positives():
             assert rebuilt == root
 
 
+ROOT_COORDINATE_TYPES = ([("A", r) for r in range(1, 8)] + [("B", r) for r in range(2, 7)]
+                         + [("C", r) for r in range(2, 7)] + [("D", r) for r in range(3, 7)])
+
+
+@pytest.mark.parametrize("fam, rank", ROOT_COORDINATE_TYPES)
+def test_root_coordinates_equal_dense_pairings(fam, rank):
+    """Both coordinate tuples of every root, against a dense ``pairing``
+    with every fundamental weight; the coroot rebuilt from the first."""
+    rs = rg.build_root_system(fam, rank)
+    weights = rg.fundamental_weights(rs)
+    for root in rs.roots:
+        co = tuple(rg.pairing(w, root) for w in weights)
+        simple = tuple(co[a] * rg.dot(root, root) / rg.dot(s, s)
+                       for a, s in enumerate(rs.simple_roots))
+        assert rg.coroot_coordinates(rs, root) == co
+        assert rg.simple_root_coordinates(rs, root) == simple
+        assert tuple(sum((c * x for c, x in zip(co, column)), Fraction(0))
+                     for column in zip(*map(rg.coroot, rs.simple_roots))) == rg.coroot(root)
+
 def test_unsupported_families_rejected():
     with pytest.raises(UnsupportedType):
         rg.build_root_system("E", 6)
