@@ -40,7 +40,9 @@ class UnknownLabel(InputError):
 
 
 class InvalidShape(InputError):
-    """Grassmannian parameters out of range (need 0 < k < n)."""
+    """An argument of the wrong shape or size: Grassmannian parameters outside
+    0 < k < n, a bad rank, parabolic, weight or root, or a matrix that is not
+    n x n, or a right-hand side without n rows, in ``linalg``."""
 
 
 class InvalidSpecialClass(InputError):

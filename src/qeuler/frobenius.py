@@ -579,28 +579,19 @@ def _axioms_known(algebra: FrobeniusAlgebra) -> FrobeniusAlgebra:
 def direct_sum(a: FrobeniusAlgebra, b: FrobeniusAlgebra) -> FrobeniusAlgebra:
     """Orthogonal direct sum: cross products vanish, functionals add.
 
-    Overlapping label sets are disjointified with ``A.``/``B.`` prefixes.
+    Overlapping label sets are told apart by one prefix per summand, ``A.``/``B.``.
     """
-    overlap = set(a.basis) & set(b.basis)
-
-    def left(l):
-        return f"A.{l}" if overlap else l
-
-    def right(l):
-        return f"B.{l}" if overlap else l
-
-    basis = [left(l) for l in a.basis] + [right(l) for l in b.basis]
+    tags = ("A.", "B.") if set(a.basis) & set(b.basis) else ("", "")
     zero = QuantumElement()
-    table, unit, functional = {}, zero, {}
-    for summand, relabel in ((a, left), (b, right)):
+    basis, table, unit, functional = [], {}, zero, {}
+    for summand, tag in zip((a, b), tags):
+        basis += [tag + l for l in summand.basis]
         for (x, y), prod in summand.structure_constants.items():
-            table[(relabel(x), relabel(y))] = QuantumElement(
-                {relabel(l): c for l, c in prod.items()})
-        unit = unit + QuantumElement({relabel(l): c for l, c in summand.unit.items()})
-        functional.update({relabel(l): c for l, c in summand.functional.items()})
-    for x in a.basis:
-        for y in b.basis:
-            table[(left(x), right(y))] = zero  # the mirror pair is filled in by symmetry
+            table[(tag + x, tag + y)] = QuantumElement({tag + l: c for l, c in prod.items()})
+        unit = unit + QuantumElement({tag + l: c for l, c in summand.unit.items()})
+        functional.update({tag + l: c for l, c in summand.functional.items()})
+    # the mirror of each cross pair is filled in by symmetry
+    table.update({(tags[0] + x, tags[1] + y): zero for x in a.basis for y in b.basis})
     name = f"{a.name or 'A'} (+) {b.name or 'B'}"
     out = FrobeniusAlgebra(basis, table, unit, functional, name=name)
     out._axioms_hold = a._axioms_hold and b._axioms_hold
@@ -611,34 +602,24 @@ def change_basis(algebra: FrobeniusAlgebra, p) -> FrobeniusAlgebra:
     """Transport the algebra along an invertible matrix over Q(q).
 
     Column j of ``p`` holds the old-basis coordinates of the new basis
-    vector carrying label ``basis[j]``.  The grading is dropped since a
-    generic change of basis mixes degrees.
+    vector v_j carrying label ``basis[j]``.  The new table and unit are
+    derived from one solve P X = [v_i * v_j ... | unit], all in old
+    coordinates, and f(v_j) is read off directly.  The grading is dropped
+    since a generic change of basis mixes degrees.
     """
-    n = algebra.rank
+    basis = algebra.basis
     p = [[_as_scalar(x) for x in row] for row in p]
-    p_inv = linalg.solve(p, linalg.identity(n, ONE, ZERO))
-    # the nonzero entries of each column of p_inv, keyed by its old label
-    columns = {l: [(algebra.basis[i], p_inv[i][j]) for i in range(n) if p_inv[i][j]]
-               for j, l in enumerate(algebra.basis)}
-
-    def old_to_new(elem: QuantumElement) -> QuantumElement:
-        return QuantumElement([(m, x * c) for l, c in elem.items() for m, x in columns[l]])
-
-    new_elems = []
-    for j in range(n):
-        new_elems.append(QuantumElement(
-            {algebra.basis[i]: p[i][j] for i in range(n)}))
-    table = {}
-    for i in range(n):
-        # a commutative table needs only j >= i; the constructor mirrors it
-        for j in range(i if algebra._axioms_hold else 0, n):
-            prod = algebra.multiply(new_elems[i], new_elems[j])
-            table[(algebra.basis[i], algebra.basis[j])] = old_to_new(prod)
-    functional = {
-        algebra.basis[j]: algebra.f(new_elems[j]) for j in range(n)
-    }
-    unit = old_to_new(algebra.unit)
-    out = FrobeniusAlgebra(algebra.basis, table, unit, functional,
+    new = [QuantumElement(zip(basis, column)) for column in zip(*p)]
+    # a commutative table needs only j >= i; the constructor mirrors it.  A
+    # p of the wrong shape gets as far as linalg.solve, which rejects it
+    n = len(new)
+    pairs = [(i, j) for i in range(n) for j in range(i if algebra._axioms_hold else 0, n)]
+    old = [algebra.multiply(new[i], new[j]) for i, j in pairs] + [algebra.unit]
+    x = linalg.solve(p, [[e.coefficient(l) for e in old] for l in basis])
+    *products, unit = [QuantumElement(zip(basis, column)) for column in zip(*x)]
+    table = {(basis[i], basis[j]): e for (i, j), e in zip(pairs, products)}
+    functional = {l: algebra.f(v) for l, v in zip(basis, new)}
+    out = FrobeniusAlgebra(basis, table, unit, functional,
                            name=f"{algebra.name or 'algebra'} (new basis)")
     out._axioms_hold = algebra._axioms_hold  # an isomorphic copy
     return out

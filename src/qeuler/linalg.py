@@ -14,7 +14,7 @@ which pays on sparse matrices such as gram matrices of Schubert bases.
 from fractions import Fraction
 from math import prod
 
-from .errors import SingularMatrix
+from .errors import InvalidShape, SingularMatrix
 
 
 def mat_mul(a, b):
@@ -58,6 +58,15 @@ def _clear(rows, col, row, support):
                 other[j] = other[j] - factor * row[j]
 
 
+def _order(a):
+    """n for an n x n matrix ``a``; ``InvalidShape`` for any other shape."""
+    n, widths = len(a), sorted({len(row) for row in a})
+    if widths not in ([], [n]):
+        raise InvalidShape(f"need an n x n matrix, got {n} rows of length "
+                           + "/".join(map(str, widths)))
+    return n
+
+
 def _forward(m, n):
     """Reduce the first ``n`` columns of ``m`` in place, top down: each column
     takes the first nonzero pivot at or below the diagonal, divides the pivot
@@ -87,9 +96,11 @@ def _forward(m, n):
 def solve(a, b):
     """Solve A X = B for X (``b`` has one column per right-hand side): the
     forward pass on [A | B], then back substitution over the right-hand-side
-    columns nonzero in each pivot row.  Raises ``SingularMatrix`` when A is
-    not invertible."""
-    n = len(a)
+    columns nonzero in each pivot row.  Raises ``InvalidShape`` unless A is
+    n x n and B has n rows, and ``SingularMatrix`` when A is not invertible."""
+    n = _order(a)
+    if len(b) != n:
+        raise InvalidShape(f"the right-hand side has {len(b)} rows, the matrix is {n}x{n}")
     aug = [list(a[i]) + list(b[i]) for i in range(n)]
     pivots, _ = _forward(aug, n)
     if len(pivots) < n:
@@ -101,8 +112,9 @@ def solve(a, b):
 
 
 def det(a):
-    """Determinant: the signed product of the forward pass's pivots."""
-    n = len(a)
+    """Determinant: the signed product of the forward pass's pivots; A must
+    be n x n (``InvalidShape`` otherwise)."""
+    n = _order(a)
     pivots, sign = _forward([list(row) for row in a], n)
     return prod(pivots, start=sign) if len(pivots) == n else 0 * a[0][0]
 

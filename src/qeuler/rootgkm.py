@@ -23,7 +23,7 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 from typing import NamedTuple
 
 from . import linalg
@@ -353,19 +353,18 @@ def _coset_skeleton(family: str, rank: int, parabolic: tuple) -> _Skeleton:
     rs = build_root_system(family, rank)
     pset = set(parabolic)
     free = tuple(a + 1 for a in range(rs.rank) if (a + 1) not in pset)
-    # reference vector regular for exactly this parabolic, scaled to integers
-    weights = fundamental_weights(rs)
-    ref = [sum((weights[a - 1][t] for a in free), Fraction(0))
-           for t in range(rs.dim)]
-    scale = lcm(*(x.denominator for x in ref))
-    ref = tuple(int(x * scale) for x in ref)
+    # cosets are keyed by w(ref), ref the monotone weight (the sum of the
+    # crossing roots): pairing to 0 with S_P and to the Chern numbers off
+    # it, its stabilizer is exactly W_P
+    ref = tuple(map(int, monotone_weight(family, rank, parabolic)))
+    values = [pairing(ref, simple) for simple in rs.simple_roots]
+    if any((a in pset) != (v == 0) or v < 0 for a, v in enumerate(values, start=1)):
+        raise ComputeError(f"the monotone weight pairs to ({', '.join(map(str, values))}) "
+                           "with the simple roots")
 
-    reps = []
-    key_to_index = {}
+    reps, key_to_index = [], {}
     for w, word in weyl_elements(family, rank):
-        key = act(w, ref)
-        if key not in key_to_index:
-            key_to_index[key] = len(reps)
+        if key_to_index.setdefault(act(w, ref), len(reps)) == len(reps):
             reps.append((w, word))
 
     crossing = crossing_roots(rs, parabolic)

@@ -3,9 +3,8 @@ import sympy
 from sympy.polys.matrices import DomainMatrix
 
 from qeuler import linalg
-from qeuler.frobenius import (QuantumElement, _poly_matrix_det_is_zero, base_field,
-                              change_basis, direct_sum, dual_numbers, nilpotent_chain,
-                              quadratic_extension)
+from qeuler.frobenius import (QuantumElement, base_field, change_basis, direct_sum,
+                              dual_numbers, nilpotent_chain, quadratic_extension)
 from qeuler.grassmannian import GrassmannianRing
 from qeuler.presented import bundled_ig26_path, load_algebra
 from qeuler.scalar import ONE, Q, ZERO, RationalFunction
@@ -30,14 +29,14 @@ def trace_form_semisimple(algebra) -> bool:
     In characteristic 0 an algebra is semisimple iff its trace form
     T_ij = tr(L_{e_i e_j}) is nondegenerate (Bourbaki, *Algebra* VIII;
     Abrams, Israel J. Math. 117 (2000)).  T_ij = sum_l c_ij^l tr(L_{e_l}),
-    and det T is zero-tested by the engine's exact helper.
+    and det T is zero-tested by sympy over QQ(q), not by the engine.
     """
     traces = {l: algebra.trace_of_multiplication(QuantumElement.basis(l))
               for l in algebra.basis}
     form = [[sum((c * traces[l] for l, c in algebra.structure_constants[(a, b)].items()),
                  ZERO)
              for b in algebra.basis] for a in algebra.basis]
-    return not _poly_matrix_det_is_zero(form)
+    return bool(to_sympy(form).det())
 
 
 # The direct sums of the benchmark's ``generic`` workload, mirrored here:
@@ -63,14 +62,18 @@ def known_answer_sum(kinds, rng):
     algebra = KNOWN_ANSWER_BLOCKS[kinds[0]][0]()
     for kind in kinds[1:]:
         algebra = direct_sum(algebra, KNOWN_ANSWER_BLOCKS[kind][0]())
-    n = algebra.rank
+    fields = [KNOWN_ANSWER_BLOCKS[kind][1] for kind in kinds]
+    return change_basis(algebra, unimodular(algebra.rank, rng)), all(fields), any(fields)
+
+
+def unimodular(n, rng):
+    """The n x n matrix P = L*U that ``known_answer_sum`` describes."""
     low = linalg.identity(n, ONE, ZERO)
     up = linalg.identity(n, ONE, ZERO)
     for i in range(n - 1):
         low[i + 1][i] = rng.choice((-2, -1, 1, 2)) * Q
         up[i][i + 1] = rng.choice((-2, -1, 1, 2)) * Q
-    fields = [KNOWN_ANSWER_BLOCKS[kind][1] for kind in kinds]
-    return change_basis(algebra, linalg.mat_mul(low, up)), all(fields), any(fields)
+    return linalg.mat_mul(low, up)
 
 
 def to_sympy(m):

@@ -9,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (KNOWN_ANSWER_SUMS, element, known_answer_sum, new_basis_to_old,
-                      to_sympy, trace_form_semisimple)
+                      to_sympy, trace_form_semisimple, unimodular)
 from qeuler import axioms, frobenius, linalg, scalar
 from qeuler.axioms import Violation
-from qeuler.errors import (DegeneratePairing, InputError, NotAUnit, SingularMatrix,
-                           UnknownLabel)
+from qeuler.errors import (DegeneratePairing, InputError, InvalidShape, NotAUnit,
+                           SingularMatrix, UnknownLabel)
 from qeuler.frobenius import (
     FrobeniusAlgebra,
     Grading,
@@ -422,6 +422,46 @@ def test_change_basis_multiplies_a_pair_once_only_where_the_axioms_are_known(
     assert same.structure_constants[("1", "2,1")] != same.structure_constants[("2,1", "1")]
 
 
+def test_change_basis_there_and_back_gives_the_algebra_back(g24_algebra):
+    """P, then P^-1, on a table that is not commutative, so that every
+    ordered pair is moved; in between, the moved unit is the old one."""
+    algebra = one_order_perturbed(g24_algebra)
+    rng = random.Random(1717)
+    # a unimodular matrix over Z[q] with its columns scaled in Q(q)
+    scales = [ONE / (Q + 1), Q, -2 * ONE, 3 * ONE, ONE, ONE]
+    rng.shuffle(scales)
+    p = [[x * c for x, c in zip(row, scales)] for row in unimodular(algebra.rank, rng)]
+    p_inv = linalg.solve(p, linalg.identity(algebra.rank, ONE, ZERO))
+    moved = change_basis(algebra, p)
+    assert not moved._axioms_hold
+    assert new_basis_to_old(algebra, p, moved.unit) == algebra.unit
+    back = change_basis(moved, p_inv)
+    assert back.structure_constants == algebra.structure_constants
+    assert back.unit == algebra.unit
+    assert back.functional == algebra.functional
+
+
+def test_change_basis_solves_once_and_never_for_an_inverse(monkeypatch):
+    """Work-counting tripwire: the moved table and unit come from one
+    ``linalg.solve`` with P on the left, none of it against the identity."""
+    calls = []
+    solve = linalg.solve
+    monkeypatch.setattr(linalg, "solve", lambda a, b: calls.append((a, b)) or solve(a, b))
+    algebra = direct_sum(base_field(), dual_numbers())
+    p = unimodular(algebra.rank, random.Random(8))
+    change_basis(algebra, p)
+    assert [len(b[0]) for _, b in calls] == [7]  # six pairs j >= i and the unit
+    assert calls[0][0] == p
+
+
+@pytest.mark.parametrize("p", [[[1, 0, 0], [0, 1, 0]], [[1, 0], [0]], [[1]]], ids=str)
+def test_change_basis_rejects_a_matrix_of_the_wrong_shape(p):
+    """The first once gave a wrong table, the second ``SingularMatrix`` and
+    the third ``IndexError``."""
+    with pytest.raises(InvalidShape):
+        change_basis(dual_numbers(), p)
+
+
 def test_gram_matrix_reads_a_pair_twice_unless_it_is_one_object(g24_algebra, ig26):
     moved = one_order_perturbed(g24_algebra)
     for algebra in (g24_algebra, ig26, moved):
@@ -537,7 +577,8 @@ def test_semisimple_implies_field_factor_on_random_sums():
 
 
 def exact_is_unit(algebra, x) -> bool:
-    return not _poly_matrix_det_is_zero(algebra.operator_matrix(x))
+    """Whether x is a unit, decided by sympy's determinant over QQ(q)."""
+    return bool(to_sympy(algebra.operator_matrix(x)).det())
 
 
 @pytest.mark.parametrize("kinds", KNOWN_ANSWER_SUMS, ids="+".join)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from conftest import to_sympy
 from qeuler import linalg
-from qeuler.errors import SingularMatrix
+from qeuler.errors import InvalidShape, SingularMatrix
 from qeuler.scalar import ONE, Q, ZERO, parse_scalar
 
 INTS = st.integers(-9, 9)
@@ -97,6 +97,26 @@ def test_solve_and_det_leave_their_arguments_alone():
     linalg.det(a)
     assert a == NEEDS_SWAPS
     assert b == linalg.identity(3, Fraction(1), Fraction(0))
+
+
+@pytest.mark.parametrize("a, shape", [
+    ([[1, 2, 3], [4, 5, 6]], "2 rows of length 3"),
+    ([[1, 2], [3, 4], [5, 6]], "3 rows of length 2"),
+    ([[1, 0], [0]], "2 rows of length 1/2"),
+])
+def test_solve_and_det_reject_a_matrix_that_is_not_square(a, shape):
+    """Each of these once gave a value (``det`` of the 2 x 3 one read -3)."""
+    with pytest.raises(InvalidShape, match=shape):
+        linalg.det(a)
+    with pytest.raises(InvalidShape, match=shape):
+        linalg.solve(a, [[1] for _ in a])
+
+
+def test_solve_rejects_a_right_hand_side_without_n_rows():
+    for b in ([[1]], [[1], [2], [3]]):
+        with pytest.raises(InvalidShape, match=f"has {len(b)} rows, the matrix is 2x2"):
+            linalg.solve([[1, 2], [3, 4]], b)
+    assert linalg.solve([], []) == [] and linalg.det([]) == 1
 
 
 @st.composite

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import factorial
 
 import pytest
@@ -8,6 +9,7 @@ from qeuler import rootgkm as rg
 from qeuler.errors import (ComputeError, InvalidShape, NotRegular, TooLarge,
                            UnsupportedType)
 from qeuler.grassmannian import GrassmannianRing
+from test_golden_orbits import GROUPS as GOLDEN_GROUPS
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +174,41 @@ def test_cosets_include_identity_and_longest():
     w0, _ = rg.longest_element("A", 3)
     w0_point = rg.act(w0, spec.weight)
     assert any(rg.act(w, spec.weight) == w0_point for w, _ in reps)
+
+
+@pytest.mark.parametrize("fam, rank", GOLDEN_GROUPS)
+def test_cosets_match_the_fundamental_weight_key(fam, rank):
+    """Oracle on every parabolic of the golden file's groups: cosets keyed
+    by w(sum of the fundamental weights off S_P), the first element of each
+    in search order, and the coset of w0."""
+    rs = rg.build_root_system(fam, rank)
+    weights = rg.fundamental_weights(rs)
+    w0, _ = rg.longest_element(fam, rank)
+    for size in range(rank + 1):
+        for parabolic in combinations(range(1, rank + 1), size):
+            ref = tuple(sum((weights[a - 1][t] for a in range(1, rank + 1)
+                             if a not in parabolic), Fraction(0)) for t in range(rs.dim))
+            first = {}
+            for w, word in rg.weyl_elements(fam, rank):
+                first.setdefault(rg.act(w, ref), (w, word))
+            spec = rg.make_orbit_spec(fam, rank, parabolic,
+                                      rg.monotone_weight(fam, rank, parabolic))
+            reps = rg.weyl_cosets(spec)
+            assert reps == list(first.values()), parabolic
+            w0_index = rg._coset_skeleton(fam, rank, parabolic).w0_index
+            assert reps[w0_index] == first[rg.act(w0, ref)], parabolic
+
+
+def test_skeleton_rejects_a_reference_that_is_not_regular_for_exactly_p(monkeypatch):
+    """A raised check, not an ``assert``: a reference pairing to nonzero on
+    S_P, to 0 off it, or negatively with a simple root could have a
+    stabilizer other than W_P, and so merge or split cosets."""
+    build = rg._coset_skeleton.__wrapped__
+    for parabolic, weight in (((), (1, 1, -2)), ((1,), (2, 0, -2)), ((2,), (-2, -2, 4)),
+                              ((), (-2, 0, 2))):
+        monkeypatch.setattr(rg, "monotone_weight", lambda *args, w=weight: w)
+        with pytest.raises(ComputeError, match="monotone weight pairs to"):
+            build("A", 2, parabolic)
 
 
 # ---------------------------------------------------------------------------
