@@ -8,22 +8,28 @@ axis, up to sign, so an element is stored as a signed permutation: a tuple
 Weyl groups are generated by breadth-first closure over right
 multiplication by the simple reflections, so element lengths come for free
 from the search depth.  Everything that depends only on the group and the
-parabolic subset (coset representatives, edge germs, crossing roots and
-their degrees, the coset of the longest element) is computed once and
-cached.  The graph of torus-fixed points and invariant curves has one
-vertex per coset of the parabolic subgroup and one edge germ per crossing
-positive root; the oscillation bound is a minimum-weight path between the
-identity coset and the coset of the longest element, computed by
-Dijkstra's algorithm over exact rationals with deterministic tie breaks
-(fewest edges, then vertex order).
+parabolic subset (coset representatives, a symmetric table of edge germs,
+crossing roots and their integer coroot degrees, the coset of the longest
+element) is computed once and cached.  The graph of torus-fixed points and
+invariant curves has one vertex per coset of the parabolic subgroup and one
+edge germ per crossing positive root; the oscillation bound is a
+minimum-weight path between the identity coset and the coset of the longest
+element.  An edge's weight is linear in the weight's simple-coroot pairings
+c_a, so Dijkstra's algorithm runs over the integers <c * L, degree>, L the
+lcm of the denominators of c, with deterministic tie breaks (fewest edges,
+then vertex order, then root order); only the chain and the bound are
+turned back into exact rationals.
 """
 
 from __future__ import annotations
 
 import heapq
+from array import array
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from itertools import groupby
+from math import gcd, lcm
+from operator import itemgetter
 from typing import NamedTuple
 
 from . import linalg
@@ -38,8 +44,14 @@ def dot(u: Vector, v: Vector) -> Fraction:
 
 
 def pairing(weight: Vector, root: Vector) -> Fraction:
-    """<weight, coroot(root)> = 2 (weight, root) / (root, root)."""
-    return 2 * dot(weight, root) / dot(root, root)
+    """<weight, coroot(root)> = 2 (weight, root) / (root, root), read off the
+    root's nonzero coordinates (at most two for a simple root)."""
+    num = norm = Fraction(0)
+    for t, x in enumerate(root):
+        if x:
+            num += weight[t] * x
+            norm += x * x
+    return 2 * num / norm
 
 
 def coroot(root: Vector) -> Vector:
@@ -332,13 +344,25 @@ def is_monotone(spec: OrbitSpec):
 # ---------------------------------------------------------------------------
 
 class _Skeleton(NamedTuple):
-    reps: tuple       # (signed permutation, word) per coset, identity first
-    crossing: tuple   # crossing positive roots
-    degrees: tuple    # coroot coordinates of each crossing root on ``free``
-    free: tuple       # 1-based indices of S minus S_P
-    pairs: tuple      # (u, v, crossing root indices of the germs joining them)
-    adjacency: tuple  # per coset, the indices into ``pairs`` that touch it
-    w0_index: int     # coset of the longest element
+    reps: tuple            # (signed permutation, word) per coset, identity first
+    crossing: tuple        # crossing positive roots
+    degrees: tuple         # coroot coordinates of each crossing root on ``free``
+    free: tuple            # 1-based indices of S minus S_P
+    neighbors: memoryview  # read-only, flat: per coset u in turn, its sorted
+                           # germs (v, r) with u . s_r = v or v . s_r = u
+    starts: memoryview     # row u of ``neighbors`` is [starts[u], starts[u + 1])
+    w0_index: int          # coset of the longest element
+
+
+def _germs(sk: _Skeleton, u: int):
+    """The (v, r) pairs of row u of the germ table."""
+    row = sk.neighbors[sk.starts[u]:sk.starts[u + 1]]
+    return zip(row[::2], row[1::2])
+
+
+def _frozen(items: array) -> memoryview:
+    """A read-only view of a copy of ``items``, safe to share from a cache."""
+    return memoryview(items.tobytes()).cast(items.typecode)
 
 
 @lru_cache(maxsize=None)
@@ -346,28 +370,29 @@ def _coset_skeleton(family: str, rank: int, parabolic: tuple) -> _Skeleton:
     """Everything about W / W_P that does not depend on the regular weight.
 
     Representatives are the first element of each coset in search order,
-    which is of minimal length.  Germs u -> u . s_alpha, one per coset and
-    crossing root, are grouped by unordered vertex pair with u < v, in
-    sorted order.
+    which is of minimal length.  Each germ u -> u . s_alpha, one per coset
+    and crossing root, is entered in the rows of both of its ends, so the
+    germs joining two cosets are the same from either side.
     """
     rs = build_root_system(family, rank)
     pset = set(parabolic)
     free = tuple(a + 1 for a in range(rs.rank) if (a + 1) not in pset)
+    crossing = crossing_roots(rs, parabolic)
     # cosets are keyed by w(ref), ref the monotone weight (the sum of the
-    # crossing roots): pairing to 0 with S_P and to the Chern numbers off
-    # it, its stabilizer is exactly W_P
-    ref = tuple(map(int, monotone_weight(family, rank, parabolic)))
-    values = [pairing(ref, simple) for simple in rs.simple_roots]
+    # crossing roots, an integer vector): pairing to 0 with S_P and to the
+    # Chern numbers off it, its stabilizer is exactly W_P
+    ref = tuple(sum(int(r[t]) for r in crossing) for t in range(rs.dim))
+    values = [2 * sum(y * int(x) for y, x in zip(ref, simple))
+              // sum(int(x) ** 2 for x in simple) for simple in rs.simple_roots]
     if any((a in pset) != (v == 0) or v < 0 for a, v in enumerate(values, start=1)):
         raise ComputeError(f"the monotone weight pairs to ({', '.join(map(str, values))}) "
                            "with the simple roots")
 
     reps, key_to_index = [], {}
-    for w, word in weyl_elements(family, rank):
-        if key_to_index.setdefault(act(w, ref), len(reps)) == len(reps):
-            reps.append((w, word))
+    for element in weyl_elements(family, rank):
+        if key_to_index.setdefault(act(element[0], ref), len(reps)) == len(reps):
+            reps.append(element)
 
-    crossing = crossing_roots(rs, parabolic)
     degrees = []
     for r in crossing:
         coords = coroot_coordinates(rs, r)
@@ -377,20 +402,23 @@ def _coset_skeleton(family: str, rank: int, parabolic: tuple) -> _Skeleton:
 
     # u . s_alpha applied to ref is u(s_alpha(ref))
     reflected_refs = [act(_reflection(r), ref) for r in crossing]
-    germs = {}
+    # germ (v, r) is collected as the int v * k + r, which sorts the same
+    k = len(crossing)
+    rows = [[] for _ in reps]
     for u, (w, _) in enumerate(reps):
         for r_idx, s_ref in enumerate(reflected_refs):
             v = key_to_index[act(w, s_ref)]
-            germs.setdefault((min(u, v), max(u, v)), set()).add(r_idx)
-    pairs = tuple((u, v, tuple(sorted(r))) for (u, v), r in sorted(germs.items()))
-    adjacency = [[] for _ in reps]
-    for p_idx, (u, v, _) in enumerate(pairs):
-        adjacency[u].append(p_idx)
-        adjacency[v].append(p_idx)
+            rows[u].append(v * k + r_idx)
+            rows[v].append(u * k + r_idx)
+    neighbors, starts = array("I"), array("I", [0])
+    for row in rows:
+        for g in sorted(set(row)):
+            neighbors.extend(divmod(g, k))
+        starts.append(len(neighbors))
 
     w0, _ = longest_element(family, rank)
-    return _Skeleton(tuple(reps), crossing, tuple(degrees), free, pairs,
-                     tuple(map(tuple, adjacency)), key_to_index[act(w0, ref)])
+    return _Skeleton(tuple(reps), crossing, tuple(degrees), free, _frozen(neighbors),
+                     _frozen(starts), key_to_index[act(w0, ref)])
 
 
 def weyl_cosets(spec: OrbitSpec):
@@ -422,15 +450,18 @@ class GkmGraph(NamedTuple):
 
 def gkm_graph(spec: OrbitSpec) -> GkmGraph:
     """Fixed points and invariant curves, with parallel germs merged to the
-    cheapest one.  Edges are in the order of the skeleton's vertex pairs."""
+    cheapest one (the first root among equals).  Edges are sorted by their
+    (source, target) vertex pair, source < target."""
     rs = spec.root_system
     sk = _coset_skeleton(rs.family, rs.rank, spec.parabolic)
     weights = [pairing(spec.weight, r) for r in sk.crossing]
     vertices = tuple(GkmVertex(i, word) for i, (_, word) in enumerate(sk.reps))
     edges = []
-    for u, v, r_indices in sk.pairs:
-        cost, r_idx = min((weights[r], r) for r in r_indices)
-        edges.append(GkmEdge(u, v, sk.crossing[r_idx], cost, sk.degrees[r_idx]))
+    for u in range(len(sk.reps)):
+        for v, germs in groupby(_germs(sk, u), key=itemgetter(0)):
+            if v > u:
+                cost, r_idx = min((weights[r], r) for _, r in germs)
+                edges.append(GkmEdge(u, v, sk.crossing[r_idx], cost, sk.degrees[r_idx]))
     return GkmGraph(vertices, tuple(edges), len(sk.crossing), sk.free)
 
 
@@ -444,16 +475,26 @@ def hz_upper_bound(spec: OrbitSpec) -> CapacityBound:
     """Minimum-weight path between the identity coset and the coset of the
     longest element.  A tree containing both endpoints never beats its own
     endpoint-to-endpoint path because all weights are positive, so shortest
-    paths give the minimum over invariant chains."""
-    graph = gkm_graph(spec)
+    paths give the minimum over invariant chains.
+
+    The weight of a germ along alpha is sum_a c_a * d(alpha)_a over the free
+    a, c_a = <weight, coroot(alpha_a)> and d the coroot degrees; Dijkstra
+    runs over these times L, the lcm of the denominators of c, which are
+    integers, and divides by L only for the chain and the bound.
+    """
     rs = spec.root_system
     sk = _coset_skeleton(rs.family, rs.rank, spec.parabolic)
+    c = [pairing(spec.weight, rs.simple_roots[a - 1]) for a in sk.free]
+    scale = lcm(*(x.denominator for x in c))
+    scaled = [x.numerator * (scale // x.denominator) for x in c]
+    weights = [sum(x * d for x, d in zip(scaled, degree)) for degree in sk.degrees]
     source, target = 0, sk.w0_index
 
-    # v -> (distance, edges, parent, edge index): tuple order is the tie
-    # break, fewest edges and then the earliest parent
-    best = {source: (Fraction(0), 0, None, None)}
-    heap = [(Fraction(0), 0, source)]
+    # v -> (distance, edges, parent, root index): tuple order is the tie
+    # break, fewest edges, then the earliest parent, then among parallel
+    # germs the first root, as in ``gkm_graph``
+    best = {source: (0, 0, None, None)}
+    heap = [(0, 0, source)]
     done = set()
     while heap:
         d, n_edges, u = heapq.heappop(heap)
@@ -462,12 +503,10 @@ def hz_upper_bound(spec: OrbitSpec) -> CapacityBound:
         done.add(u)
         if u == target:
             break
-        for e_idx in sk.adjacency[u]:
-            edge = graph.edges[e_idx]
-            v = edge.target if edge.source == u else edge.source
+        for v, r in _germs(sk, u):
             if v in done:
                 continue
-            cand = (d + edge.weight, n_edges + 1, u, e_idx)
+            cand = (d + weights[r], n_edges + 1, u, r)
             if v not in best or cand < best[v]:
                 best[v] = cand
                 heapq.heappush(heap, (cand[0], cand[1], v))
@@ -477,12 +516,13 @@ def hz_upper_bound(spec: OrbitSpec) -> CapacityBound:
     chain = []
     node = target
     while node != source:
-        _, _, node, e_idx = best[node]
-        chain.append(graph.edges[e_idx])
+        parent, r = best[node][2:]
+        chain.append(GkmEdge(min(parent, node), max(parent, node), sk.crossing[r],
+                             Fraction(weights[r], scale), sk.degrees[r]))
+        node = parent
     chain.reverse()
-    degree = tuple(
-        sum(e.degree[t] for e in chain) for t in range(len(graph.free_simple_indices)))
-    return CapacityBound(best[target][0], tuple(chain), degree)
+    degree = tuple(sum(e.degree[t] for e in chain) for t in range(len(sk.free)))
+    return CapacityBound(Fraction(best[target][0], scale), tuple(chain), degree)
 
 
 def brute_force_bound(spec: OrbitSpec) -> Fraction:

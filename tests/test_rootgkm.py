@@ -1,3 +1,4 @@
+import heapq
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -43,12 +44,19 @@ ROOT_COORDINATE_TYPES = ([("A", r) for r in range(1, 8)] + [("B", r) for r in ra
 
 @pytest.mark.parametrize("fam, rank", ROOT_COORDINATE_TYPES)
 def test_root_coordinates_equal_dense_pairings(fam, rank):
-    """Both coordinate tuples of every root, against a dense ``pairing``
-    with every fundamental weight; the coroot rebuilt from the first."""
+    """Both coordinate tuples of every root, against a dense pairing
+    2 (w, root) / (root, root) with every fundamental weight; the coroot
+    rebuilt from the first.  ``pairing``, which reads only the root's
+    nonzero coordinates, agrees with the dense one, as a ``Fraction`` also
+    on an integer weight."""
     rs = rg.build_root_system(fam, rank)
     weights = rg.fundamental_weights(rs)
+    probe = tuple(3 * t - 4 for t in range(rs.dim))
     for root in rs.roots:
-        co = tuple(rg.pairing(w, root) for w in weights)
+        co = tuple(2 * rg.dot(w, root) / rg.dot(root, root) for w in weights)
+        assert tuple(rg.pairing(w, root) for w in weights) == co
+        value = rg.pairing(probe, root)
+        assert type(value) is Fraction and value == 2 * rg.dot(probe, root) / rg.dot(root, root)
         simple = tuple(co[a] * rg.dot(root, root) / rg.dot(s, s)
                        for a, s in enumerate(rs.simple_roots))
         assert rg.coroot_coordinates(rs, root) == co
@@ -202,11 +210,12 @@ def test_cosets_match_the_fundamental_weight_key(fam, rank):
 def test_skeleton_rejects_a_reference_that_is_not_regular_for_exactly_p(monkeypatch):
     """A raised check, not an ``assert``: a reference pairing to nonzero on
     S_P, to 0 off it, or negatively with a simple root could have a
-    stabilizer other than W_P, and so merge or split cosets."""
+    stabilizer other than W_P, and so merge or split cosets.  The reference
+    is the sum of the crossing roots, so a one-vector list sets it."""
     build = rg._coset_skeleton.__wrapped__
     for parabolic, weight in (((), (1, 1, -2)), ((1,), (2, 0, -2)), ((2,), (-2, -2, 4)),
                               ((), (-2, 0, 2))):
-        monkeypatch.setattr(rg, "monotone_weight", lambda *args, w=weight: w)
+        monkeypatch.setattr(rg, "crossing_roots", lambda *args, w=weight: (w,))
         with pytest.raises(ComputeError, match="monotone weight pairs to"):
             build("A", 2, parabolic)
 
@@ -343,6 +352,51 @@ def test_gkm_graph_johnson(g24_algebra):
     assert all(d == 4 for d in degrees.values())
 
 
+def every_parabolic(fam, rank):
+    for size in range(rank + 1):
+        yield from combinations(range(1, rank + 1), size)
+
+
+@pytest.mark.parametrize("fam, rank", GOLDEN_GROUPS)
+def test_germ_table_is_symmetric_and_matches_a_rebuild(fam, rank):
+    """On every parabolic of the golden file's groups: (v, r) is in row u of
+    the germ table iff (u, r) is in row v; each row is sorted; the table
+    equals one rebuilt from ``act`` and ``_reflection``, with u . s_r found
+    by the fundamental-weight key; and ``gkm_graph``'s edges are that
+    rebuild's vertex pairs, each with its cheapest germ, first root among
+    equals."""
+    rs = rg.build_root_system(fam, rank)
+    weights = rg.fundamental_weights(rs)
+    for parabolic in every_parabolic(fam, rank):
+        sk = rg._coset_skeleton(fam, rank, parabolic)
+        rows = [list(rg._germs(sk, u)) for u in range(len(sk.reps))]
+        assert all(row == sorted(set(row)) for row in rows), parabolic
+        table = {(u, v, r) for u, row in enumerate(rows) for v, r in row}
+        assert table == {(v, u, r) for u, v, r in table}, parabolic
+
+        ref = tuple(sum((weights[a - 1][t] for a in range(1, rank + 1)
+                         if a not in parabolic), Fraction(0)) for t in range(rs.dim))
+        index = {rg.act(w, ref): u for u, (w, _) in enumerate(sk.reps)}
+        rebuilt = set()
+        for u, (w, _) in enumerate(sk.reps):
+            for r, root in enumerate(sk.crossing):
+                ws = tuple(w[x - 1] if x > 0 else -w[-x - 1] for x in rg._reflection(root))
+                v = index[rg.act(ws, ref)]
+                rebuilt |= {(u, v, r), (v, u, r)}
+        assert table == rebuilt, parabolic
+
+        weight = rg.monotone_weight(fam, rank, parabolic)
+        spec = rg.make_orbit_spec(fam, rank, parabolic, weight)
+        cheapest = {}
+        for u, v, r in rebuilt:
+            if u < v:
+                cand = (rg.pairing(weight, sk.crossing[r]), r)
+                cheapest[u, v] = min(cheapest.get((u, v), cand), cand)
+        assert [(e.source, e.target, e.root, e.weight) for e in rg.gkm_graph(spec).edges] == [
+            (u, v, sk.crossing[r], cost) for (u, v), (cost, r) in sorted(cheapest.items())
+        ], parabolic
+
+
 # ---------------------------------------------------------------------------
 # capacity bounds
 # ---------------------------------------------------------------------------
@@ -431,6 +485,114 @@ def test_chain_weights_sum_to_bound():
     _, spec = rg.un_closed_form([9, 4, 2, 0])
     result = rg.hz_upper_bound(spec)
     assert sum((e.weight for e in result.chain), Fraction(0)) == result.bound
+
+
+def fraction_dijkstra(spec):
+    """Reference for ``hz_upper_bound``: Dijkstra in ``Fraction`` arithmetic
+    over ``gkm_graph``'s merged edges, with the same tie break (distance,
+    fewest edges, earliest parent)."""
+    graph = rg.gkm_graph(spec)
+    rs = spec.root_system
+    target = rg._coset_skeleton(rs.family, rs.rank, spec.parabolic).w0_index
+    adjacency = {}
+    for e_idx, e in enumerate(graph.edges):
+        adjacency.setdefault(e.source, []).append(e_idx)
+        adjacency.setdefault(e.target, []).append(e_idx)
+    best = {0: (Fraction(0), 0, None, None)}
+    heap = [(Fraction(0), 0, 0)]
+    done = set()
+    while heap:
+        d, n_edges, u = heapq.heappop(heap)
+        if u in done:
+            continue
+        done.add(u)
+        if u == target:
+            break
+        for e_idx in adjacency.get(u, ()):
+            edge = graph.edges[e_idx]
+            v = edge.target if edge.source == u else edge.source
+            cand = (d + edge.weight, n_edges + 1, u, e_idx)
+            if v not in done and (v not in best or cand < best[v]):
+                best[v] = cand
+                heapq.heappush(heap, (cand[0], cand[1], v))
+    chain, node = [], target
+    while node != 0:
+        _, _, node, e_idx = best[node]
+        chain.append(graph.edges[e_idx])
+    chain.reverse()
+    degree = tuple(sum(e.degree[t] for e in chain)
+                   for t in range(len(graph.free_simple_indices)))
+    return rg.CapacityBound(best[target][0], tuple(chain), degree)
+
+
+def weight_from_pairings(fam, rank, coeffs):
+    """sum_a c_a * omega_a, the weight whose simple-coroot pairings are c."""
+    rs = rg.build_root_system(fam, rank)
+    omegas = rg.fundamental_weights(rs)
+    return tuple(sum((c * w[t] for c, w in zip(coeffs, omegas)), Fraction(0))
+                 for t in range(rs.dim))
+
+
+def assert_bound_matches_reference(fam, rank, parabolic, coeffs):
+    spec = rg.make_orbit_spec(fam, rank, parabolic, weight_from_pairings(fam, rank, coeffs))
+    result = rg.hz_upper_bound(spec)
+    assert tuple(result) == tuple(fraction_dijkstra(spec)), (fam, rank, parabolic, coeffs)
+    return result
+
+
+def non_integral_pairings(rng, rank, parabolic):
+    """Seeded c_a, 0 on S_P and a positive non-integer off it, so L > 1."""
+    coeffs = []
+    for a in range(1, rank + 1):
+        den = rng.choice((2, 3, 4, 5))
+        coeffs.append(Fraction(0) if a in parabolic
+                      else Fraction(rng.randint(0, 4) * den + rng.randint(1, den - 1), den))
+    return coeffs
+
+
+@pytest.mark.parametrize("fam, rank", GOLDEN_GROUPS)
+def test_integer_dijkstra_matches_a_fraction_reference(fam, rank):
+    """The whole ``CapacityBound``, chain edges included, against the
+    reference on every parabolic of the golden file's groups, at seeded
+    rational pairings and at the monotone weight, where parallel germs tie."""
+    rng = random.Random(1807 + rank + 10 * "ABCD".index(fam))
+    for parabolic in every_parabolic(fam, rank):
+        assert_bound_matches_reference(fam, rank, parabolic,
+                                       non_integral_pairings(rng, rank, parabolic))
+        spec = rg.make_orbit_spec(fam, rank, parabolic, rg.monotone_weight(fam, rank, parabolic))
+        assert tuple(rg.hz_upper_bound(spec)) == tuple(fraction_dijkstra(spec)), parabolic
+
+
+@pytest.mark.parametrize("fam, rank", [("A", 5), ("B", 4), ("C", 4), ("D", 4)])
+def test_integer_dijkstra_matches_the_reference_past_the_brute_force_guard(fam, rank):
+    rng = random.Random(4711 + rank)
+    for _ in range(4):
+        assert_bound_matches_reference(fam, rank, (), non_integral_pairings(rng, rank, ()))
+
+
+def test_integer_dijkstra_uses_germs_from_both_ends():
+    """A3 modulo s3 at c = (1/3, 5/2, 0): the cheapest chain steps along
+    e1 - e3, a germ seen only from the far end of its edge."""
+    result = assert_bound_matches_reference(
+        "A", 3, (3,), (Fraction(1, 3), Fraction(5, 2), Fraction(0)))
+    roots = [tuple(map(int, e.root)) for e in result.chain]
+    assert (1, 0, -1, 0) in roots and (1, 0, 0, -1) not in roots
+
+
+def test_integer_dijkstra_reads_only_the_simple_pairings(monkeypatch):
+    """On the B4 full flag ``hz_upper_bound`` builds no ``gkm_graph`` and
+    calls ``pairing`` at most rank times."""
+    spec = rg.make_orbit_spec("B", 4, (), rg.monotone_weight("B", 4, ()))
+    expected = rg.hz_upper_bound(spec)
+    calls = {"pairing": 0, "gkm_graph": 0}
+    for name in calls:
+        def counted(*args, _name=name, _inner=getattr(rg, name)):
+            calls[_name] += 1
+            return _inner(*args)
+        monkeypatch.setattr(rg, name, counted)
+    assert rg.hz_upper_bound(spec) == expected
+    assert calls["gkm_graph"] == 0
+    assert 0 < calls["pairing"] <= 4
 
 
 # ---------------------------------------------------------------------------
