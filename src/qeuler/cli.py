@@ -181,14 +181,14 @@ def _orbit_output(args) -> str:
         return ",".join(str(x) for x in lam) + "\n"
 
     if args.action == "gkm":
-        graph = rootgkm.gkm_graph(spec)
         if args.format == "json":
+            graph = rootgkm.gkm_graph(spec)
             words = [v.word for v in graph.vertices]
             return _json_text({
                 "vertices": [rootgkm.word_text(w) for w in words],
                 "edges": [rootgkm.edge_to_json(spec, words, e) for e in graph.edges],
             })
-        return rootgkm.to_dot(spec, graph)
+        return rootgkm.to_dot(spec)
 
     result = rootgkm.hz_upper_bound(spec)
     if args.format == "json":

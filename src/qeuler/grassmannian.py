@@ -260,29 +260,19 @@ def _interlacing(lows, highs, total: int):
 
 def _classical_pieri_rows_capped(lam: Partition, p: int, k: int):
     """Classical Pieri step: add a horizontal strip of size p, keep <= k rows,
-    no bound on the width.  Returns a tuple of partitions."""
-    lam_p = _pad(lam, k)
-    results = []
-    # boxes[i] added to row i must keep mu decreasing and satisfy the strip
-    # condition mu_{i+1} <= lam_i.
-    def rec(i, remaining, acc):
-        if i == k:
-            if remaining == 0:
-                results.append(tuple(x for x in acc if x))
-            return
-        if i == 0:
-            options = range(remaining + 1)
-        else:
-            cap = min(remaining, max(lam_p[i - 1] - lam_p[i], 0))
-            options = range(cap + 1)
-        for add in options:
-            mu_i = lam_p[i] + add
-            if i > 0 and mu_i > acc[i - 1]:
-                continue
-            rec(i + 1, remaining - add, acc + [mu_i])
+    no bound on the width.  Returns a tuple of partitions.
 
-    rec(0, p, [])
-    return tuple(results)
+    Row by row: the first row takes at most p boxes and row i at most
+    lam_{i-1} - lam_i, which is the strip condition mu_i <= lam_{i-1} and
+    keeps mu decreasing; (mu so far, boxes left) per partial strip.
+    """
+    lam_p = _pad(lam, k)
+    partial = [((), p)]
+    for i in range(k):
+        room = lam_p[i - 1] - lam_p[i] if i else p
+        partial = [(acc + (lam_p[i] + add,), left - add) for acc, left in partial
+                   for add in range(min(room, left) + 1)]
+    return tuple(tuple(x for x in acc if x) for acc, left in partial if not left)
 
 
 def _jacobi_trudi_monomials(mu: Partition, k: int):

@@ -292,23 +292,28 @@ def crossing_roots(rs: RootSystem, parabolic) -> tuple:
     return tuple(out)
 
 
+def _monotone_sum(rs: RootSystem, parabolic) -> tuple:
+    """The crossing roots, their sum (the monotone weight at kappa = 1, an
+    integer vector) and its pairings with the simple roots in order, checked
+    to be integers, 0 exactly on S_P and positive off it."""
+    crossing = crossing_roots(rs, parabolic)
+    total = tuple(sum(int(r[t]) for r in crossing) for t in range(rs.dim))
+    values = [Fraction(2 * sum(y * int(x) for y, x in zip(total, simple)),
+                       sum(int(x) ** 2 for x in simple)) for simple in rs.simple_roots]
+    pset = set(parabolic)
+    if any(v.denominator != 1 or (a in pset) != (v == 0) or v < 0
+           for a, v in enumerate(values, start=1)):
+        raise ComputeError(f"the monotone weight pairs to ({', '.join(map(str, values))}) "
+                           "with the simple roots")
+    return crossing, total, tuple(map(int, values))
+
+
 def chern_numbers(spec: OrbitSpec) -> dict:
     """Pairings of the anticanonical weight with the crossing simple coroots,
     and their gcd N."""
-    rs = spec.root_system
-    total = monotone_weight(rs.family, rs.rank, spec.parabolic)
-    pset = set(spec.parabolic)
-    values = {}
-    for a in range(rs.rank):
-        if (a + 1) in pset:
-            continue
-        value = pairing(total, rs.simple_roots[a])
-        if value.denominator != 1 or value <= 0:
-            raise ComputeError(
-                f"Chern number of simple root {a + 1} is {value}, "
-                "not a positive integer")
-        values[a + 1] = int(value)
-    return {"n": values, "N": gcd(*values.values())}
+    _, _, values = _monotone_sum(spec.root_system, spec.parabolic)
+    numbers = {a: v for a, v in enumerate(values, start=1) if a not in spec.parabolic}
+    return {"n": numbers, "N": gcd(*numbers.values())}
 
 
 def monotone_weight(family: str, rank: int, parabolic, kappa=1) -> Vector:
@@ -316,12 +321,8 @@ def monotone_weight(family: str, rank: int, parabolic, kappa=1) -> Vector:
     kappa = Fraction(kappa)
     if kappa <= 0:
         raise InvalidShape("kappa must be positive")
-    rs = build_root_system(family, rank)
-    crossing = crossing_roots(rs, tuple(sorted(parabolic)))
-    return tuple(
-        sum((r[t] for r in crossing), Fraction(0)) / kappa
-        for t in range(rs.dim)
-    )
+    _, total, _ = _monotone_sum(build_root_system(family, rank), tuple(parabolic))
+    return tuple(Fraction(x) / kappa for x in total)
 
 
 def is_monotone(spec: OrbitSpec):
@@ -375,18 +376,11 @@ def _coset_skeleton(family: str, rank: int, parabolic: tuple) -> _Skeleton:
     germs joining two cosets are the same from either side.
     """
     rs = build_root_system(family, rank)
-    pset = set(parabolic)
-    free = tuple(a + 1 for a in range(rs.rank) if (a + 1) not in pset)
-    crossing = crossing_roots(rs, parabolic)
+    free = tuple(a for a in range(1, rs.rank + 1) if a not in parabolic)
     # cosets are keyed by w(ref), ref the monotone weight (the sum of the
-    # crossing roots, an integer vector): pairing to 0 with S_P and to the
-    # Chern numbers off it, its stabilizer is exactly W_P
-    ref = tuple(sum(int(r[t]) for r in crossing) for t in range(rs.dim))
-    values = [2 * sum(y * int(x) for y, x in zip(ref, simple))
-              // sum(int(x) ** 2 for x in simple) for simple in rs.simple_roots]
-    if any((a in pset) != (v == 0) or v < 0 for a, v in enumerate(values, start=1)):
-        raise ComputeError(f"the monotone weight pairs to ({', '.join(map(str, values))}) "
-                           "with the simple roots")
+    # crossing roots): pairing to 0 with S_P and to the Chern numbers off
+    # it, its stabilizer is exactly W_P
+    crossing, ref, _ = _monotone_sum(rs, parabolic)
 
     reps, key_to_index = [], {}
     for element in weyl_elements(family, rank):
@@ -546,29 +540,31 @@ def brute_force_bound(spec: OrbitSpec) -> Fraction:
     for lists in adjacency.values():
         lists.sort(key=lambda t: t[1])
 
-    best = [None]
+    # depth-first over simple paths, one frame (vertex, weight so far, its
+    # untried edges) per vertex on the path; only a path lighter than
+    # ``best`` is ever pushed, and since edges are sorted by weight, a frame
+    # is done at its first edge that would reach ``best``
+    best = None
     visited = [False] * n
     visited[0] = True
-
-    def search(u, total):
+    stack = [(0, Fraction(0), iter(adjacency.get(0, ())))]
+    while stack:
+        u, total, untried = stack[-1]
+        step = None
         if u == target:
-            if best[0] is None or total < best[0]:
-                best[0] = total
-            return
-        for v, w in adjacency.get(u, ()):
-            if visited[v]:
-                continue
-            nt = total + w
-            if best[0] is not None and nt >= best[0]:
-                break  # neighbors sorted by weight; all later ones are worse
+            best = total
+        else:
+            step = next(((v, total + w) for v, w in untried if not visited[v]), None)
+        if step is None or (best is not None and step[1] >= best):
+            visited[u] = False
+            stack.pop()
+        else:
+            v, nt = step
             visited[v] = True
-            search(v, nt)
-            visited[v] = False
-
-    search(0, Fraction(0))
-    if best[0] is None:
+            stack.append((v, nt, iter(adjacency.get(v, ()))))
+    if best is None:
         raise NotRegular("no path to the longest-element coset")
-    return best[0]
+    return best
 
 
 def un_closed_form(lam) -> tuple:
@@ -612,11 +608,10 @@ def root_text(rs: RootSystem, root: Vector) -> str:
     return "+".join(parts) if parts else "0"
 
 
-def to_dot(spec: OrbitSpec, graph: GkmGraph | None = None) -> str:
+def to_dot(spec: OrbitSpec) -> str:
     """Graphviz rendering: vertices named by reduced words, edges annotated
     with the crossing root and the curve area."""
-    if graph is None:
-        graph = gkm_graph(spec)
+    graph = gkm_graph(spec)
     rs = spec.root_system
     lines = ["graph gkm {"]
     for v in graph.vertices:

@@ -130,6 +130,18 @@ def test_orbit_monotone_weight(capsys):
     assert out == "2,2,-2,-2\n"
 
 
+@pytest.mark.parametrize("argv, want", [
+    (("--parabolic", "1,3", "chern"), {"n": {"a2": 4}, "N": 4}),
+    (("--parabolic", "1,3", "monotone-weight"), ["2", "2", "-2", "-2"]),
+    (("--parabolic", "1,2,3", "chern"), {"n": {}, "N": 0}),
+], ids=["chern", "monotone-weight", "point-chern"])
+def test_orbit_json_outputs(capsys, argv, want):
+    code, out, _ = run_cli(capsys, "orbit", "--family", "A", "--rank", "3", *argv,
+                           "--format", "json")
+    assert code == 0
+    assert json.loads(out) == want
+
+
 def test_orbit_hz_bound(capsys):
     code, out, _ = run_cli(
         capsys, "orbit", "--family", "A", "--rank", "2",

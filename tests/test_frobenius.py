@@ -217,6 +217,25 @@ def test_a_unit_without_one_degree_is_one_grading_violation_under_any_hash_seed(
         ), seed
 
 
+def graded_projective_line(unit="1", square=Q):
+    """QH(P^1) with x*x = ``square``, graded with chern number 2."""
+    one, x = QuantumElement.basis("1"), QuantumElement.basis("x")
+    table = {("1", "1"): one, ("1", "x"): x, ("x", "x"): QuantumElement({"1": square})}
+    return FrobeniusAlgebra(["1", "x"], table, unit, {"1": 0, "x": 1},
+                            grading=Grading({"1": 2, "x": 0}, 2))
+
+
+@pytest.mark.parametrize("unit, square, want", [
+    ("1", Q, []),
+    (QuantumElement({"1": 1, "x": 1}), Q,
+     [(("1", "x"), "grading fails at the unit: no single degree")]),
+    ("1", ONE / Q, [(("x", "x"), "non-polynomial coefficient in x*x")]),
+], ids=["graded", "mixed-unit", "inverse-q"])
+def test_validate_names_each_grading_violation(unit, square, want):
+    violations = graded_projective_line(unit, square).validate()
+    assert [(v.labels, str(v)) for v in violations if v.kind == "grading"] == want
+
+
 def test_validate_flags_degenerate_pairing():
     one = "1"
     table = {(one, one): QuantumElement.basis(one)}

@@ -2,6 +2,7 @@
 immutable records."""
 
 import ast
+import gc
 import importlib.util
 import os
 import subprocess
@@ -131,6 +132,43 @@ def test_no_assert_and_no_float_literal_in_the_package():
                 found.append(f"{path.name}:{node.lineno}: {node.value!r}")
     assert found == []
 
+
+def test_no_nested_function_refers_to_itself():
+    """A nested function that loads its own name holds itself through its
+    closure cell, so every call of the enclosing function leaves a
+    reference cycle that only the cyclic collector frees."""
+    found = set()
+    for path in sorted((SRC / "qeuler").glob("*.py")):
+        for outer in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for inner in ast.walk(outer):
+                if (inner is not outer
+                        and isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and any(isinstance(node, ast.Name) and node.id == inner.name
+                                and isinstance(node.ctx, ast.Load)
+                                for node in ast.walk(inner))):
+                    found.add(f"{path.name}:{inner.lineno}: {inner.name}")
+    assert sorted(found) == []
+
+
+def test_the_oracles_leave_no_cyclic_garbage():
+    """Each call frees everything it made by reference counting alone."""
+    spec = rootgkm.make_orbit_spec("A", 3, (), (3, 2, 1, 0))
+    ring = GrassmannianRing(2, 5)
+    rootgkm.brute_force_bound(spec)
+    ring.rim_hook_product((1,), (1,))
+    gc.collect()
+    # the second product takes Pieri steps that the first did not
+    for call in (lambda: rootgkm.brute_force_bound(spec),
+                 lambda: ring.rim_hook_product((2, 1), (3, 2))):
+        gc.disable()
+        try:
+            call()
+            unreachable = gc.collect()
+        finally:
+            gc.enable()
+        assert unreachable == 0
 
 
 def test_every_record_is_immutable():

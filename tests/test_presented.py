@@ -173,6 +173,35 @@ def test_schema_errors_name_the_json_path(edit, message):
     assert str(info.value).startswith(message)
 
 
+@pytest.mark.parametrize("edit, error, message", [
+    (lambda raw: raw["basis"].append({"label": "1", "codim": 1}),
+     ParseError, "duplicate basis label"),
+    (lambda raw: raw.update(unit="u"), UnknownLabel, "label 'u' not in the basis"),
+    (lambda raw: raw.update(point="p"), UnknownLabel, "label 'p' not in the basis"),
+    (lambda raw: raw["generators"].append("g"), UnknownLabel,
+     "generator 'g' not in the basis"),
+    (lambda raw: raw["generator_products"].update({"0|1": []}), ParseError,
+     "key '0|1' does not start with a generator"),
+    (lambda raw: raw["generator_products"].update({"1|b": []}), UnknownLabel,
+     "label 'b' in key '1|b' not in the basis"),
+    (lambda raw: raw.update(definitions=[{"label": "d", "expr": "s[1]"}]), UnknownLabel,
+     "defined label 'd' not in the basis"),
+    (lambda raw: raw.update(definitions=[{"label": "1", "expr": "s[1]"}]), ParseError,
+     "label '1' defined more than once"),
+    (lambda raw: (raw["basis"].append({"label": "a", "codim": 1}),
+                  raw["generator_products"].update({"1|a": []})),
+     MissingDefinition, "basis label 'a' has no definition"),
+], ids=["duplicate-label", "unit", "point", "generator", "key-start", "key-label",
+        "defined-label", "defined-twice", "no-definition"])
+def test_spec_rejections_name_their_cause(edit, error, message):
+    raw = minimal_spec()
+    edit(raw)
+    with pytest.raises(error) as info:
+        parse_spec(json.dumps(raw))
+    assert type(info.value) is error
+    assert str(info.value).startswith(message)
+
+
 def test_non_object_file_rejected():
     with pytest.raises(ParseError, match="top level must be an object"):
         parse_spec("[1, 2]")
