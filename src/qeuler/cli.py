@@ -174,8 +174,8 @@ def _orbit_output(args) -> str:
         return "; ".join([*parts, f"N = {numbers['N']}"]) + "\n"
 
     if args.action == "monotone-weight":
-        lam = rootgkm.monotone_weight(family, args.rank, parabolic,
-                                      _parse_rational(args.kappa))
+        lam = weight if args.weight is None else rootgkm.monotone_weight(
+            family, args.rank, parabolic, _parse_rational(args.kappa))
         if args.format == "json":
             return _json_text([str(x) for x in lam])
         return ",".join(str(x) for x in lam) + "\n"

@@ -232,6 +232,18 @@ def simple_root_coordinates(rs: RootSystem, root: Vector):
 # orbit data
 # ---------------------------------------------------------------------------
 
+def _parabolic_set(rs: RootSystem, parabolic) -> set:
+    """The set of the 1-based simple-root indices in ``parabolic``;
+    ``InvalidShape`` unless each is in 1..rank and none repeats."""
+    for i in parabolic:
+        if not 1 <= i <= rs.rank:
+            raise InvalidShape(f"parabolic index {i} out of range 1..{rs.rank}")
+    pset = set(parabolic)
+    if len(pset) != len(parabolic):
+        raise InvalidShape(f"parabolic indices {parabolic} repeat")
+    return pset
+
+
 class _OrbitFields(NamedTuple):
     root_system: RootSystem
     parabolic: tuple
@@ -250,12 +262,7 @@ class OrbitSpec(_OrbitFields):
 
     def __new__(cls, root_system: RootSystem, parabolic: tuple, weight: Vector):
         rs = root_system
-        pset = set(parabolic)
-        for i in parabolic:
-            if not 1 <= i <= rs.rank:
-                raise InvalidShape(f"parabolic index {i} out of range 1..{rs.rank}")
-        if len(pset) != len(parabolic):
-            raise InvalidShape(f"parabolic indices {parabolic} repeat")
+        pset = _parabolic_set(rs, parabolic)
         if len(weight) != rs.dim:
             raise InvalidShape(
                 f"weight has {len(weight)} coordinates, expected {rs.dim}")
@@ -295,12 +302,13 @@ def crossing_roots(rs: RootSystem, parabolic) -> tuple:
 def _monotone_sum(rs: RootSystem, parabolic) -> tuple:
     """The crossing roots, their sum (the monotone weight at kappa = 1, an
     integer vector) and its pairings with the simple roots in order, checked
-    to be integers, 0 exactly on S_P and positive off it."""
+    to be integers, 0 exactly on S_P and positive off it.  The indices are
+    checked as ``OrbitSpec`` checks them."""
+    pset = _parabolic_set(rs, parabolic)
     crossing = crossing_roots(rs, parabolic)
     total = tuple(sum(int(r[t]) for r in crossing) for t in range(rs.dim))
     values = [Fraction(2 * sum(y * int(x) for y, x in zip(total, simple)),
                        sum(int(x) ** 2 for x in simple)) for simple in rs.simple_roots]
-    pset = set(parabolic)
     if any(v.denominator != 1 or (a in pset) != (v == 0) or v < 0
            for a, v in enumerate(values, start=1)):
         raise ComputeError(f"the monotone weight pairs to ({', '.join(map(str, values))}) "

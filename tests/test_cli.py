@@ -130,6 +130,22 @@ def test_orbit_monotone_weight(capsys):
     assert out == "2,2,-2,-2\n"
 
 
+def test_monotone_weight_is_derived_once(capsys, monkeypatch):
+    """Without ``--lambda`` the weight that the orbit is built from is the
+    one printed; with it, the monotone weight is derived for the output."""
+    from qeuler import rootgkm
+    calls = []
+    monotone_weight = rootgkm.monotone_weight
+    monkeypatch.setattr(rootgkm, "monotone_weight",
+                        lambda *args: calls.append(args) or monotone_weight(*args))
+    for extra in ((), ("--lambda", "1,1,-1,-1")):
+        calls.clear()
+        code, out, _ = run_cli(capsys, "orbit", "--family", "A", "--rank", "3",
+                               "--parabolic", "1,3", *extra, "--kappa", "2",
+                               "monotone-weight")
+        assert (code, out, len(calls)) == (0, "1,1,-1,-1\n", 1)
+
+
 @pytest.mark.parametrize("argv, want", [
     (("--parabolic", "1,3", "chern"), {"n": {"a2": 4}, "N": 4}),
     (("--parabolic", "1,3", "monotone-weight"), ["2", "2", "-2", "-2"]),

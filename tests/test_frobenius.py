@@ -553,7 +553,10 @@ def test_diagnose_solves_once_for_the_euler_class(monkeypatch):
 
 def test_diagnose_makes_few_gcds_on_a_known_answer_sum(monkeypatch):
     """Work-counting tripwire: the Euler class solve and the unit test of
-    one ``generic`` input stay within 27 ``poly_gcd`` calls."""
+    one ``generic`` input make no ``poly_gcd`` call (27 or fewer before the
+    solve cleared its denominators; the unit test's certificate is an
+    integer determinant).  One normalisation that needs a gcd shows that
+    the counter is wired."""
     algebra, _, _ = known_answer_sum(("base", "base", "quad"), random.Random(1507))
     calls = []
     poly_gcd = scalar.poly_gcd
@@ -561,7 +564,36 @@ def test_diagnose_makes_few_gcds_on_a_known_answer_sum(monkeypatch):
     monkeypatch.setattr(scalar, "poly_gcd", counting)
     monkeypatch.setattr(frobenius, "poly_gcd", counting)
     assert algebra.diagnose().semisimple
-    assert 0 < len(calls) <= 27
+    assert len(calls) == 0
+    assert (Q * Q - 1) / (Q - 1) == Q + 1 and len(calls) == 1
+
+
+def test_solves_take_the_pass_the_entries_call_for(monkeypatch, ig26):
+    """Dispatch pin: the Laurent-monomial gram matrices of G(2,4), G(3,6) and
+    IG(2,6) solve through ``_forward``, and a ``generic`` known-answer sum,
+    whose gram matrix has polynomial entries, through ``_bareiss``."""
+    passes = []
+    for name in ("_forward", "_bareiss"):
+        run = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name,
+                            lambda m, n, run=run, name=name: passes.append(name) or run(m, n))
+    solve, solved = linalg.solve, []
+
+    def spy(a, b):
+        start = len(passes)
+        x = solve(a, b)
+        solved.append(passes[start:])
+        return x
+
+    algebras = [GrassmannianRing(2, 4).to_frobenius(), GrassmannianRing(3, 6).to_frobenius(),
+                ig26, known_answer_sum(("base", "base", "quad"), random.Random(1507))[0]]
+    monkeypatch.setattr(linalg, "solve", spy)
+    used = []
+    for algebra in algebras:
+        solved.clear()
+        algebra.diagnose()
+        used.append(solved[:])
+    assert used == [[["_forward"]]] * 3 + [[["_bareiss"]]]
 
 
 # ---------------------------------------------------------------------------

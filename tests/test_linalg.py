@@ -1,14 +1,16 @@
 """Exact elimination in ``linalg`` against sympy on sparse matrices.
 
-``solve`` and ``det`` share one forward pass that skips the zero entries
-of each pivot row, and ``solve``'s back substitution skips them too; the
-gram and operator matrices they see are mostly zeros.  These properties
-check that skipping them changes no value, over Q and over Q(q), singular
-matrices and right-hand sides with zero rows and columns included.
+``solve`` and ``det`` run a field pass, ``_forward``, or Bareiss's
+fraction-free pass, ``_bareiss``, by a rule on the entries; both skip the
+zero entries of each row, and the gram and operator matrices they see are
+mostly zeros.  These properties check that skipping them changes no value,
+over Q and over Q(q), singular matrices and right-hand sides with zero rows
+and columns included, and that the two passes agree where either could run.
 Matrices of plain ``int``s must give the same exact values, never floats.
 """
 
 from fractions import Fraction
+from functools import partial
 
 import pytest
 import sympy
@@ -213,3 +215,78 @@ def test_solve_and_det_match_sympy_over_rational_functions(system):
             linalg.solve(a, b)
         return
     assert to_sympy(linalg.solve(a, b)).to_list() == ref.lu_solve(to_sympy(b)).to_list()
+
+
+# ---------------------------------------------------------------------------
+# the fraction-free pass against the field pass and sympy
+# ---------------------------------------------------------------------------
+
+def _through_forward(function, *args):
+    """``function(*args)`` with the dispatch rule forced onto ``_forward``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "_fraction_free", lambda rows: False)
+        return function(*args)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_function_systems().filter(
+    lambda system: linalg._fraction_free(system[0] + system[1])))
+@example(([[ONE + Q, Q], [ONE, ONE / (Q - 1)]], [[ONE + Q], [ZERO]]))
+def test_fraction_free_pass_matches_the_field_pass_and_sympy(system):
+    a, b = system
+    ref = to_sympy(a)
+    got = linalg.det(a)
+    assert got == _through_forward(linalg.det, a)
+    assert to_sympy([[got]]).to_list() == [[ref.det()]]
+    if not got:
+        for run in (linalg.solve, partial(_through_forward, linalg.solve)):
+            with pytest.raises(SingularMatrix):
+                run(a, b)
+        return
+    got = linalg.solve(a, b)
+    assert got == _through_forward(linalg.solve, a, b)
+    assert to_sympy(got).to_list() == ref.lu_solve(to_sympy(b)).to_list()
+
+
+DENSE_INTS = st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.lists(INTS, min_size=n, max_size=n), min_size=n, max_size=n))
+# after the first step the (1, 1) entry is 2 * 2 - 4 * 1 = 0, so the second
+# step swaps in the last row
+SWAP_AFTER_FIRST_STEP = [[2, 1, 0], [4, 2, 3], [1, 5, 7]]
+# rows 2 and 3 have a zero factor for two steps, then are brought up to date
+LATE_ROWS = [[3, 0, 1, 0], [1, 5, 0, 2], [0, 0, 4, 1], [0, 0, 2, 7]]
+SINGULAR_INTS = [[1, 2, 3], [2, 4, 6], [1, 0, 1]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(DENSE_INTS, sparse_matrices(INTS), sparse_matrices(INTS, True)))
+@example(SWAP_AFTER_FIRST_STEP)
+@example(LATE_ROWS)
+@example(SINGULAR_INTS)
+def test_integer_det_matches_sympy_and_stays_an_int(a):
+    got = linalg.det(a)
+    assert type(got) is int and got == sympy.Matrix(a).det()
+
+
+@pytest.mark.parametrize("a, zero", [
+    (SINGULAR_INTS, 0),
+    ([[ONE + Q, Q], [(ONE + Q) * Q, Q * Q]], ZERO),
+    ([[ONE / (Q - 1), Q], [Q, Q * Q * (Q - 1)]], ZERO),
+], ids=["int", "polynomial", "rational"])
+def test_singular_input_on_the_bareiss_paths(a, zero):
+    got = linalg.det(a)
+    assert got == zero and type(got) is type(zero)
+    for run in (linalg.solve, partial(_through_forward, linalg.solve)):
+        with pytest.raises(SingularMatrix):
+            run(a, [[x] for x in a[0]])
+
+
+def test_the_bareiss_paths_leave_their_arguments_alone():
+    for a, b in ((LATE_ROWS, [[1], [0], [2], [3]]),
+                 ([[ONE + Q, Q], [ONE, ONE / (Q - 1)]], [[ONE + Q], [Q * Q - 1]])):
+        a_copy, b_copy = [row[:] for row in a], [row[:] for row in b]
+        rows = list(a)
+        linalg.det(a)
+        linalg.solve(a, b)
+        assert (a, b) == (a_copy, b_copy)
+        assert all(x is y for x, y in zip(rows, a))

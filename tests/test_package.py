@@ -120,6 +120,44 @@ def test_every_module_reads_each_of_its_imports():
     assert unread == []
 
 
+def _module_level_imports(source):
+    """The import statements that run when a module is imported: every one
+    outside a function body."""
+    stack = list(ast.parse(source).body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _imports_beyond_stdlib_and_errors(source):
+    found = []
+    for node in _module_level_imports(source):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            allowed = node.module == "errors"
+        else:
+            names = [node.module] if isinstance(node, ast.ImportFrom) else \
+                [alias.name for alias in node.names]
+            allowed = all(name.partition(".")[0] in sys.stdlib_module_names for name in names)
+        if not allowed:
+            found.append(ast.unparse(node))
+    return found
+
+
+def test_linalg_imports_only_the_stdlib_and_errors():
+    """Every command imports ``linalg``, so what it imports at module level
+    every process pays for; the fraction-free branch imports ``scalar`` in
+    the function that needs it."""
+    source = (SRC / "qeuler" / "linalg.py").read_text(encoding="utf-8")
+    assert _imports_beyond_stdlib_and_errors(source) == []
+    assert sorted(_imports_beyond_stdlib_and_errors(
+        "from . import scalar\nif True:\n    from .scalar import Q\nimport sympy\n"
+        "def f():\n    from .scalar import Q\n")) == [
+        "from . import scalar", "from .scalar import Q", "import sympy"]
+
+
 def test_no_assert_and_no_float_literal_in_the_package():
     """``python -O`` strips asserts, so invariants are real checks; and all
     arithmetic is exact, so no float (or complex) literal appears."""

@@ -282,6 +282,21 @@ def test_repeated_parabolic_indices_rejected():
         rg.make_orbit_spec("A", 2, (1, 1), (1, 1, -2))
 
 
+@pytest.mark.parametrize("parabolic, message", [
+    ((5,), "parabolic index 5 out of range 1..3"),
+    ((0, 2), "parabolic index 0 out of range 1..3"),
+    ((1, 1), "parabolic indices (1, 1) repeat"),
+])
+def test_monotone_weight_checks_parabolic_indices_as_orbit_spec_does(parabolic, message):
+    """``monotone_weight((5,))`` once gave the full-flag weight (3, 1, -1, -3)
+    and ``(1, 1)`` the weight of ``(1,)``."""
+    with pytest.raises(InvalidShape) as from_weight:
+        rg.monotone_weight("A", 3, parabolic)
+    with pytest.raises(InvalidShape) as from_spec:
+        rg.OrbitSpec(rg.build_root_system("A", 3), parabolic, (3, 1, -1, -3))
+    assert str(from_weight.value) == str(from_spec.value) == message
+
+
 def test_irregular_weights_rejected():
     with pytest.raises(NotRegular) as info:
         rg.make_orbit_spec("A", 2, (), (1, 1, 0))
