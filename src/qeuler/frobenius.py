@@ -8,11 +8,12 @@ class sum(e_i * e_i^dual), unit and nilpotency tests for elements, the
 semisimplicity / field-factor diagnosis, direct sums, an axiom validator
 (``qeuler.axioms``), and the bundled algebras, each Q(q)[x]/(x^m - c).
 
-Two yes/no questions first look for a cheap certificate and fall back to
-the exact proof only when it cannot decide: ``is_unit`` evaluates the
-multiplication operator at one rational point, and ``validate`` checks
-associativity against a generating set it finds there (Light's test)
-before it scans every basis triple.
+Three yes/no questions first look for a cheap certificate and fall back
+to the exact proof only when it cannot decide: ``is_unit`` and
+``is_nilpotent`` evaluate the multiplication operator at one rational
+point before one exact ``linalg.det`` or power over Q(q), and
+``validate`` checks associativity against a generating set it finds there
+(Light's test) before it scans every basis triple.
 
 Mirror rule: the constructor stores a product and its mirror as one
 object when the table gives only one order, and the gram matrix reads f
@@ -38,13 +39,12 @@ read again, and the mark that ``validate()`` sets; none changes a result.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import count, islice
+from itertools import count
 from typing import NamedTuple
 
 from . import linalg
 from .errors import DegeneratePairing, DivisionByZero, InputError, NotAUnit, UnknownLabel
-from .scalar import (ONE, ZERO, QPolynomial, RationalFunction, _join_terms, poly_gcd,
-                     render_scalar)
+from .scalar import ONE, ZERO, RationalFunction, _join_terms, render_scalar
 
 
 def _as_scalar(c) -> RationalFunction:
@@ -329,7 +329,8 @@ class FrobeniusAlgebra:
         if self._q0 is None:
             dens = [c.den for prod in self.structure_constants.values()
                     for c in prod.coeffs.values() if not c.is_polynomial()]
-            self._q0 = next(_regular_points(dens))
+            self._q0 = next(point for point in count(1)
+                            if all(den.evaluate(point) for den in dens))
         return self._q0
 
     def _operator_at_point(self, label):
@@ -375,12 +376,12 @@ class FrobeniusAlgebra:
         Certificate first: where neither the structure constants nor x has
         a pole, evaluation is a ring homomorphism, so a nonzero determinant
         at q0 proves a nonzero determinant over Q(q).  A zero there, or a
-        pole of x, leaves the decision to the exact test.
+        pole of x, leaves the decision to one exact ``linalg.det`` over Q(q).
         """
         at_point = self._matrix_at_point(x)
         if at_point is not None and linalg.det(at_point):
             return True
-        return not _poly_matrix_det_is_zero(self.operator_matrix(x))
+        return bool(linalg.det(self.operator_matrix(x)))
 
     def inverse(self, x: QuantumElement) -> QuantumElement:
         """Solve x * y = unit; raises NotAUnit when x is not invertible."""
@@ -393,8 +394,16 @@ class FrobeniusAlgebra:
         return QuantumElement({self.basis[i]: sol[i][0] for i in range(self.rank)})
 
     def is_nilpotent(self, x: QuantumElement) -> bool:
-        """True iff the multiplication operator to the rank-th power vanishes."""
-        return _poly_matrix_power_is_zero(self.operator_matrix(x), self.rank)
+        """True iff the multiplication operator to the rank-th power vanishes.
+
+        Certificate first, as in ``is_unit``: a power that is nonzero at q0
+        proves x not nilpotent.  A zero power there, or a pole of x, leaves
+        the decision to the same power over Q(q).
+        """
+        at_point = self._matrix_at_point(x)
+        if at_point is not None and not _power_is_zero(at_point, self.rank):
+            return False
+        return _power_is_zero(self.operator_matrix(x), self.rank)
 
     # -- diagnosis -----------------------------------------------------------
 
@@ -511,53 +520,15 @@ class FrobeniusAlgebra:
         return f"FrobeniusAlgebra({self.name or ''} rank={self.rank})"
 
 
-# ---------------------------------------------------------------------------
-# exact zero tests for matrices over Q(q)
-#
-# Both tests decide by evaluating m at enough integer points.  With L the
-# lcm of the denominators of m, L*m is a polynomial matrix whose entries
-# have degree at most maxdeg = max(deg num + deg L - deg den) over the
-# nonzero entries of m.  So a polynomial of degree d in the entries of m,
-# times L^d, is a polynomial in q of degree at most d*maxdeg, zero iff it
-# vanishes at d*maxdeg + 1 points.  The points skip the roots of L: there
-# L^d is a nonzero factor and every entry of m has a value.  This avoids
-# symbolic determinant blowup on rank-20 matrices.
-# ---------------------------------------------------------------------------
-
-def _regular_points(polys):
-    """The positive integers, in increasing order, that are a root of no
-    polynomial in ``polys``."""
-    return (point for point in count(1) if all(p.evaluate(point) for p in polys))
-
-
-def _evaluations(m, degree: int):
-    """Yield m at enough integer points, none a root of the lcm L of its
-    denominators, to decide whether a polynomial of ``degree`` in its
-    entries vanishes; nothing when every entry is zero."""
-    lcm = QPolynomial.constant(1)
-    for row in m:
-        for x in row:
-            if not x.is_polynomial():
-                extra, _ = divmod(x.den, poly_gcd(lcm, x.den))
-                lcm = lcm * extra
-    maxdeg = max((x.num.degree() + lcm.degree() - x.den.degree()
-                  for row in m for x in row if x), default=-1)
-    if maxdeg < 0:
-        return
-    for point in islice(_regular_points([lcm]), degree * maxdeg + 1):
-        yield [[x.evaluate(point) for x in row] for row in m]
-
-
-def _poly_matrix_det_is_zero(m) -> bool:
-    return bool(m) and not any(linalg.det(a) for a in _evaluations(m, len(m)))
-
-
-def _poly_matrix_power_is_zero(m, power: int) -> bool:
-    return all(_power_is_zero(a, power) for a in _evaluations(m, power))
-
-
 def _power_is_zero(a, power: int) -> bool:
-    # nilpotency index <= matrix size, so squaring past `power` suffices
+    """Whether a^power vanishes, by squaring: the nilpotency index is at
+    most the size of a, so squaring past ``power`` suffices.  Over Q(q), a
+    is first cleared by the lcm L of all its denominators, as (L a)^k =
+    L^k a^k, so that the products are polynomial and need no gcd."""
+    if a and isinstance(a[0][0], RationalFunction):
+        (entries,), _ = linalg._cleared([[x for row in a for x in row]])
+        n = len(a)
+        a = [[RationalFunction(x) for x in entries[i:i + n]] for i in range(0, n * n, n)]
     exponent = 1
     while exponent < power and not linalg.is_zero_matrix(a):
         a = linalg.mat_mul(a, a)

@@ -14,7 +14,9 @@ Laurent-monomial matrices such as the Schubert and IG(2,6) gram matrices
 included, takes the field pass ``_forward``.  A field step reduces each
 entry it touches by ``poly_gcd``, except that a quotient of two Laurent
 monomials needs none.  Both passes work only on the nonzero entries of the
-rows that a pivot reaches.
+rows that a pivot reaches.  ``det`` is also the package's one singularity
+test over Q(q): ``is_unit`` and ``validate`` ask it whether a matrix is
+invertible.
 """
 
 from fractions import Fraction

@@ -39,6 +39,26 @@ def modules_loaded_by(*argv):
     return set(names[names.index("qeuler"):])
 
 
+def source_lines(module):
+    """The number of lines in the source file of the qeuler ``module``."""
+    path = SRC.joinpath(*module.split("."))
+    path = path / "__init__.py" if path.is_dir() else path.with_suffix(".py")
+    return len(path.read_text(encoding="utf-8").splitlines())
+
+
+# A process compiles the source of every module it imports, so a command's
+# start-up grows with these lines; each budget is the count when it was set.
+@pytest.mark.parametrize("argv, budget", [
+    (("un-capacity", "--lambda", "3,1,0"), 1283),
+    (("orbit", "--family", "A", "--rank", "3", "--parabolic", "1,3", "chern"), 1283),
+    (("grassmannian", "-k", "2", "-n", "4", "diagnose"), 2234),
+    (("algebra", "--file", str(SRC / "qeuler" / "data" / "ig26.json"), "diagnose"), 2337),
+], ids=["un-capacity", "orbit-chern", "grassmannian-diagnose", "ig26-diagnose"])
+def test_each_command_loads_no_more_lines_than_its_budget(argv, budget):
+    loaded = modules_loaded_by(*argv)
+    assert sum(source_lines(m) for m in loaded if m.partition(".")[0] == "qeuler") <= budget
+
+
 NOT_FOR_ORBITS = {"qeuler.frobenius", "qeuler.grassmannian", "qeuler.presented",
                   "qeuler.scalar", "dataclasses"}
 
