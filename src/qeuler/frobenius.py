@@ -117,7 +117,7 @@ class QuantumElement:
     def __sub__(self, other):
         if not isinstance(other, QuantumElement):
             return NotImplemented
-        return self + (-other)
+        return QuantumElement([*self.coeffs.items(), *((l, -c) for l, c in other.coeffs.items())])
 
     def __neg__(self):
         return QuantumElement({l: -c for l, c in self.coeffs.items()})
@@ -526,7 +526,7 @@ def _power_is_zero(a, power: int) -> bool:
     is first cleared by the lcm L of all its denominators, as (L a)^k =
     L^k a^k, so that the products are polynomial and need no gcd."""
     if a and isinstance(a[0][0], RationalFunction):
-        (entries,), _ = linalg._cleared([[x for row in a for x in row]])
+        (entries,), _, _ = linalg._cleared([[x for row in a for x in row]])
         n = len(a)
         a = [[RationalFunction(x) for x in entries[i:i + n]] for i in range(0, n * n, n)]
     exponent = 1

@@ -1,26 +1,23 @@
-"""Dense exact linear algebra over any field-like elements.
+"""Dense exact linear algebra over Q and over Q(q).
 
-Matrices are lists of row lists.  Entries only need ``+ - * /``, truthiness
-(zero is falsy), and multiplication by plain ints, which both ``Fraction``
-and ``RationalFunction`` provide.  Plain ``int`` entries work too: an
-``int`` pivot is promoted to ``Fraction`` before anything is divided by
-it, so no result is ever a float.  ``solve`` and ``det`` take the first
-nonzero pivot of each column, in one of two passes by a fixed rule: where
-some entry is a ``RationalFunction`` with more than one term in its
-numerator or denominator, each row is cleared to Q[q] by the lcm of its
-denominators for ``_bareiss``, Bareiss's fraction-free pass (Math. Comp.
-22, 1968), which also takes ``det`` of plain ``int``s; everything else,
-Laurent-monomial matrices such as the Schubert and IG(2,6) gram matrices
-included, takes the field pass ``_forward``.  A field step reduces each
-entry it touches by ``poly_gcd``, except that a quotient of two Laurent
-monomials needs none.  Both passes work only on the nonzero entries of the
-rows that a pivot reaches.  ``det`` is also the package's one singularity
-test over Q(q): ``is_unit`` and ``validate`` ask it whether a matrix is
-invertible.
+Matrices are lists of row lists of ``int``, ``Fraction`` or
+``RationalFunction`` entries; no result is ever a float.  ``solve`` and
+``det`` run one elimination, ``_bareiss``, Bareiss's fraction-free pass
+(Math. Comp. 22, 1968), on rows first cleared of their denominators by one
+of two routes: where some entry is a ``RationalFunction``, each row is
+multiplied by the lcm of its denominators into Q[q]; otherwise by the lcm
+of its ``int``/``Fraction`` denominators into Z, and ``det`` of plain
+``int``s needs no clearing at all.  ``solve`` divides its results back by
+the last pivot, ``det`` by the product of the lcms, as ``RationalFunction``
+over Q(q) and ``Fraction`` over Q.  The pass takes the first nonzero pivot
+of each column and works only on the nonzero entries of the rows that a
+pivot reaches.  ``det`` is also the package's
+one singularity test over Q(q): ``is_unit`` and ``validate`` ask it whether
+a matrix is invertible.
 """
 
+import math
 from fractions import Fraction
-from math import prod
 
 from .errors import ComputeError, InvalidShape, SingularMatrix
 
@@ -49,23 +46,6 @@ def is_zero_matrix(a):
     return all(not x for row in a for x in row)
 
 
-def _exact(pivot):
-    """``pivot`` as a divisor that divides exactly: ``int / int`` is a float."""
-    return Fraction(pivot) if isinstance(pivot, int) else pivot
-
-
-def _clear(rows, col, row, support):
-    """From each of ``rows``, subtract ``row`` times that row's entry in column
-    ``col``, over the columns in ``support`` only; column ``col`` is left as is."""
-    if not support:
-        return
-    for other in rows:
-        factor = other[col]
-        if factor:
-            for j in support:
-                other[j] = other[j] - factor * row[j]
-
-
 def _order(a):
     """n for an n x n matrix ``a``; ``InvalidShape`` for any other shape."""
     n, widths = len(a), sorted({len(row) for row in a})
@@ -73,32 +53,6 @@ def _order(a):
         raise InvalidShape(f"need an n x n matrix, got {n} rows of length "
                            + "/".join(map(str, widths)))
     return n
-
-
-def _forward(m, n):
-    """Reduce the first ``n`` columns of ``m`` in place, top down: each column
-    takes the first nonzero pivot at or below the diagonal, divides the pivot
-    row's later nonzero entries by it and clears the rows below only.
-
-    Returns the pivots, one per column until a column has none, and the sign
-    of the row swaps."""
-    pivots, sign = [], 1
-    for col in range(n):
-        pivot = next((r for r in range(col, len(m)) if m[r][col]), None)
-        if pivot is None:
-            break
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            sign = -sign
-        row = m[col]
-        p = _exact(row[col])
-        pivots.append(p)
-        # zero entries of the pivot row stay zero and change no other row
-        support = [j for j in range(col + 1, len(row)) if row[j]]
-        for j in support:
-            row[j] = row[j] / p
-        _clear(m[col + 1:], col, row, support)
-    return pivots, sign
 
 
 def _quotient(x, d):
@@ -116,10 +70,11 @@ def _rescale(row, start, new, old):
 
 
 def _bareiss(rows, n):
-    """Bareiss's pass over ``int`` or ``QPolynomial``, in place; returns
-    what ``_forward`` returns.  Each row below the pivot p becomes (p * row
-    - factor * pivot row) / previous pivot, exactly, so the last pivot is
-    the determinant up to sign.  A row with factor 0 would only be rescaled
+    """Bareiss's pass over ``int`` or ``QPolynomial``, in place; returns the
+    pivots, one per column until a column has none, and the sign of the row
+    swaps.  Each row below the pivot p becomes (p * row - factor * pivot
+    row) / previous pivot, exactly, so the last pivot is the determinant up
+    to sign.  A row with factor 0 would only be rescaled
     by p / previous pivot; the rescalings telescope, so it takes them at
     once when a step next reaches it."""
     one = rows[0][0] ** 0 if rows else 1  # the ring's 1
@@ -154,44 +109,50 @@ def _bareiss(rows, n):
     return pivots, sign
 
 
-def _fraction_free(rows):
-    """The module's rule.  A loop, not ``any``: twice as fast on a gram
-    matrix."""
-    for row in rows:
-        for x in row:
-            if hasattr(x, "num") and len(x.num.terms) + len(x.den.terms) > 2:
-                return True
-    return False
-
-
 def _cleared(rows):
-    """Q(q) rows, each times the lcm of its denominators, as ``QPolynomial``
-    rows, and the product of the lcms."""
-    from .scalar import QPolynomial, RationalFunction, poly_gcd
+    """``rows``, each times the lcm of its denominators, with the product of
+    the lcms and the type a result is divided back in: ``QPolynomial`` rows
+    and ``RationalFunction`` where some entry is a ``RationalFunction``,
+    else ``int`` rows and ``Fraction``."""
+    if all(isinstance(x, (int, Fraction)) for row in rows for x in row):
+        cleared, scale = [], 1
+        for row in rows:
+            lcm = math.lcm(*(x.denominator for x in row))
+            cleared.append([x.numerator * (lcm // x.denominator) for x in row])
+            scale *= lcm
+        return cleared, scale, Fraction
+    from .scalar import RationalFunction, poly_gcd
 
     cleared, scale = [], 1
     for row in rows:
         row = [x if isinstance(x, RationalFunction) else RationalFunction(x) for x in row]
-        lcm = QPolynomial.constant(1)
-        for x in row:
-            if not x.is_polynomial():
-                lcm = lcm * _quotient(x.den, poly_gcd(lcm, x.den))
-        cleared.append([x.num * _quotient(lcm, x.den) for x in row] if lcm.degree()
-                       else [x.num for x in row])
-        scale = scale * lcm
-    return cleared, scale
+        dens = [x.den for x in row if not x.is_polynomial()]
+        if not dens:
+            cleared.append([x.num for x in row])
+            continue
+        lcm = dens[0]
+        for den in dens[1:]:
+            lcm = lcm * _quotient(den, poly_gcd(lcm, den))
+        cleared.append([x.num * _quotient(lcm, x.den) for x in row])
+        scale *= lcm
+    return cleared, scale, RationalFunction
 
 
-def _solve_fraction_free(aug, n):
-    """With D the last pivot, D * X is a polynomial matrix; back substitution
-    finds it as (D * b'_i - sum_{j > i} U_ij * X_j) / U_ii, exactly."""
-    from .scalar import RationalFunction
-
-    m, _ = _cleared(aug)
+def solve(a, b):
+    """Solve A X = B for X (``b`` has one column per right-hand side).
+    With D the last pivot of ``_bareiss`` on the cleared [A | B], D * X is
+    an ``int`` or polynomial matrix; back substitution finds it as
+    (D * b'_i - sum_{j > i} U_ij * X_j) / U_ii, exactly, over the nonzero
+    entries of each pivot row.  Raises ``InvalidShape`` unless A is n x n
+    and B has n rows, and ``SingularMatrix`` when A is not invertible."""
+    n = _order(a)
+    if len(b) != n:
+        raise InvalidShape(f"the right-hand side has {len(b)} rows, the matrix is {n}x{n}")
+    m, _, field = _cleared([list(a[i]) + list(b[i]) for i in range(n)])
     pivots, _ = _bareiss(m, n)
     if len(pivots) < n:
         raise SingularMatrix(f"no pivot in column {len(pivots)}")
-    d, sol = pivots[-1], [None] * n
+    d, sol = (pivots[-1] if n else 1), [None] * n
     one = d ** 0
     for i in reversed(range(n)):
         row = m[i]
@@ -203,52 +164,24 @@ def _solve_fraction_free(aug, n):
                 if sol[j][c]:
                     acc = acc - row[j] * sol[j][c]
             values[c] = _quotient(acc, row[i]) if divide and acc else acc
-    return [[RationalFunction(x, d) for x in values] for values in sol]
-
-
-def solve(a, b):
-    """Solve A X = B for X (``b`` has one column per right-hand side): a
-    forward pass on [A | B] by the module's rule, then back substitution
-    over the right-hand-side columns nonzero in each pivot row.  Raises
-    ``InvalidShape`` unless A is n x n and B has n rows, and
-    ``SingularMatrix`` when A is not invertible."""
-    n = _order(a)
-    if len(b) != n:
-        raise InvalidShape(f"the right-hand side has {len(b)} rows, the matrix is {n}x{n}")
-    aug = [list(a[i]) + list(b[i]) for i in range(n)]
-    if _fraction_free(aug):
-        return _solve_fraction_free(aug, n)
-    pivots, _ = _forward(aug, n)
-    if len(pivots) < n:
-        raise SingularMatrix(f"no pivot in column {len(pivots)}")
-    for col in reversed(range(n)):
-        row = aug[col]
-        _clear(aug[:col], col, row, [j for j in range(n, len(row)) if row[j]])
-    return [row[n:] for row in aug]
+    return [[field(x, d) for x in values] for values in sol]
 
 
 def det(a):
-    """Determinant: the signed last pivot of ``_bareiss`` or the signed
-    product of ``_forward``'s pivots, by the module's rule, over the lcms
-    that cleared the rows; A must be n x n (``InvalidShape`` otherwise)."""
+    """Determinant: the signed last pivot of ``_bareiss`` over the product of
+    the lcms that cleared the rows, an ``int`` for a matrix of ``int``s (no
+    clearing), and 0 of the entries' type when A is singular; A must be
+    n x n (``InvalidShape`` otherwise)."""
     n = _order(a)
-    rows = [list(row) for row in a]
-    if n and all(type(x) is int for row in rows for x in row):
-        pivots, sign = _bareiss(rows, n)
-        if len(pivots) == n:
-            return sign * pivots[-1]
-    elif _fraction_free(rows):
-        from .scalar import RationalFunction
-
-        rows, scale = _cleared(rows)
-        pivots, sign = _bareiss(rows, n)
-        if len(pivots) == n:
-            return RationalFunction(sign * pivots[-1], scale)
+    if all(type(x) is int for row in a for x in row):
+        rows, scale, field = [list(row) for row in a], 1, None
     else:
-        pivots, sign = _forward(rows, n)
-        if len(pivots) == n:
-            return prod(pivots, start=sign)
-    return 0 * a[0][0]
+        rows, scale, field = _cleared(a)
+    pivots, sign = _bareiss(rows, n)
+    if len(pivots) < n:
+        return 0 * a[0][0]
+    d = sign * pivots[-1] if n else 1
+    return field(d, scale) if field else d
 
 
 def identity(n, one, zero):

@@ -139,7 +139,7 @@ class QPolynomial:
     def __sub__(self, other):
         if not isinstance(other, QPolynomial):
             return NotImplemented
-        return self + (-other)
+        return QPolynomial([*self.terms.items(), *((e, -c) for e, c in other.terms.items())])
 
     def __neg__(self):
         return QPolynomial({e: -c for e, c in self.terms.items()})

@@ -442,6 +442,7 @@ def test_coefficients_are_int_or_proper_fraction(tree, a, b):
         pass
     for p in polys:
         _assert_exact_coefficients(p)
+    assert a - b == a + (-b)
 
 
 @given(st.integers(-10**6, 10**6), st.integers(0, 5))
