@@ -58,10 +58,11 @@ def _as_scalar(c) -> RationalFunction:
 class QuantumElement:
     """Finitely supported map from basis labels to nonzero Q(q) scalars.
 
-    The constructor is the one place where terms merge: it takes a dict or
-    any iterable of ``(label, coefficient)`` pairs, adds the coefficients
-    of each label and drops the zero sums.  Supports addition,
-    subtraction, negation, and scalar multiplication.
+    The constructor is the entry point for outside data: it takes a dict
+    or any iterable of ``(label, coefficient)`` pairs, adds the coefficients
+    of each label and drops the zero sums.  ``FrobeniusAlgebra.multiply``
+    sums its terms itself and stores them through ``_from_canonical``.
+    Supports addition, subtraction, negation, and scalar multiplication.
     Products live on the owning algebra, which knows the structure
     constants.
     """
@@ -227,15 +228,17 @@ class FrobeniusAlgebra:
     # -- ring operations ----------------------------------------------------
 
     def multiply(self, x: QuantumElement, y: QuantumElement) -> QuantumElement:
-        """Bilinear extension of the structure constants."""
-        terms = []
+        """Bilinear extension of the structure constants: each output label's
+        terms are added as they come, and the zero sums dropped at the end."""
+        coeffs = {}
         for a, ca in x.items():
             self._check_label(a)
             for b, cb in y.items():
                 self._check_label(b)
                 c = ca * cb
-                terms += [(l, c * cl) for l, cl in self.structure_constants[(a, b)].items()]
-        return QuantumElement(terms)
+                for l, cl in self.structure_constants[(a, b)].items():
+                    coeffs[l] = coeffs[l] + c * cl if l in coeffs else c * cl
+        return QuantumElement._from_canonical({l: c for l, c in coeffs.items() if c})
 
     def f(self, x: QuantumElement) -> RationalFunction:
         """The Frobenius functional, extended linearly."""
@@ -312,13 +315,8 @@ class FrobeniusAlgebra:
 
     def operator_matrix(self, x: QuantumElement):
         """Matrix of y -> x * y on the basis (column j = x * e_j)."""
-        cols = []
-        for b in self.basis:
-            cols.append(self.multiply(x, QuantumElement.basis(b)))
-        return [
-            [col.coefficient(a) for col in cols]
-            for a in self.basis
-        ]
+        cols = [self.multiply(x, QuantumElement.basis(b)) for b in self.basis]
+        return [[col.coefficient(a) for col in cols] for a in self.basis]
 
     def trace_of_multiplication(self, x: QuantumElement) -> RationalFunction:
         return linalg.trace(self.operator_matrix(x))

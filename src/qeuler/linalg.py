@@ -5,15 +5,15 @@ Matrices are lists of row lists of ``int``, ``Fraction`` or
 ``det`` run one elimination, ``_bareiss``, Bareiss's fraction-free pass
 (Math. Comp. 22, 1968), on rows first cleared of their denominators by one
 of two routes: where some entry is a ``RationalFunction``, each row is
-multiplied by the lcm of its denominators into Q[q]; otherwise by the lcm
-of its ``int``/``Fraction`` denominators into Z, and ``det`` of plain
-``int``s needs no clearing at all.  ``solve`` divides its results back by
-the last pivot, ``det`` by the product of the lcms, as ``RationalFunction``
-over Q(q) and ``Fraction`` over Q.  The pass takes the first nonzero pivot
-of each column and works only on the nonzero entries of the rows that a
-pivot reaches.  ``det`` is also the package's
-one singularity test over Q(q): ``is_unit`` and ``validate`` ask it whether
-a matrix is invertible.
+multiplied by the lcm of its denominators into Q[q]; otherwise by the lcm of
+its ``int``/``Fraction`` denominators into Z, and ``det`` of plain ``int``s
+needs no clearing at all.  ``solve`` divides its results back by a last
+pivot other than 1, ``det`` by the product of the lcms, as
+``RationalFunction`` over Q(q) and ``Fraction`` over Q.  The pass takes the
+first nonzero pivot of each column and works only on the nonzero entries of
+the rows that a pivot reaches.  ``det`` is also the package's one
+singularity test over Q(q): ``is_unit`` and ``validate`` ask it whether a
+matrix is invertible.
 """
 
 import math
@@ -113,9 +113,10 @@ def _cleared(rows):
     """``rows``, each times the lcm of its denominators, with the product of
     the lcms and the type a result is divided back in: ``QPolynomial`` rows
     and ``RationalFunction`` where some entry is a ``RationalFunction``,
-    else ``int`` rows and ``Fraction``."""
+    else ``int`` rows and ``Fraction``.  Over Q(q) one walk coerces, takes
+    numerators and grows the lcm; a row with a denominator is walked again."""
+    cleared, scale = [], 1
     if all(isinstance(x, (int, Fraction)) for row in rows for x in row):
-        cleared, scale = [], 1
         for row in rows:
             lcm = math.lcm(*(x.denominator for x in row))
             cleared.append([x.numerator * (lcm // x.denominator) for x in row])
@@ -123,18 +124,18 @@ def _cleared(rows):
         return cleared, scale, Fraction
     from .scalar import RationalFunction, poly_gcd
 
-    cleared, scale = [], 1
     for row in rows:
-        row = [x if isinstance(x, RationalFunction) else RationalFunction(x) for x in row]
-        dens = [x.den for x in row if not x.is_polynomial()]
-        if not dens:
-            cleared.append([x.num for x in row])
-            continue
-        lcm = dens[0]
-        for den in dens[1:]:
-            lcm = lcm * _quotient(den, poly_gcd(lcm, den))
-        cleared.append([x.num * _quotient(lcm, x.den) for x in row])
-        scale *= lcm
+        nums, dens, lcm = [], [], None
+        for x in row:
+            x = x if isinstance(x, RationalFunction) else RationalFunction(x)
+            nums.append(x.num)
+            dens.append(x.den)
+            if not x.is_polynomial():
+                lcm = x.den if lcm is None else lcm * _quotient(x.den, poly_gcd(lcm, x.den))
+        if lcm is not None:
+            nums = [num * _quotient(lcm, den) if num else num for num, den in zip(nums, dens)]
+            scale *= lcm
+        cleared.append(nums)
     return cleared, scale, RationalFunction
 
 
@@ -164,6 +165,7 @@ def solve(a, b):
                 if sol[j][c]:
                     acc = acc - row[j] * sol[j][c]
             values[c] = _quotient(acc, row[i]) if divide and acc else acc
+    d = None if d == one else d  # a last pivot of 1 divides nothing
     return [[field(x, d) for x in values] for values in sol]
 
 
@@ -173,10 +175,8 @@ def det(a):
     clearing), and 0 of the entries' type when A is singular; A must be
     n x n (``InvalidShape`` otherwise)."""
     n = _order(a)
-    if all(type(x) is int for row in a for x in row):
-        rows, scale, field = [list(row) for row in a], 1, None
-    else:
-        rows, scale, field = _cleared(a)
+    ints = all(type(x) is int for row in a for x in row)
+    rows, scale, field = ([list(row) for row in a], 1, None) if ints else _cleared(a)
     pivots, sign = _bareiss(rows, n)
     if len(pivots) < n:
         return 0 * a[0][0]

@@ -6,7 +6,8 @@ otherwise.  Values are immutable and kept in a unique canonical form
 (numerator and denominator coprime, denominator monic), so ``==`` is value
 equality and instances are safe to share between threads.  When the
 numerator or the denominator is a single term the gcd is a power of q, so
-the common Laurent case needs no Euclidean algorithm.
+the common Laurent case needs no Euclidean algorithm.  Polynomial
+arithmetic merges terms in one pass of ``_merged`` into a canonical dict.
 
 One recursive-descent parser reads two grammars: scalars (``parse_scalar``)
 and the defining expressions of presented data files (``parse_expression``,
@@ -56,49 +57,56 @@ def _div(a, b):
     return _coeff(Fraction(a, b))
 
 
+def _merged(terms, items):
+    """A ``QPolynomial`` that stores ``terms``, a canonical term dict, after
+    adding each ``(exponent, coefficient)`` pair of ``items`` into it in
+    place.  Only the sums are normalised: an integral ``Fraction`` becomes
+    an ``int`` and a zero sum is dropped."""
+    for exp, c in items:
+        if exp in terms:
+            c += terms[exp]
+            if not c:
+                del terms[exp]
+                continue
+        if c:
+            terms[exp] = c if type(c) is int or c.denominator != 1 else c.numerator
+    poly = object.__new__(QPolynomial)
+    object.__setattr__(poly, "terms", terms)
+    return poly
+
+
 class QPolynomial:
     """Sparse polynomial in q: finitely supported map exponent -> coefficient.
 
     Coefficients are ``int`` when integral and ``Fraction`` otherwise.  Zero
     coefficients are never stored; the zero polynomial has an empty term
-    map.  Exponents are nonnegative integers.  The constructor is the one
-    place where terms merge: it takes a dict or any iterable of
-    ``(exponent, coefficient)`` pairs, sums the pairs of each exponent and
-    drops the zero sums.
+    map.  Exponents are nonnegative integers.  The constructor is the entry
+    point for outside data: it takes a dict or any iterable of ``(exponent,
+    coefficient)`` pairs, checks each, then sums them in ``_merged``, which
+    arithmetic also uses, and which drops the zero sums.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        if terms is None or isinstance(terms, dict):
-            sums = terms or {}
-        else:
-            sums = {}
-            for exp, c in terms:
-                sums[exp] = sums[exp] + c if exp in sums else c
-        tidy = {}
-        for exp, c in sums.items():
-            if exp < 0:
-                raise ValueError("polynomial exponents must be >= 0")
-            # every sum goes through _coeff, so a float is refused even
-            # when it cancels
-            c = _coeff(c)
-            if c:
-                tidy[exp] = c
-        object.__setattr__(self, "terms", tidy)
+        pairs = [(exp, _coeff(c))
+                 for exp, c in (terms.items() if isinstance(terms, dict) else terms or ())]
+        if any(exp < 0 for exp, _ in pairs):
+            raise ValueError("polynomial exponents must be >= 0")
+        # every coefficient goes through _coeff, so a float is refused even
+        # when it cancels
+        object.__setattr__(self, "terms", _merged({}, pairs).terms)
 
     def __setattr__(self, name, value):
         raise AttributeError("QPolynomial is immutable")
 
     @classmethod
     def constant(cls, c):
-        c = _coeff(c)
-        return cls({0: c} if c else {})
+        return cls({0: c})
 
     @classmethod
     def monomial(cls, c, exp):
-        c = _coeff(c)
-        return cls({exp: c} if c else {})
+        return cls({exp: c})
 
     def is_zero(self):
         return not self.terms
@@ -112,7 +120,7 @@ class QPolynomial:
 
     def shift(self, k: int) -> "QPolynomial":
         """Multiply by q**k; every exponent must stay nonnegative."""
-        return QPolynomial({e + k: c for e, c in self.terms.items()}) if k else self
+        return _merged({e + k: c for e, c in self.terms.items()}, ()) if k else self
 
     def monic(self) -> "QPolynomial":
         """Scale so the leading coefficient is 1; zero stays zero."""
@@ -121,7 +129,7 @@ class QPolynomial:
         lead = self.leading_coefficient()
         if lead == 1:
             return self
-        return QPolynomial({e: _div(c, lead) for e, c in self.terms.items()})
+        return _merged({e: _div(c, lead) for e, c in self.terms.items()}, ())
 
     def evaluate(self, point):
         """The exact value at a rational point: an ``int`` for integer
@@ -134,34 +142,30 @@ class QPolynomial:
     def __add__(self, other):
         if not isinstance(other, QPolynomial):
             return NotImplemented
-        return QPolynomial([*self.terms.items(), *other.terms.items()])
+        return _merged(dict(self.terms), other.terms.items())
 
     def __sub__(self, other):
         if not isinstance(other, QPolynomial):
             return NotImplemented
-        return QPolynomial([*self.terms.items(), *((e, -c) for e, c in other.terms.items())])
+        return _merged(dict(self.terms), ((e, -c) for e, c in other.terms.items()))
 
     def __neg__(self):
-        return QPolynomial({e: -c for e, c in self.terms.items()})
+        return _merged({e: -c for e, c in self.terms.items()}, ())
 
     def __mul__(self, other):
         if isinstance(other, QPolynomial):
-            return QPolynomial([(e1 + e2, c1 * c2) for e1, c1 in self.terms.items()
-                                for e2, c2 in other.terms.items()])
+            return _merged({}, ((e1 + e2, c1 * c2) for e1, c1 in self.terms.items()
+                                for e2, c2 in other.terms.items()))
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        c = _coeff(other)
-        if not c:
-            return QPolynomial()
-        return QPolynomial({e: k * c for e, k in self.terms.items()})
+        return _merged({}, ((e, k * other) for e, k in self.terms.items()))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("use RationalFunction for negative powers")
-        result = QPolynomial.constant(1)
-        base = self
+        result, base = _P_ONE, self
         while n:
             if n & 1:
                 result = result * base
@@ -183,14 +187,8 @@ class QPolynomial:
             e = max(rem)
             factor = _div(rem[e], clead)
             quot[e - dlead] = factor
-            for e2, c2 in other.terms.items():
-                t = e - dlead + e2
-                s = rem.get(t, 0) - factor * c2
-                if s:
-                    rem[t] = s
-                elif t in rem:
-                    del rem[t]
-        return QPolynomial(quot), QPolynomial(rem)
+            _merged(rem, ((e - dlead + e2, -factor * c2) for e2, c2 in other.terms.items()))
+        return _merged(quot, ()), _merged(rem, ())
 
     def __eq__(self, other):
         return isinstance(other, QPolynomial) and self.terms == other.terms

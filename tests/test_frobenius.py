@@ -572,6 +572,66 @@ def test_diagnose_makes_few_gcds_on_a_known_answer_sum(monkeypatch):
     assert (Q * Q - 1) / (Q - 1) == Q + 1 and len(calls) == 1
 
 
+def test_known_answer_sum_makes_no_polynomial_constructor_call(monkeypatch):
+    """Work-counting tripwire: polynomial arithmetic stores its canonical
+    results through ``scalar._merged``, so ``change_basis`` and ``diagnose``
+    of Q(q) + Q(q)[x]/(x^2 - q) make no ``QPolynomial`` constructor call
+    (255 when every sum and product went through the constructor again).
+    One ``RationalFunction`` of an ``int`` shows that the counter is wired."""
+    algebra = direct_sum(base_field(), quadratic_extension(Q))
+    p = unimodular(algebra.rank, random.Random(1507))
+    calls = []
+    init = scalar.QPolynomial.__init__
+    monkeypatch.setattr(scalar.QPolynomial, "__init__",
+                        lambda self, terms=None: calls.append(1) or init(self, terms))
+    report = change_basis(algebra, p).diagnose()
+    assert report.semisimple and report.field_factor
+    assert len(calls) == 0
+    assert RationalFunction(3).num.terms == {0: 3} and len(calls) == 1
+
+
+def _multiply_by_the_constructor(algebra, x, y):
+    """The route ``multiply`` took before: every term of the product in one
+    list, merged by the ``QuantumElement`` constructor."""
+    return QuantumElement([(l, ca * cb * cl) for a, ca in x.items() for b, cb in y.items()
+                           for l, cl in algebra.structure_constants[(a, b)].items()])
+
+
+_BLOCKS = {"base": base_field, "quad": lambda: quadratic_extension(Q),
+           "dual": dual_numbers, "chain2": lambda: nilpotent_chain(2),
+           "chain3": lambda: nilpotent_chain(3)}
+_COEFFS = [ZERO, ONE, -ONE, 2 * Q, Q - 1, parse_scalar("1/2"), parse_scalar("q^-1"),
+           parse_scalar("(1 + q)/(1 - 2*q)")]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.sampled_from(sorted(_BLOCKS)), min_size=1, max_size=3),
+       st.booleans(), st.randoms(use_true_random=False))
+def test_multiply_matches_the_constructor_merge(kinds, moved, rng):
+    """``multiply`` adds each label's terms as it goes and stores the sums
+    directly; on the bundled algebras, their direct sums and those sums
+    moved by a unimodular change of basis it equals the constructor's merge
+    of all the terms, and keeps no zero coefficient."""
+    algebra = _BLOCKS[kinds[0]]()
+    for kind in kinds[1:]:
+        algebra = direct_sum(algebra, _BLOCKS[kind]())
+    if moved:
+        algebra = change_basis(algebra, unimodular(algebra.rank, rng))
+    x, y = (QuantumElement({l: rng.choice(_COEFFS) for l in algebra.basis}) for _ in "xy")
+    product = algebra.multiply(x, y)
+    assert product == _multiply_by_the_constructor(algebra, x, y)
+    assert all(isinstance(c, RationalFunction) and c for c in product.coeffs.values())
+
+
+def test_multiply_drops_a_label_whose_partial_sums_cancel():
+    # (1 + e)(1 - e) = 1 in K[e]/(e^2): the e terms are -1, then +1
+    algebra = dual_numbers()
+    x, y = QuantumElement({"1": ONE, "e": ONE}), QuantumElement({"1": ONE, "e": -ONE})
+    assert _multiply_by_the_constructor(algebra, x, y).coeffs == {"1": ONE}
+    assert algebra.multiply(x, y).coeffs == {"1": ONE}
+    assert algebra.multiply(x, x).coeffs == {"1": ONE, "e": 2 * ONE}
+
+
 def test_each_solve_in_diagnose_runs_one_bareiss(monkeypatch, ig26):
     """Tripwire: ``linalg`` has one elimination, so the one ``solve`` in
     ``diagnose()`` of G(2,4), G(3,6), IG(2,6) and of a ``generic``

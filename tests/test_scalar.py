@@ -445,6 +445,47 @@ def test_coefficients_are_int_or_proper_fraction(tree, a, b):
     assert a - b == a + (-b)
 
 
+# halves and thirds, so that sums such as 1/2 + 1/2 turn integral and sums
+# such as 1/2 - 1/2 cancel
+_halves = st.one_of(st.integers(-3, 3),
+                    st.builds(Fraction, st.integers(-3, 3), st.sampled_from([2, 3])))
+_half_polys = st.dictionaries(st.integers(0, 3), _halves, max_size=4).map(QPolynomial)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_half_polys, _half_polys, _halves)
+@example(QPolynomial({0: Fraction(1, 2)}), QPolynomial({0: Fraction(1, 2)}), Fraction(2))
+@example(QPolynomial({1: Fraction(1, 2), 0: 1}), QPolynomial({1: Fraction(-1, 2)}), 0)
+def test_arithmetic_builds_the_constructors_canonical_terms(a, b, k):
+    """Arithmetic merges in one pass, without a second trip through the
+    constructor: each result of ``+``, ``-``, ``*``, negation, scaling and
+    ``divmod`` holds the terms that the constructor would give it, each
+    coefficient an ``int`` when integral, and no zero."""
+    results = [("+", a + b, _ref_add(a.terms, b.terms)),
+               ("-", a - b, _ref_add(a.terms, b.terms, -1)),
+               ("*", a * b, _ref_mul(a.terms, b.terms)),
+               ("neg", -a, _ref_add({}, a.terms, -1)),
+               ("scale", a * k, {e: c * k for e, c in a.terms.items() if c * k})]
+    if b:
+        results += zip(("quot", "rem"), divmod(a, b), _ref_divmod(a.terms, b.terms))
+    for op, result, want in results:
+        assert result.terms == QPolynomial(result.terms).terms, op
+        assert result.terms == want, op
+        for c in result.terms.values():
+            assert c and type(c) is (int if Fraction(c).denominator == 1 else Fraction), op
+
+
+@given(st.integers(0, 3), st.integers(-3, -1),
+       st.floats(allow_nan=False, allow_infinity=False, min_value=-8, max_value=8))
+def test_constructor_refuses_cancelling_floats_and_negative_exponents(e, neg, x):
+    with pytest.raises(TypeError):
+        QPolynomial([(e, x), (e, -x)])
+    with pytest.raises(ValueError):
+        QPolynomial([(neg, 1), (neg, -1)])
+    with pytest.raises(ValueError):
+        QPolynomial({e: 1, neg: Fraction(1, 2)})
+
+
 @given(st.integers(-10**6, 10**6), st.integers(0, 5))
 @example(2, 0)
 def test_integral_fraction_equals_int(n, e):
