@@ -8,12 +8,12 @@ class sum(e_i * e_i^dual), unit and nilpotency tests for elements, the
 semisimplicity / field-factor diagnosis, direct sums, an axiom validator
 (``qeuler.axioms``), and the bundled algebras, each Q(q)[x]/(x^m - c).
 
-Three yes/no questions first look for a cheap certificate and fall back
-to the exact proof only when it cannot decide: ``is_unit`` and
-``is_nilpotent`` evaluate the multiplication operator at one rational
-point before one exact ``linalg.det`` or power over Q(q), and
-``validate`` checks associativity against a generating set it finds there
-(Light's test) before it scans every basis triple.
+Two yes/no questions first look for a cheap certificate and fall back
+to the exact proof only when it cannot decide: ``is_unit`` evaluates the
+multiplication operator at one rational point before one exact
+``linalg.det`` over Q(q), and ``validate`` checks associativity against a
+generating set it finds there (Light's test) before it scans every basis
+triple.  ``is_nilpotent`` takes one exact power over Q(q).
 
 Mirror rule: the constructor stores a product and its mirror as one
 object when the table gives only one order, and the gram matrix reads f
@@ -392,15 +392,8 @@ class FrobeniusAlgebra:
         return QuantumElement({self.basis[i]: sol[i][0] for i in range(self.rank)})
 
     def is_nilpotent(self, x: QuantumElement) -> bool:
-        """True iff the multiplication operator to the rank-th power vanishes.
-
-        Certificate first, as in ``is_unit``: a power that is nonzero at q0
-        proves x not nilpotent.  A zero power there, or a pole of x, leaves
-        the decision to the same power over Q(q).
-        """
-        at_point = self._matrix_at_point(x)
-        if at_point is not None and not _power_is_zero(at_point, self.rank):
-            return False
+        """True iff the multiplication operator to the rank-th power
+        vanishes, by one exact power over Q(q)."""
         return _power_is_zero(self.operator_matrix(x), self.rank)
 
     # -- diagnosis -----------------------------------------------------------

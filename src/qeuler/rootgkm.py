@@ -10,15 +10,17 @@ multiplication by the simple reflections, so element lengths come for free
 from the search depth.  Everything that depends only on the group and the
 parabolic subset (coset representatives, a symmetric table of edge germs,
 crossing roots and their integer coroot degrees, the coset of the longest
-element) is computed once and cached.  The graph of torus-fixed points and
-invariant curves has one vertex per coset of the parabolic subgroup and one
-edge germ per crossing positive root; the oscillation bound is a
-minimum-weight path between the identity coset and the coset of the longest
-element.  An edge's weight is linear in the weight's simple-coroot pairings
-c_a, so Dijkstra's algorithm runs over the integers <c * L, degree>, L the
-lcm of the denominators of c, with deterministic tie breaks (fewest edges,
-then vertex order, then root order); only the chain and the bound are
-turned back into exact rationals.
+element) is computed once and cached.  Crossing roots are those pairing
+nonzero with rho_P, the sum of the fundamental weights off S_P: a positive
+coroot has nonnegative coordinates over the simple coroots.  The graph of
+torus-fixed points and invariant curves has one vertex per coset of the
+parabolic subgroup and one edge germ per crossing positive root; the
+oscillation bound is a minimum-weight path between the identity coset and
+the coset of the longest element.  An edge's weight is linear in the
+weight's simple-coroot pairings c_a, so Dijkstra's algorithm runs over the
+integers <c * L, degree>, L the lcm of the denominators of c, with
+deterministic tie breaks (fewest edges, then vertex order, then root
+order); only the chain and the bound are turned back into exact rationals.
 """
 
 from __future__ import annotations
@@ -193,22 +195,16 @@ def fundamental_weights(rs: RootSystem):
 
 @lru_cache(maxsize=None)
 def _root_coordinates(family: str, rank: int) -> dict:
-    """root -> (coroot coordinates, simple-root coordinates), for every root.
-
-    Pairing against the fundamental weights reads off the first directly:
-    <w_a, x> picks the a-th coordinate of any x in the coroot lattice.  Only
-    a root's nonzero coordinates (at most two) enter the pairings.
-    """
+    """root -> (coroot coordinates, simple-root coordinates), for every root:
+    its pairings with the fundamental weights, and its coroot's with those of
+    the dual system (B and C swap), whose simple roots are the simple coroots
+    here, so that its fundamental weights are the fundamental coweights."""
     rs = build_root_system(family, rank)
     weights = fundamental_weights(rs)
-    simple_norms = [dot(s, s) for s in rs.simple_roots]
-    table = {}
-    for root in rs.roots:
-        support = [(t, x) for t, x in enumerate(root) if x]
-        norm = sum(x * x for _, x in support)
-        co = tuple(2 * sum(w[t] * x for t, x in support) / norm for w in weights)
-        table[root] = (co, tuple(c * norm / s for c, s in zip(co, simple_norms)))
-    return table
+    dual = build_root_system({"B": "C", "C": "B"}.get(family, family), rank)
+    coweights = fundamental_weights(dual)
+    return {root: (tuple(pairing(w, root) for w in weights),
+                   tuple(pairing(w, coroot(root)) for w in coweights)) for root in rs.roots}
 
 
 def _coordinates(rs: RootSystem, root: Vector):
@@ -289,14 +285,13 @@ def make_orbit_spec(family: str, rank: int, parabolic, weight) -> OrbitSpec:
 
 
 def crossing_roots(rs: RootSystem, parabolic) -> tuple:
-    """Positive roots outside the parabolic subsystem R+_P."""
-    pset = set(parabolic)
-    out = []
-    for root in rs.positive_roots:
-        coords = simple_root_coordinates(rs, root)
-        if any(coords[a] != 0 and (a + 1) not in pset for a in range(rs.rank)):
-            out.append(root)
-    return tuple(out)
+    """Positive roots outside R+_P: those pairing nonzero with rho_P, the
+    sum of the w_a off S_P (none for S_P = S).  <rho_P, coroot(alpha)> sums
+    the coordinates of coroot(alpha) off S_P over the simple coroots, all
+    nonnegative for a positive root, so it vanishes exactly on R+_P."""
+    weights = [w for a, w in enumerate(fundamental_weights(rs), start=1) if a not in parabolic]
+    rho = [sum(w[t] for w in weights) for t in range(rs.dim)]
+    return tuple(root for root in rs.positive_roots if pairing(rho, root))
 
 
 def _monotone_sum(rs: RootSystem, parabolic) -> tuple:
@@ -307,8 +302,7 @@ def _monotone_sum(rs: RootSystem, parabolic) -> tuple:
     pset = _parabolic_set(rs, parabolic)
     crossing = crossing_roots(rs, parabolic)
     total = tuple(sum(int(r[t]) for r in crossing) for t in range(rs.dim))
-    values = [Fraction(2 * sum(y * int(x) for y, x in zip(total, simple)),
-                       sum(int(x) ** 2 for x in simple)) for simple in rs.simple_roots]
+    values = [pairing(total, simple) for simple in rs.simple_roots]
     if any(v.denominator != 1 or (a in pset) != (v == 0) or v < 0
            for a, v in enumerate(values, start=1)):
         raise ComputeError(f"the monotone weight pairs to ({', '.join(map(str, values))}) "
@@ -381,8 +375,9 @@ def _coset_skeleton(family: str, rank: int, parabolic: tuple) -> _Skeleton:
     Representatives are the first element of each coset in search order,
     which is of minimal length.  Each germ u -> u . s_alpha, one per coset
     and crossing root, is entered in the rows of both of its ends, so the
-    germs joining two cosets are the same from either side.
-    """
+    germs joining two cosets are the same from either side.  The degrees of
+    a crossing root, its coroot's coordinates off S_P, are its pairings with
+    the free w_a."""
     rs = build_root_system(family, rank)
     free = tuple(a for a in range(1, rs.rank + 1) if a not in parabolic)
     # cosets are keyed by w(ref), ref the monotone weight (the sum of the
@@ -395,12 +390,13 @@ def _coset_skeleton(family: str, rank: int, parabolic: tuple) -> _Skeleton:
         if key_to_index.setdefault(act(element[0], ref), len(reps)) == len(reps):
             reps.append(element)
 
+    weights = fundamental_weights(rs)
     degrees = []
     for r in crossing:
-        coords = coroot_coordinates(rs, r)
-        if any(c.denominator != 1 for c in coords):
-            raise ComputeError(f"coroot of {r} is not integral: {coords}")
-        degrees.append(tuple(int(coords[a - 1]) for a in free))
+        degree = tuple(pairing(weights[a - 1], r) for a in free)
+        if any(d.denominator != 1 for d in degree):
+            raise ComputeError(f"coroot of {r} is not integral: {degree}")
+        degrees.append(tuple(map(int, degree)))
 
     # u . s_alpha applied to ref is u(s_alpha(ref))
     reflected_refs = [act(_reflection(r), ref) for r in crossing]

@@ -258,6 +258,42 @@ def test_chern_numbers_match_grassmannian_rings():
     assert GrassmannianRing(3, 7).chern_number == 7
 
 
+@pytest.mark.parametrize("fam, ranks", [("A", range(1, 6)), ("B", range(2, 5)),
+                                        ("C", range(2, 5)), ("D", range(4, 6))])
+def test_crossing_roots_are_the_roots_with_support_off_p(fam, ranks):
+    """The rho_P criterion against the definition: a positive root is
+    outside R+_P iff its simple-root coordinates are nonzero off S_P, on
+    every parabolic subset, S_P = S (no crossing roots) included."""
+    for rank in ranks:
+        rs = rg.build_root_system(fam, rank)
+        for size in range(rank + 1):
+            for parabolic in combinations(range(1, rank + 1), size):
+                expected = tuple(
+                    root for root in rs.positive_roots
+                    if any(c and a not in parabolic for a, c in
+                           enumerate(rg.simple_root_coordinates(rs, root), start=1)))
+                assert rg.crossing_roots(rs, parabolic) == expected, (rank, parabolic)
+
+
+def test_chern_numbers_at_high_rank_skip_the_coordinate_table():
+    """G(k, n) as an A_{n-1} orbit has n_k = N = n, for every third n up to
+    61 and k the first, middle and last node, and the full flags of A60,
+    B30, C30 and D30 have n_a = N = 2.  Tripwire: neither ``chern_numbers``
+    nor ``monotone_weight`` builds the table of coordinates of every root."""
+    rg._root_coordinates.cache_clear()
+    for n in range(61, 1, -3):
+        for k in sorted({1, n // 2, n - 1}):
+            # e_1 + ... + e_k pairs to 1 with the k-th simple root, 0 elsewhere
+            spec = rg.make_orbit_spec("A", n - 1, [a for a in range(1, n) if a != k],
+                                      [1] * k + [0] * (n - k))
+            expected = GrassmannianRing(k, n).chern_number if k in (1, n - 1) else n
+            assert rg.chern_numbers(spec) == {"n": {k: expected}, "N": expected}, (k, n)
+    for fam, rank in (("A", 60), ("B", 30), ("C", 30), ("D", 30)):
+        spec = rg.make_orbit_spec(fam, rank, (), rg.monotone_weight(fam, rank, ()))
+        assert rg.chern_numbers(spec) == {"n": dict.fromkeys(range(1, rank + 1), 2), "N": 2}
+    assert rg._root_coordinates.cache_info().currsize == 0
+
+
 def test_monotone_weight_examples():
     lam = rg.monotone_weight("A", 3, (1, 3), 1)
     assert lam == (2, 2, -2, -2)
