@@ -78,14 +78,14 @@ def _parse_rational(text: str) -> Fraction:
         raise InputError(f"cannot parse rational number {text!r}") from None
 
 
+# a blank list is empty, and an empty entry in a list does not parse
 def _parse_rationals(text: str):
-    return [_parse_rational(part) for part in text.split(",")
-            if part.strip() != ""]
+    return [_parse_rational(part) for part in text.split(",")] if text.strip() else []
 
 
 def _parse_indices(text: str):
     try:
-        return tuple(int(p) for p in text.split(",") if p.strip() != "")
+        return tuple(int(p) for p in text.split(",")) if text.strip() else ()
     except ValueError:
         raise InputError(f"cannot parse index list {text!r}") from None
 

@@ -12,7 +12,9 @@ parabolic subset (coset representatives, a symmetric table of edge germs,
 crossing roots and their integer coroot degrees, the coset of the longest
 element) is computed once and cached.  Crossing roots are those pairing
 nonzero with rho_P, the sum of the fundamental weights off S_P: a positive
-coroot has nonnegative coordinates over the simple coroots.  The graph of
+coroot has nonnegative coordinates over the simple coroots.  Coordinates
+over the simple roots and coroots come from the fundamental weights of the
+one system, whose identity in every cache is (family, rank).  The graph of
 torus-fixed points and invariant curves has one vertex per coset of the
 parabolic subgroup and one edge germ per crossing positive root; the
 oscillation bound is a minimum-weight path between the identity coset and
@@ -34,7 +36,6 @@ from math import gcd, lcm
 from operator import itemgetter
 from typing import NamedTuple
 
-from . import linalg
 from .errors import (ComputeError, InvalidShape, NotRegular, TooLarge,
                      UnsupportedType)
 
@@ -75,6 +76,9 @@ class RootSystem(NamedTuple):
 
     def __repr__(self):
         return f"RootSystem({self.family}{self.rank})"
+
+    def __hash__(self):
+        return hash((self.family, self.rank))  # they fix the roots: no Fraction is hashed
 
 
 @lru_cache(maxsize=None)
@@ -188,6 +192,7 @@ def longest_element(family: str, rank: int):
 def fundamental_weights(rs: RootSystem):
     """Vectors w_a in the span of the simple roots with <w_a, b-coroot> = delta:
     the rows of C^-1 times the simple roots, C[a][b] = <alpha_a, b-coroot>."""
+    from . import linalg
     simple = rs.simple_roots
     c = [[pairing(x, y) for y in simple] for x in simple]
     return tuple(map(tuple, linalg.solve(c, simple)))
@@ -196,15 +201,14 @@ def fundamental_weights(rs: RootSystem):
 @lru_cache(maxsize=None)
 def _root_coordinates(family: str, rank: int) -> dict:
     """root -> (coroot coordinates, simple-root coordinates), for every root:
-    its pairings with the fundamental weights, and its coroot's with those of
-    the dual system (B and C swap), whose simple roots are the simple coroots
-    here, so that its fundamental weights are the fundamental coweights."""
+    its pairings 2 (w_a, root) / (root, root) with the fundamental weights,
+    and 2 (w_a, root) / (alpha_a, alpha_a), since root = sum_a of these
+    times alpha_a (Humphreys, section 13.1)."""
     rs = build_root_system(family, rank)
     weights = fundamental_weights(rs)
-    dual = build_root_system({"B": "C", "C": "B"}.get(family, family), rank)
-    coweights = fundamental_weights(dual)
+    halves = [dot(s, s) / 2 for s in rs.simple_roots]
     return {root: (tuple(pairing(w, root) for w in weights),
-                   tuple(pairing(w, coroot(root)) for w in coweights)) for root in rs.roots}
+                   tuple(dot(w, root) / h for w, h in zip(weights, halves))) for root in rs.roots}
 
 
 def _coordinates(rs: RootSystem, root: Vector):
@@ -328,18 +332,12 @@ def monotone_weight(family: str, rank: int, parabolic, kappa=1) -> Vector:
 
 
 def is_monotone(spec: OrbitSpec):
-    """The constant kappa with n_alpha = kappa * <weight, coroot>, or None."""
+    """The one value of n_a / <weight, coroot(alpha_a)> over the a off S_P,
+    or None when there is none (S_P = S) or more than one."""
     rs = spec.root_system
-    numbers = chern_numbers(spec)["n"]
-    kappa = None
-    for a, n_a in numbers.items():
-        value = pairing(spec.weight, rs.simple_roots[a - 1])
-        ratio = Fraction(n_a) / value
-        if kappa is None:
-            kappa = ratio
-        elif kappa != ratio:
-            return None
-    return kappa
+    ratios = {Fraction(n_a) / pairing(spec.weight, rs.simple_roots[a - 1])
+              for a, n_a in chern_numbers(spec)["n"].items()}
+    return ratios.pop() if len(ratios) == 1 else None
 
 
 # ---------------------------------------------------------------------------

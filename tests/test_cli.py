@@ -97,6 +97,28 @@ def test_un_capacity_rational(capsys):
     assert out == "1/2\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["un-capacity", "--lambda", "3,,1,0"],
+    ["un-capacity", "--lambda", "3,1,0,"],
+    ["un-capacity", "--lambda", ", 3,1,0"],
+    ["orbit", "--family", "A", "--rank", "2", "--lambda", "3,1,,0", "hz-bound"],
+    ["orbit", "--family", "A", "--rank", "3", "--parabolic", "1,,3", "chern"],
+    ["orbit", "--family", "A", "--rank", "3", "--parabolic", ",1", "chern"],
+    ["orbit", "--family", "A", "--rank", "3", "--parabolic", "1, ", "chern"],
+])
+def test_empty_list_entries_exit_2(capsys, argv):
+    """An empty entry in a list is bad input, not a shorter list."""
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("InputError:") and err.count("\n") == 1
+
+
+def test_blank_parabolic_is_the_full_flag(capsys):
+    outputs = {run_cli(capsys, "orbit", "--family", "A", "--rank", "3", *extra, "chern")
+               for extra in ((), ("--parabolic", ""), ("--parabolic", "  "))}
+    assert outputs == {(0, "n(a1) = 2; n(a2) = 2; n(a3) = 2; N = 2\n", "")}
+
+
 def test_orbit_chern(capsys):
     code, out, _ = run_cli(
         capsys, "orbit", "--family", "A", "--rank", "3",

@@ -259,6 +259,51 @@ def test_ig26_products_are_nonzero_and_positive(ig26):
                 ig26.multiply(QuantumElement.basis(a), QuantumElement.basis(b)), (a, b))
 
 
+def _sigma1_at(algebra, q):
+    """The matrix of sigma_1 * (label "1") at q, checked to hold nonnegative
+    ``int``s."""
+    m = [[c.evaluate(q) for c in row]
+         for row in algebra.operator_matrix(QuantumElement.basis("1"))]
+    assert all(type(x) is int and x >= 0 for row in m for x in row), (q, m)
+    return m
+
+
+def _strongly_connected(m):
+    """True iff the graph with an arrow j -> i wherever m[i][j] != 0 reaches
+    every class from class 0, forward and backward (one breadth-first search
+    each way, over the list of classes reached so far)."""
+    n = len(m)
+    for arrow in (lambda i, j: m[j][i], lambda i, j: m[i][j]):
+        reached = [0]
+        for i in reached:
+            reached += [j for j in range(n) if arrow(i, j) and j not in reached]
+        if len(reached) < n:
+            return False
+    return True
+
+
+def _check_perron_frobenius_route(algebra):
+    """The paper's argument as a second route to ``field_factor``.  At q = 1
+    the matrix of sigma_1 * is nonnegative (Gromov-Witten invariants are
+    positive) and strongly connected, so by Perron-Frobenius its spectral
+    radius is a simple eigenvalue, and the quantum ring at q = 1 has a field
+    factor; ``diagnose``, which squares the Euler class, must agree.  At q = 0
+    sigma_1 * is the classical cup product, which raises degree, so the
+    quantum terms are what make the matrix irreducible."""
+    assert _strongly_connected(_sigma1_at(algebra, 1))
+    assert not _strongly_connected(_sigma1_at(algebra, 0))
+    assert algebra.diagnose().field_factor
+
+
+@pytest.mark.parametrize("k, n", DESK_SCALE, ids=[f"G({k},{n})" for k, n in DESK_SCALE])
+def test_sigma1_is_irreducible_at_q1_as_the_field_factor_says(k, n):
+    _check_perron_frobenius_route(GrassmannianRing(k, n).to_frobenius())
+
+
+def test_ig26_sigma1_is_irreducible_at_q1_as_the_field_factor_says(ig26):
+    _check_perron_frobenius_route(ig26)
+
+
 def test_duality_delta_pairs():
     for k, n in BUNDLED:
         ring = GrassmannianRing(k, n)

@@ -143,6 +143,38 @@ def test_root_coordinates_reject_non_roots():
         rg.simple_root_coordinates(rs, (1, 1, 1))
 
 
+def test_root_coordinates_ask_only_their_own_system(monkeypatch):
+    """Tripwire: the coordinates of B3 and of C3 come from the fundamental
+    weights of that system alone, not from those of its dual."""
+    asked = []
+    weights = rg.fundamental_weights
+    monkeypatch.setattr(rg, "fundamental_weights",
+                        lambda rs: asked.append(rs.family) or weights(rs))
+    rg._root_coordinates.cache_clear()
+    for fam in ("B", "C"):
+        rg._root_coordinates(fam, 3)
+        assert asked == [fam]
+        asked.clear()
+
+
+def test_warm_fundamental_weights_lookup_hashes_no_fraction(monkeypatch):
+    """Tripwire: a cached ``fundamental_weights`` lookup hashes the root
+    system by (family, rank), not by its ``Fraction`` roots."""
+    systems = [rg.build_root_system(fam, rank) for fam, rank in (("A", 20), ("B", 4), ("D", 4))]
+    for rs in systems:
+        rg.fundamental_weights(rs)
+    calls = []
+    fraction_hash = Fraction.__hash__
+    monkeypatch.setattr(Fraction, "__hash__",
+                        lambda self: calls.append(self) or fraction_hash(self))
+    hash(systems[1].simple_roots)
+    assert len(calls) == 4 * 4  # the counter sees hashes inside a tuple
+    calls.clear()
+    for rs in systems:
+        assert rg.fundamental_weights(rs) is rg.fundamental_weights(rs)
+    assert calls == []
+
+
 def test_fundamental_weight_duality():
     for fam, rank in [("A", 4), ("B", 3), ("C", 3), ("D", 4)]:
         rs = rg.build_root_system(fam, rank)
@@ -311,6 +343,8 @@ def test_is_monotone_detects_non_monotone():
     assert rg.is_monotone(spec) is None
     spec2 = rg.make_orbit_spec("A", 2, (), (2, 0, -2))
     assert rg.is_monotone(spec2) == 1
+    # S_P = S: no Chern number, so no kappa
+    assert rg.is_monotone(rg.make_orbit_spec("A", 2, (1, 2), (1, 1, 1))) is None
 
 
 def test_repeated_parabolic_indices_rejected():
