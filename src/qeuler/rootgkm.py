@@ -1,20 +1,21 @@
 """Root systems of types A-D, Weyl groups, parabolic quotients, GKM graphs,
 and the minimum-area chain bound for coadjoint orbits.
 
-Vectors live in the standard coordinate realizations with exact ``Fraction``
-entries.  There every Weyl group element maps each coordinate axis to an
-axis, up to sign, so an element is stored as a signed permutation: a tuple
-``w`` of signed 1-based indices with ``w(e_j) = +-e_p`` for ``w[j-1] = +-p``.
-Weyl groups are generated by breadth-first closure over right
-multiplication by the simple reflections, so element lengths come for free
-from the search depth.  Everything that depends only on the group and the
-parabolic subset (coset representatives, a symmetric table of edge germs,
-crossing roots and their integer coroot degrees, the coset of the longest
-element) is computed once and cached.  Crossing roots are those pairing
-nonzero with rho_P, the sum of the fundamental weights off S_P: a positive
-coroot has nonnegative coordinates over the simple coroots.  Coordinates
-over the simple roots and coroots come from the fundamental weights of the
-one system, whose identity in every cache is (family, rank).  The graph of
+Vectors live in the standard coordinate realizations, where every root is
+an ``int`` vector and ``Fraction`` enters with a weight: the fundamental
+weights, pairings and root coordinates are exact ``Fraction``s.  There every
+Weyl group element maps each coordinate axis to an axis, up to sign, so an
+element is stored as a signed permutation: a tuple ``w`` of signed 1-based
+indices with ``w(e_j) = +-e_p`` for ``w[j-1] = +-p``.  Weyl groups are
+generated by breadth-first closure over right multiplication by the simple
+reflections, so element lengths come for free from the search depth.
+Everything that depends only on the group and the parabolic subset (coset
+representatives, a symmetric table of edge germs, crossing roots and their
+integer coroot degrees, the coset of the longest element) is computed once
+and cached.  Crossing roots are those pairing nonzero with rho_P, the sum of
+the fundamental weights off S_P: a positive coroot has nonnegative
+coordinates over the simple coroots.  Coordinates over the simple roots and
+coroots come from the fundamental weights of the one system.  The graph of
 torus-fixed points and invariant curves has one vertex per coset of the
 parabolic subgroup and one edge germ per crossing positive root; the
 oscillation bound is a minimum-weight path between the identity coset and
@@ -57,11 +58,6 @@ def pairing(weight: Vector, root: Vector) -> Fraction:
     return 2 * num / norm
 
 
-def coroot(root: Vector) -> Vector:
-    scale = Fraction(2) / dot(root, root)
-    return tuple(scale * x for x in root)
-
-
 class RootSystem(NamedTuple):
     family: str
     rank: int
@@ -76,9 +72,6 @@ class RootSystem(NamedTuple):
 
     def __repr__(self):
         return f"RootSystem({self.family}{self.rank})"
-
-    def __hash__(self):
-        return hash((self.family, self.rank))  # they fix the roots: no Fraction is hashed
 
 
 @lru_cache(maxsize=None)
@@ -97,7 +90,7 @@ def build_root_system(family: str, rank: int) -> RootSystem:
 
     def vec(*terms):
         """The sum of c * e_i over the (i, c) in ``terms``."""
-        v = [Fraction(0)] * dim
+        v = [0] * dim
         for i, c in terms:
             v[i] += c
         return tuple(v)
@@ -134,14 +127,15 @@ def act(w: tuple, v: Vector) -> Vector:
 
 @lru_cache(maxsize=None)
 def _reflection(root: Vector) -> tuple:
-    """The reflection in ``root`` as a signed permutation."""
-    co = coroot(root)
+    """The reflection in ``root`` as a signed permutation, in integers:
+    |root|^2 s(e_j) = |root|^2 e_j - 2 root_j root must be +-|root|^2 e_p."""
+    norm = sum(x * x for x in root)
     w = []
-    for j in range(len(root)):
-        image = [(t == j) - co[j] * x for t, x in enumerate(root)]
-        if sorted(map(abs, image)) != [0] * (len(root) - 1) + [1]:
+    for j, a in enumerate(root):
+        image = [norm * (t == j) - 2 * a * x for t, x in enumerate(root)]
+        if sorted(map(abs, image)) != [0] * (len(root) - 1) + [norm]:
             raise ComputeError(f"reflection in {root} is not a signed permutation")
-        w.extend(int(x) * (t + 1) for t, x in enumerate(image) if x)
+        w.extend(x // norm * (t + 1) for t, x in enumerate(image) if x)
     return tuple(w)
 
 
@@ -305,13 +299,13 @@ def _monotone_sum(rs: RootSystem, parabolic) -> tuple:
     checked as ``OrbitSpec`` checks them."""
     pset = _parabolic_set(rs, parabolic)
     crossing = crossing_roots(rs, parabolic)
-    total = tuple(sum(int(r[t]) for r in crossing) for t in range(rs.dim))
+    total = tuple(sum(r[t] for r in crossing) for t in range(rs.dim))
     values = [pairing(total, simple) for simple in rs.simple_roots]
     if any(v.denominator != 1 or (a in pset) != (v == 0) or v < 0
            for a, v in enumerate(values, start=1)):
         raise ComputeError(f"the monotone weight pairs to ({', '.join(map(str, values))}) "
                            "with the simple roots")
-    return crossing, total, tuple(map(int, values))
+    return crossing, total, tuple(v.numerator for v in values)
 
 
 def chern_numbers(spec: OrbitSpec) -> dict:
@@ -345,14 +339,14 @@ def is_monotone(spec: OrbitSpec):
 # ---------------------------------------------------------------------------
 
 class _Skeleton(NamedTuple):
-    reps: tuple            # (signed permutation, word) per coset, identity first
+    reps: tuple            # (signed permutation, word) per coset, by length
     crossing: tuple        # crossing positive roots
     degrees: tuple         # coroot coordinates of each crossing root on ``free``
     free: tuple            # 1-based indices of S minus S_P
     neighbors: memoryview  # read-only, flat: per coset u in turn, its sorted
                            # germs (v, r) with u . s_r = v or v . s_r = u
     starts: memoryview     # row u of ``neighbors`` is [starts[u], starts[u + 1])
-    w0_index: int          # coset of the longest element
+    w0_index: int          # coset of the longest element, the last
 
 
 def _germs(sk: _Skeleton, u: int):
@@ -371,7 +365,9 @@ def _coset_skeleton(family: str, rank: int, parabolic: tuple) -> _Skeleton:
     """Everything about W / W_P that does not depend on the regular weight.
 
     Representatives are the first element of each coset in search order,
-    which is of minimal length.  Each germ u -> u . s_alpha, one per coset
+    which is of minimal length, so they are listed by length.  The longest
+    of them is w0 . w0_P, alone of length the number of crossing roots: the
+    last one is the coset of w0.  Each germ u -> u . s_alpha, one per coset
     and crossing root, is entered in the rows of both of its ends, so the
     germs joining two cosets are the same from either side.  The degrees of
     a crossing root, its coroot's coordinates off S_P, are its pairings with
@@ -387,6 +383,8 @@ def _coset_skeleton(family: str, rank: int, parabolic: tuple) -> _Skeleton:
     for element in weyl_elements(family, rank):
         if key_to_index.setdefault(act(element[0], ref), len(reps)) == len(reps):
             reps.append(element)
+    if len(reps[-1][1]) != len(crossing):
+        raise ComputeError(f"last coset has length {len(reps[-1][1])}, not {len(crossing)}")
 
     weights = fundamental_weights(rs)
     degrees = []
@@ -412,9 +410,8 @@ def _coset_skeleton(family: str, rank: int, parabolic: tuple) -> _Skeleton:
             neighbors.extend(divmod(g, k))
         starts.append(len(neighbors))
 
-    w0, _ = longest_element(family, rank)
     return _Skeleton(tuple(reps), crossing, tuple(degrees), free, _frozen(neighbors),
-                     _frozen(starts), key_to_index[act(w0, ref)])
+                     _frozen(starts), len(reps) - 1)
 
 
 def weyl_cosets(spec: OrbitSpec):

@@ -2,7 +2,7 @@ import pytest
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
-from qeuler import linalg
+from qeuler import linalg, rootgkm
 from qeuler.frobenius import (QuantumElement, base_field, change_basis, direct_sum,
                               dual_numbers, nilpotent_chain, quadratic_extension)
 from qeuler.grassmannian import GrassmannianRing
@@ -74,6 +74,35 @@ def unimodular(n, rng):
         low[i + 1][i] = rng.choice((-2, -1, 1, 2)) * Q
         up[i][i + 1] = rng.choice((-2, -1, 1, 2)) * Q
     return linalg.mat_mul(low, up)
+
+
+def chevalley_c1_terms(family, rank, parabolic):
+    """c_1 * sigma_u in the Schubert basis of QH(G/P), from root data by
+    Fulton and Woodward's quantum Chevalley formula (J. Algebraic Geom. 13
+    (2004), Thm 10.1), not from ``_coset_skeleton``.  Returns the number of
+    cosets and the terms (u, v, coefficient, quantum) at q = 1.
+
+    Cosets are keyed by w(c_1), c_1 the sum of the crossing roots, in search
+    order, so u's first element w_u is of minimal length l(u).  For each
+    crossing root alpha, v is the coset of w_u . s_alpha and the coefficient
+    is <c_1, coroot(alpha)>; the term is classical when l(v) = l(u) + 1 and
+    carries a power of q when l(v) = l(u) + 1 - <c_1, coroot(alpha)>."""
+    rs = rootgkm.build_root_system(family, rank)
+    crossing, total, _ = rootgkm._monotone_sum(rs, parabolic)
+    cosets = {}  # w(c_1) -> (index, w_u, l(u))
+    for w, word in rootgkm.weyl_elements(family, rank):
+        cosets.setdefault(rootgkm.act(w, total), (len(cosets), w, len(word)))
+    reflected = [(rootgkm.act(rootgkm._reflection(root), total), rootgkm.pairing(total, root))
+                 for root in crossing]
+    terms = []
+    for u, w, length in cosets.values():
+        for s_total, c in reflected:
+            v, _, v_length = cosets[rootgkm.act(w, s_total)]
+            if v_length == length + 1:
+                terms.append((u, v, c, False))
+            elif v_length == length + 1 - c:
+                terms.append((u, v, c, True))
+    return len(cosets), terms
 
 
 def to_sympy(m):

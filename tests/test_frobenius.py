@@ -317,6 +317,22 @@ def test_light_test_proves_sums_and_new_bases_and_falls_back_when_it_fails(
     assert got and {v.kind for v in got} == {"associativity"}
 
 
+def test_validate_scans_every_triple_when_the_unit_has_a_pole_at_q0(monkeypatch):
+    """The dual numbers in the basis (q - 1) * 1, e: the unit is 1/(q - 1)
+    times the first class, and q0 = 1 is a pole of it, so ``validate`` finds
+    no generating set and checks every triple, once."""
+    algebra = change_basis(dual_numbers(), [[Q - 1, ZERO], [ZERO, ONE]])
+    full_scans = []
+    scan = axioms._associativity_violations
+    monkeypatch.setattr(axioms, "_associativity_violations",
+                        lambda algebra, elems: full_scans.append(algebra.name)
+                        or scan(algebra, elems))
+    assert algebra._point() == 1
+    assert axioms._generating_set(algebra) is None
+    assert algebra.validate() == []
+    assert full_scans == [algebra.name]
+
+
 def test_table_with_a_missing_pair_or_an_unknown_label_is_rejected():
     one, e = QuantumElement.basis("1"), QuantumElement.basis("e")
     with pytest.raises(UnknownLabel, match=r"\('e', 'e'\)"):

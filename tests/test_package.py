@@ -49,8 +49,8 @@ def source_lines(module):
 # A process compiles the source of every module it imports, so a command's
 # start-up grows with these lines; each budget is the count when it was set.
 @pytest.mark.parametrize("argv, budget", [
-    (("un-capacity", "--lambda", "3,1,0"), 1022),
-    (("orbit", "--family", "A", "--rank", "3", "--parabolic", "1,3", "chern"), 1210),
+    (("un-capacity", "--lambda", "3,1,0"), 1019),
+    (("orbit", "--family", "A", "--rank", "3", "--parabolic", "1,3", "chern"), 1207),
     (("grassmannian", "-k", "2", "-n", "4", "diagnose"), 2156),
     (("algebra", "--file", str(SRC / "qeuler" / "data" / "ig26.json"), "diagnose"), 2259),
 ], ids=["un-capacity", "orbit-chern", "grassmannian-diagnose", "ig26-diagnose"])

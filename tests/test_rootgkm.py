@@ -6,6 +6,7 @@ from math import factorial
 
 import pytest
 
+from conftest import chevalley_c1_terms
 from qeuler import rootgkm as rg
 from qeuler.errors import (ComputeError, InvalidShape, NotRegular, TooLarge,
                            UnsupportedType)
@@ -16,6 +17,12 @@ from test_golden_orbits import GROUPS as GOLDEN_GROUPS
 # ---------------------------------------------------------------------------
 # root systems
 # ---------------------------------------------------------------------------
+
+def coroot(root):
+    """2 root / (root, root), with ``Fraction`` entries."""
+    scale = Fraction(2) / rg.dot(root, root)
+    return tuple(scale * x for x in root)
+
 
 def test_positive_root_counts():
     assert len(rg.build_root_system("A", 2).positive_roots) == 3
@@ -39,20 +46,21 @@ def test_simple_roots_span_positives():
 
 
 ROOT_COORDINATE_TYPES = ([("A", r) for r in range(1, 8)] + [("B", r) for r in range(2, 7)]
-                         + [("C", r) for r in range(2, 7)] + [("D", r) for r in range(3, 7)])
+                         + [("C", r) for r in range(2, 7)] + [("D", r) for r in range(2, 7)])
 
 
 @pytest.mark.parametrize("fam, rank", ROOT_COORDINATE_TYPES)
 def test_root_coordinates_equal_dense_pairings(fam, rank):
-    """Both coordinate tuples of every root, against a dense pairing
-    2 (w, root) / (root, root) with every fundamental weight; the coroot
-    rebuilt from the first.  ``pairing``, which reads only the root's
-    nonzero coordinates, agrees with the dense one, as a ``Fraction`` also
-    on an integer weight."""
+    """Every root is a tuple of ``int``s.  Both coordinate tuples of every
+    root, against a dense pairing 2 (w, root) / (root, root) with every
+    fundamental weight; the coroot rebuilt from the first.  ``pairing``,
+    which reads only the root's nonzero coordinates, agrees with the dense
+    one, as a ``Fraction`` also on an integer weight."""
     rs = rg.build_root_system(fam, rank)
     weights = rg.fundamental_weights(rs)
     probe = tuple(3 * t - 4 for t in range(rs.dim))
     for root in rs.roots:
+        assert type(root) is tuple and {type(x) for x in root} == {int}
         co = tuple(2 * rg.dot(w, root) / rg.dot(root, root) for w in weights)
         assert tuple(rg.pairing(w, root) for w in weights) == co
         value = rg.pairing(probe, root)
@@ -62,7 +70,7 @@ def test_root_coordinates_equal_dense_pairings(fam, rank):
         assert rg.coroot_coordinates(rs, root) == co
         assert rg.simple_root_coordinates(rs, root) == simple
         assert tuple(sum((c * x for c, x in zip(co, column)), Fraction(0))
-                     for column in zip(*map(rg.coroot, rs.simple_roots))) == rg.coroot(root)
+                     for column in zip(*map(coroot, rs.simple_roots))) == coroot(root)
 
 def test_unsupported_families_rejected():
     with pytest.raises(UnsupportedType):
@@ -87,7 +95,7 @@ def test_weyl_orders_match_closed_forms():
 # s_alpha = 1 - alpha (x) coroot(alpha), multiplied along each word.
 
 def reflection_matrix(root, dim):
-    co = rg.coroot(root)
+    co = coroot(root)
     return tuple(
         tuple(Fraction(i == j) - root[i] * co[j] for j in range(dim))
         for i in range(dim))
@@ -158,8 +166,8 @@ def test_root_coordinates_ask_only_their_own_system(monkeypatch):
 
 
 def test_warm_fundamental_weights_lookup_hashes_no_fraction(monkeypatch):
-    """Tripwire: a cached ``fundamental_weights`` lookup hashes the root
-    system by (family, rank), not by its ``Fraction`` roots."""
+    """Tripwire: a cached ``fundamental_weights`` lookup hashes no
+    ``Fraction``, as the root system holds none."""
     systems = [rg.build_root_system(fam, rank) for fam, rank in (("A", 20), ("B", 4), ("D", 4))]
     for rs in systems:
         rg.fundamental_weights(rs)
@@ -167,12 +175,20 @@ def test_warm_fundamental_weights_lookup_hashes_no_fraction(monkeypatch):
     fraction_hash = Fraction.__hash__
     monkeypatch.setattr(Fraction, "__hash__",
                         lambda self: calls.append(self) or fraction_hash(self))
-    hash(systems[1].simple_roots)
+    hash(rg.fundamental_weights(systems[1]))
     assert len(calls) == 4 * 4  # the counter sees hashes inside a tuple
     calls.clear()
     for rs in systems:
         assert rg.fundamental_weights(rs) is rg.fundamental_weights(rs)
     assert calls == []
+
+
+@pytest.mark.parametrize("fam, rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4)])
+def test_root_system_hashes_as_the_tuple_it_equals(fam, rank):
+    rs = rg.build_root_system(fam, rank)
+    assert tuple(rs) == rs
+    assert hash(tuple(rs)) == hash(rs)
+    assert tuple(rs) in {rs: 1}
 
 
 def test_fundamental_weight_duality():
@@ -480,6 +496,43 @@ def test_germ_table_is_symmetric_and_matches_a_rebuild(fam, rank):
         assert [(e.source, e.target, e.root, e.weight) for e in rg.gkm_graph(spec).edges] == [
             (u, v, sk.crossing[r], cost) for (u, v), (cost, r) in sorted(cheapest.items())
         ], parabolic
+
+
+def strongly_connected(n, arrows):
+    """True iff the arrows (u, v) among 0..n-1 lead from 0 to every vertex
+    and from every vertex to 0 (one search each way)."""
+    for pairs in (arrows, [(v, u) for u, v in arrows]):
+        out = {}
+        for u, v in pairs:
+            out.setdefault(u, []).append(v)
+        reached, stack = {0}, [0]
+        while stack:
+            for v in out.get(stack.pop(), ()):
+                if v not in reached:
+                    reached.add(v)
+                    stack.append(v)
+        if len(reached) < n:
+            return False
+    return True
+
+
+def test_first_chern_operator_is_irreducible_at_q1_on_every_parabolic():
+    """The paper's Perron-Frobenius certificate from root data: on every
+    parabolic with S_P != S of A1-A4, B2-B4, C2-C4 and D4, c_1 * has positive
+    integer coefficients and its graph is strongly connected at q = 1, so its
+    Perron root is simple; at q = 0 only the classical terms are left, which
+    raise the length, and the graph is strongly connected on none."""
+    at_q1 = at_q0 = 0
+    for fam, rank in ([("A", r) for r in range(1, 5)] + [("B", r) for r in (2, 3, 4)]
+                      + [("C", r) for r in (2, 3, 4)] + [("D", 4)]):
+        for parabolic in every_parabolic(fam, rank):
+            if len(parabolic) == rank:
+                continue
+            n, terms = chevalley_c1_terms(fam, rank, parabolic)
+            assert all(c.denominator == 1 and c > 0 for _, _, c, _ in terms), parabolic
+            at_q1 += strongly_connected(n, [(u, v) for u, v, _, _ in terms])
+            at_q0 += strongly_connected(n, [(u, v) for u, v, _, quantum in terms if not quantum])
+    assert (at_q1, at_q0) == (91, 0)
 
 
 # ---------------------------------------------------------------------------

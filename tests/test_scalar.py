@@ -70,6 +70,16 @@ def test_division_by_zero():
         RationalFunction(poly((0, 1)), QPolynomial())
 
 
+def test_a_number_divided_by_a_rational_function():
+    """``RationalFunction.__rtruediv__``: an ``int`` or a ``Fraction`` over
+    a multi-term and over a Laurent rational function, and over zero."""
+    for x in (Q**2 - 3 * Q + 2, Q + 2 * Q**-1):
+        assert 2 / x == RationalFunction(2) / x
+    assert render_scalar(Fraction(1, 2) / Q) == "1/2*q^-1"
+    with pytest.raises(DivisionByZero):
+        1 / ZERO
+
+
 def test_poly_gcd_examples():
     assert poly_gcd(poly((2, 1), (0, -1)), poly((1, 1), (0, -1))) == poly((1, 1), (0, -1))
     assert poly_gcd(poly((1, 1)), poly((2, 1))) == poly((1, 1))
