@@ -105,14 +105,14 @@ def _generating_set(algebra):
     unit = algebra._vector_at_point(algebra.unit)
     if unit is None:
         return None
-    n, generators, echelon = algebra.rank, [], {}
+    n, generators, operators, echelon = algebra.rank, [], [], {}
     _insert_independent(echelon, unit)
     for i, label in enumerate(algebra.basis):
         # an independent basis vector stays only until the span is rebuilt
         if len(echelon) < n and _insert_independent(echelon, [int(j == i) for j in range(n)]):
             generators.append(label)
             # by commutativity, times s is the operator of e_s
-            operators = [algebra._operator_at_point(s) for s in generators]
+            operators.append(algebra._operator_at_point(label))
             # breadth first; a monomial that depends on the ones kept is
             # not extended, as its products depend on theirs
             echelon, queue = {}, deque([unit])

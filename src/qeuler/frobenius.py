@@ -31,9 +31,10 @@ table.  That rests on f(E * x) = tr(L_x) (Abrams, Israel J. Math. 117
 keeps the sum over the dual basis, which sums the structure constants of
 e_i * e_b in that order, without building the products e_i * e_i^dual.
 
-Instances are immutable after construction and all operations are pure.
-They keep the gram matrix, q0 and the operators at q0, which later calls
-read again, and the mark that ``validate()`` sets; none changes a result.
+All operations are pure.  Beyond its table, an instance keeps only q0,
+found by the constructor, and the mark that ``validate()`` sets, which
+changes no result; the gram matrix and the operators at q0 are built anew
+on each call, so no caller can change a later result through them.
 """
 
 from __future__ import annotations
@@ -214,9 +215,11 @@ class FrobeniusAlgebra:
                 raise UnknownLabel(f"no degree for label {missing!r}")
         self.grading = grading
         self.name = name
-        self._gram = None
-        self._q0 = None
-        self._operators = {}
+        # q0: the first positive integer that is no pole of any structure constant
+        dens = [c.den for prod in table.values()
+                for c in prod.coeffs.values() if not c.is_polynomial()]
+        self._q0 = next(point for point in count(1)
+                        if all(den.evaluate(point) for den in dens))
         # True when the axioms are known to hold, so f(E * x) = tr(L_x)
         # gives the Euler class; set by the constructors and validate()
         self._axioms_hold = False
@@ -254,23 +257,22 @@ class FrobeniusAlgebra:
         return self.f(self.multiply(x, y))
 
     def gram_matrix(self):
-        """Matrix of eta on the basis: eta[i][j] = f(e_i * e_j).
+        """Matrix of eta on the basis: eta[i][j] = f(e_i * e_j), a new list
+        on each call.
 
         Mirror rule: f of the product for (a, b) is reused for (b, a) only
         when the table holds one object for both orders; otherwise f is
         read in both orders, so the matrix equals f applied entry by entry.
         """
-        if self._gram is None:
-            table, n = self.structure_constants, self.rank
-            rows = [[None] * n for _ in range(n)]
-            for i, a in enumerate(self.basis):
-                for j in range(i, n):
-                    b = self.basis[j]
-                    ab, ba = table[(a, b)], table[(b, a)]
-                    rows[i][j] = value = self.f(ab)
-                    rows[j][i] = value if ba is ab else self.f(ba)
-            self._gram = rows
-        return self._gram
+        table, n = self.structure_constants, self.rank
+        rows = [[None] * n for _ in range(n)]
+        for i, a in enumerate(self.basis):
+            for j in range(i, n):
+                b = self.basis[j]
+                ab, ba = table[(a, b)], table[(b, a)]
+                rows[i][j] = value = self.f(ab)
+                rows[j][i] = value if ba is ab else self.f(ba)
+        return rows
 
     def dual_basis(self):
         """Basis elements e_j^dual with f(e_i * e_j^dual) = delta_ij."""
@@ -321,28 +323,13 @@ class FrobeniusAlgebra:
     def trace_of_multiplication(self, x: QuantumElement) -> RationalFunction:
         return linalg.trace(self.operator_matrix(x))
 
-    def _point(self) -> int:
-        """q0: the first positive integer that is no pole of any structure
-        constant, where ``is_unit`` and ``validate`` look for certificates."""
-        if self._q0 is None:
-            dens = [c.den for prod in self.structure_constants.values()
-                    for c in prod.coeffs.values() if not c.is_polynomial()]
-            self._q0 = next(point for point in count(1)
-                            if all(den.evaluate(point) for den in dens))
-        return self._q0
-
     def _operator_at_point(self, label):
         """The operator of e_label at q0 as columns, each the list of
-        nonzero ``(i, value)`` of e_label * e_j there.  Kept on the
-        algebra, one label at a time."""
-        op = self._operators.get(label)
-        if op is None:
-            q0 = self._point()
-            op = [[(self.index[l], c.evaluate(q0))
-                   for l, c in self.structure_constants[(label, b)].items()]
-                  for b in self.basis]
-            self._operators[label] = op
-        return op
+        nonzero ``(i, value)`` of e_label * e_j there, evaluated on each
+        call."""
+        return [[(self.index[l], c.evaluate(self._q0))
+                 for l, c in self.structure_constants[(label, b)].items()]
+                for b in self.basis]
 
     def _vector_at_point(self, x: QuantumElement):
         """Coordinates of x at q0, or None at a pole of x."""
@@ -350,7 +337,7 @@ class FrobeniusAlgebra:
         for l, c in x.items():
             self._check_label(l)
             try:
-                vec[self.index[l]] = c.evaluate(self._point())
+                vec[self.index[l]] = c.evaluate(self._q0)
             except DivisionByZero:
                 return None
         return vec

@@ -95,7 +95,8 @@ def _field(obj: dict, key: str, kind, where: str = "", default=None):
 def _coeff_from_json(c, where: str) -> Fraction:
     if isinstance(c, int) and not isinstance(c, bool):
         return Fraction(c)
-    if isinstance(c, str):
+    # Fraction reads exponents too, and 1e3000000 is too long to compute with
+    if isinstance(c, str) and "e" not in c.lower():
         try:
             return Fraction(c)
         except (ValueError, ZeroDivisionError):

@@ -182,12 +182,17 @@ def longest_element(family: str, rank: int):
     return elements[-1]
 
 
-@lru_cache(maxsize=None)
 def fundamental_weights(rs: RootSystem):
     """Vectors w_a in the span of the simple roots with <w_a, b-coroot> = delta:
-    the rows of C^-1 times the simple roots, C[a][b] = <alpha_a, b-coroot>."""
+    the rows of C^-1 times the simple roots, C[a][b] = <alpha_a, b-coroot>.
+    Cached by (family, rank): a key of the whole system hashes every root."""
+    return _fundamental_weights(rs.family, rs.rank)
+
+
+@lru_cache(maxsize=None)
+def _fundamental_weights(family: str, rank: int):
     from . import linalg
-    simple = rs.simple_roots
+    simple = build_root_system(family, rank).simple_roots
     c = [[pairing(x, y) for y in simple] for x in simple]
     return tuple(map(tuple, linalg.solve(c, simple)))
 
@@ -595,15 +600,8 @@ def word_text(word) -> str:
 
 
 def root_text(rs: RootSystem, root: Vector) -> str:
-    coords = simple_root_coordinates(rs, root)
-    parts = []
-    for a, c in enumerate(coords, start=1):
-        if c == 0:
-            continue
-        if c == 1:
-            parts.append(f"a{a}")
-        else:
-            parts.append(f"{c}*a{a}")
+    parts = [f"a{a}" if c == 1 else f"{c}*a{a}"
+             for a, c in enumerate(simple_root_coordinates(rs, root), start=1) if c]
     return "+".join(parts) if parts else "0"
 
 

@@ -191,9 +191,13 @@ class QPolynomial:
         return _merged(quot, ()), _merged(rem, ())
 
     def __eq__(self, other):
-        return isinstance(other, QPolynomial) and self.terms == other.terms
+        if not isinstance(other, QPolynomial):
+            return NotImplemented  # a RationalFunction compares itself
+        return self.terms == other.terms
 
     def __hash__(self):
+        if not any(self.terms):  # no positive exponent: hash as the constant
+            return hash(self.terms.get(0, 0))
         return hash(frozenset(self.terms.items()))
 
     def __bool__(self):
@@ -349,7 +353,8 @@ class RationalFunction:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        # a polynomial equals its numerator, and a constant its number
+        return hash(self.num) if self.den is _P_ONE else hash((self.num, self.den))
 
     def __bool__(self):
         return not self.num.is_zero()

@@ -323,9 +323,10 @@ def _set_first_coeff(value):
     (lambda raw: raw["basis"][0].pop("label"), "basis[0].label"),
     (_set_first_coeff("1/0"), 'generator_products["1|0"][0].coeff'),
     (_set_first_coeff("abc"), 'generator_products["1|0"][0].coeff'),
+    (_set_first_coeff("1e3000000"), 'generator_products["1|0"][0].coeff'),
     (lambda raw: raw["basis"][0].update(codim="x"), "basis[0].codim"),
     (lambda raw: raw.update(basis=5), "basis"),
-], ids=["missing-label", "coeff-1/0", "coeff-abc", "codim-x", "basis-5"])
+], ids=["missing-label", "coeff-1/0", "coeff-abc", "coeff-1e3000000", "codim-x", "basis-5"])
 def test_bad_data_file_exits_2_naming_the_json_path(tmp_path, edit, path):
     raw = json.loads(bundled_ig26_path().read_text(encoding="utf-8"))
     edit(raw)

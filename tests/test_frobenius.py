@@ -51,6 +51,38 @@ def test_dual_numbers_dual_basis_swaps():
     assert duals[1] == QuantumElement.basis("1")
 
 
+def test_an_edit_to_a_returned_gram_matrix_changes_no_later_result():
+    """``gram_matrix`` returns a new list on each call, so setting an entry
+    of one changes neither the next one, nor the Euler class, nor
+    ``validate``: kept on the algebra, f(1 * e) = 2 would make the Euler
+    class s[e], and f(1 * e) = 0 the pairing degenerate."""
+    a = dual_numbers()
+    before = a.gram_matrix()
+    for value in (2 * ONE, ZERO):
+        a.gram_matrix()[0][1] = value
+        assert a.gram_matrix() == before == [[ZERO, ONE], [ONE, ZERO]]
+        assert a.euler_class() == element({("e", 0): 2})
+        assert a.validate() == []
+
+
+def test_render_element_signs_and_brackets():
+    a = dual_numbers()
+    assert a.render_element(QuantumElement({"1": 1, "e": -1})) == "1 - s[e]"
+    assert a.render_element(QuantumElement({"e": Q + 1})) == "(q + 1)*s[e]"
+
+
+def test_elements_are_immutable_and_hash_as_they_compare():
+    x = QuantumElement({"1": Q, "e": -1})
+    for value in (x, x.coefficient("1"), x.coefficient("1").num):
+        with pytest.raises(AttributeError):
+            value.coeffs = {}
+    y = QuantumElement([("e", -1), ("1", Q + 1), ("1", -1)])
+    assert x == y and hash(x) == hash(y) and y in {x}
+    assert x.scale(0) == QuantumElement() and x.scale(0).is_zero()
+    with pytest.raises(TypeError, match="cannot use float as a coefficient"):
+        QuantumElement({"1": 0.5})
+
+
 def test_dual_numbers_euler_and_diagnosis():
     a = dual_numbers()
     e = a.euler_class()
@@ -327,7 +359,7 @@ def test_validate_scans_every_triple_when_the_unit_has_a_pole_at_q0(monkeypatch)
     monkeypatch.setattr(axioms, "_associativity_violations",
                         lambda algebra, elems: full_scans.append(algebra.name)
                         or scan(algebra, elems))
-    assert algebra._point() == 1
+    assert algebra._q0 == 1
     assert axioms._generating_set(algebra) is None
     assert algebra.validate() == []
     assert full_scans == [algebra.name]

@@ -211,6 +211,22 @@ def test_rational_string_coefficients_accepted():
     raw = minimal_spec()
     raw["generator_products"]["1|1"][0]["coeff"] = "2/2"
     assert parse_spec(json.dumps(raw)) == parse_spec(json.dumps(minimal_spec()))
+    for coeff, value in ((3, 3), ("3/2", Fraction(3, 2)), ("-0.25", Fraction(-1, 4))):
+        raw["generator_products"]["1|1"][0]["coeff"] = coeff
+        spec = parse_spec(json.dumps(raw))
+        assert spec.generator_products[("1", "1")] == QuantumElement({"0": value * Q})
+
+
+@pytest.mark.parametrize("coeff", ["1e3000000", "1E3", "0.5e-1"])
+def test_exponent_notation_in_a_coefficient_is_rejected(coeff):
+    """``Fraction`` reads exponents, and "1e3000000" is an integer of three
+    million digits; parsing stops at it, before any completion."""
+    raw = json.loads(read_bundled())
+    raw["generator_products"]["1|0"][0]["coeff"] = coeff
+    with pytest.raises(ParseError) as info:
+        parse_spec(json.dumps(raw))
+    assert str(info.value).startswith(
+        'generator_products["1|0"][0].coeff must be an integer or a rational string')
 
 
 def test_bad_json_reports_position():

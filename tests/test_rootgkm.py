@@ -183,6 +183,21 @@ def test_warm_fundamental_weights_lookup_hashes_no_fraction(monkeypatch):
     assert calls == []
 
 
+def test_fundamental_weights_are_looked_up_by_family_and_rank():
+    """Tripwire: a lookup hashes no root system, which would hash each of
+    its roots (210 at A20)."""
+    hashes = []
+
+    class Counted(rg.RootSystem):
+        def __hash__(self):
+            hashes.append(self.rank)
+            return super().__hash__()
+
+    rs = rg.build_root_system("A", 20)
+    assert rg.fundamental_weights(Counted(*rs)) == rg.fundamental_weights(rs)
+    assert hashes == []
+
+
 @pytest.mark.parametrize("fam, rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4)])
 def test_root_system_hashes_as_the_tuple_it_equals(fam, rank):
     rs = rg.build_root_system(fam, rank)

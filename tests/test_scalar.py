@@ -496,6 +496,18 @@ def test_constructor_refuses_cancelling_floats_and_negative_exponents(e, neg, x)
         QPolynomial({e: 1, neg: Fraction(1, 2)})
 
 
+def test_equality_with_a_polynomial_or_a_number_is_symmetric_and_hashes_agree():
+    p = poly((0, 1), (2, Fraction(1, 2)))
+    for scalar, other in ((RationalFunction(p), p), (ONE, 1), (ZERO, 0),
+                          (RationalFunction(Fraction(3, 2)), Fraction(3, 2)),
+                          (RationalFunction(QPolynomial.constant(2)), QPolynomial.constant(2))):
+        assert scalar == other and other == scalar
+        assert hash(scalar) == hash(other)
+        assert other in {scalar} and scalar in {other}
+    assert p != RationalFunction(p, poly((1, 1), (0, 1))) and p != Q
+    assert not QPolynomial.constant(2) == 2 and QPolynomial.constant(2) != 2
+
+
 @given(st.integers(-10**6, 10**6), st.integers(0, 5))
 @example(2, 0)
 def test_integral_fraction_equals_int(n, e):
