@@ -15,7 +15,7 @@ integer coroot degrees, the coset of the longest element) is computed once
 and cached.  Crossing roots are those pairing nonzero with rho_P, the sum of
 the fundamental weights off S_P: a positive coroot has nonnegative
 coordinates over the simple coroots.  Coordinates over the simple roots and
-coroots come from the fundamental weights of the one system.  The graph of
+coroots come from the fundamental weights, in closed form.  The graph of
 torus-fixed points and invariant curves has one vertex per coset of the
 parabolic subgroup and one edge germ per crossing positive root; the
 oscillation bound is a minimum-weight path between the identity coset and
@@ -50,7 +50,7 @@ def dot(u: Vector, v: Vector) -> Fraction:
 def pairing(weight: Vector, root: Vector) -> Fraction:
     """<weight, coroot(root)> = 2 (weight, root) / (root, root), read off the
     root's nonzero coordinates (at most two for a simple root)."""
-    num = norm = Fraction(0)
+    num, norm = Fraction(0), 0
     for t, x in enumerate(root):
         if x:
             num += weight[t] * x
@@ -84,6 +84,8 @@ def build_root_system(family: str, rank: int) -> RootSystem:
         raise InvalidShape("rank must be >= 1")
     if family == "D" and rank < 2:
         raise InvalidShape("type D needs rank >= 2")
+    if rank > 200:  # roots are dense: their memory grows as rank^3
+        raise TooLarge(f"rank {rank} exceeds the root-system guard of 200")
 
     dim = rank + 1 if family == "A" else rank
     pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
@@ -183,18 +185,16 @@ def longest_element(family: str, rank: int):
 
 
 def fundamental_weights(rs: RootSystem):
-    """Vectors w_a in the span of the simple roots with <w_a, b-coroot> = delta:
-    the rows of C^-1 times the simple roots, C[a][b] = <alpha_a, b-coroot>.
-    Cached by (family, rank): a key of the whole system hashes every root."""
-    return _fundamental_weights(rs.family, rs.rank)
-
-
-@lru_cache(maxsize=None)
-def _fundamental_weights(family: str, rank: int):
-    from . import linalg
-    simple = build_root_system(family, rank).simple_roots
-    c = [[pairing(x, y) for y in simple] for x in simple]
-    return tuple(map(tuple, linalg.solve(c, simple)))
+    """The w_a with <w_a, b-coroot> = delta, in closed form (Bourbaki, Plates
+    I-IV): e_1 + ... + e_a, less a/(r+1) in every coordinate for A_r; halved
+    at node r for B_r and D_r, and 1/2 (e_1 + ... + e_{r-1} - e_r) at node r-1 of D_r."""
+    shift = Fraction(1, rs.rank + 1) if rs.family == "A" else Fraction(0)
+    weights = [[1 - a * shift] * a + [-a * shift] * (rs.dim - a) for a in range(1, rs.rank + 1)]
+    if rs.family in "BD":
+        weights[-1] = [x / 2 for x in weights[-1]]
+    if rs.family == "D":
+        weights[-2] = weights[-1][:-1] + [-weights[-1][-1]]
+    return tuple(map(tuple, weights))
 
 
 @lru_cache(maxsize=None)
@@ -283,8 +283,7 @@ class OrbitSpec(_OrbitFields):
 
 def make_orbit_spec(family: str, rank: int, parabolic, weight) -> OrbitSpec:
     rs = build_root_system(family, rank)
-    return OrbitSpec(rs, tuple(sorted(parabolic)),
-                     tuple(Fraction(x) for x in weight))
+    return OrbitSpec(rs, tuple(sorted(parabolic)), tuple(Fraction(x) for x in weight))
 
 
 def crossing_roots(rs: RootSystem, parabolic) -> tuple:

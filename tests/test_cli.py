@@ -290,6 +290,24 @@ def test_weyl_group_guard_names_the_order_from_its_closed_form(
                    "over the guard of 46080 for gkm and hz-bound\n")
 
 
+@pytest.mark.parametrize("argv, rank", [
+    (("orbit", "--family", "A", "--rank", "100000", "monotone-weight"), 100000),
+    (("orbit", "--family", "B", "--rank", "201", "chern"), 201),
+    (("orbit", "--family", "C", "--rank", "201", "--parabolic", "1", "monotone-weight"), 201),
+    (("orbit", "--family", "D", "--rank", "201", "chern"), 201),
+    (("un-capacity", "--lambda", ",".join(map(str, range(201, -1, -1)))), 201),
+], ids=["A100000-monotone-weight", "B201-chern", "C201-monotone-weight", "D201-chern",
+        "un-capacity-202"])
+def test_root_systems_past_rank_200_are_refused_before_they_are_built(capsys, argv, rank):
+    """Roots are dense vectors, so their memory grows as rank^3: the root
+    system of any family past rank 200 is refused before it is built."""
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == f"TooLarge: rank {rank} exceeds the root-system guard of 200\n"
+
+
 def test_largest_type_a_group_under_the_guard_still_runs():
     proc = run_module("orbit", "--family", "A", "--rank", "7",
                       "--parabolic", "1,2,3,4,5,6", "hz-bound")

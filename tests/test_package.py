@@ -49,8 +49,8 @@ def source_lines(module):
 # A process compiles the source of every module it imports, so a command's
 # start-up grows with these lines; each budget is the count when it was set.
 @pytest.mark.parametrize("argv, budget", [
-    (("un-capacity", "--lambda", "3,1,0"), 1017),
-    (("orbit", "--family", "A", "--rank", "3", "--parabolic", "1,3", "chern"), 1205),
+    (("un-capacity", "--lambda", "3,1,0"), 1016),
+    (("orbit", "--family", "A", "--rank", "3", "--parabolic", "1,3", "chern"), 1016),
     (("grassmannian", "-k", "2", "-n", "4", "diagnose"), 2148),
     (("algebra", "--file", str(SRC / "qeuler" / "data" / "ig26.json"), "diagnose"), 2252),
 ], ids=["un-capacity", "orbit-chern", "grassmannian-diagnose", "ig26-diagnose"])
@@ -59,19 +59,20 @@ def test_each_command_loads_no_more_lines_than_its_budget(argv, budget):
     assert sum(source_lines(m) for m in loaded if m.partition(".")[0] == "qeuler") <= budget
 
 
-NOT_FOR_ORBITS = {"qeuler.frobenius", "qeuler.grassmannian", "qeuler.presented",
-                  "qeuler.scalar", "dataclasses"}
+ORBIT_MODULES = {"qeuler", "qeuler.cli", "qeuler.errors", "qeuler.rootgkm"}
 
 
-# un-capacity solves for no fundamental weight, so it loads no linalg either
-@pytest.mark.parametrize("argv, not_loaded", [
-    (("un-capacity", "--lambda", "3,1,0"), NOT_FOR_ORBITS | {"qeuler.linalg"}),
-    (("orbit", "--family", "A", "--rank", "3", "--parabolic", "1,3", "chern"), NOT_FOR_ORBITS),
-], ids=["un-capacity", "orbit-chern"])
-def test_orbit_commands_load_only_the_orbit_modules(argv, not_loaded):
+# the fundamental weights are closed forms, so no orbit command loads linalg:
+# each loads the CLI, the errors and the root code, and no other qeuler module
+@pytest.mark.parametrize("argv", [
+    ("un-capacity", "--lambda", "3,1,0"),
+    ("orbit", "--family", "A", "--rank", "3", "--parabolic", "1,3", "chern"),
+    ("orbit", "--family", "B", "--rank", "3", "--parabolic", "2", "hz-bound"),
+], ids=["un-capacity", "orbit-chern", "orbit-hz-bound"])
+def test_orbit_commands_load_only_the_orbit_modules(argv):
     loaded = modules_loaded_by(*argv)
-    assert "qeuler.rootgkm" in loaded
-    assert not loaded & not_loaded
+    assert {m for m in loaded if m.partition(".")[0] == "qeuler"} == ORBIT_MODULES
+    assert "dataclasses" not in loaded
 
 
 def test_grassmannian_command_loads_no_presented_or_orbit_module():
@@ -153,9 +154,15 @@ def _module_level_imports(source):
             stack.extend(ast.iter_child_nodes(node))
 
 
-def _imports_beyond_stdlib_and_errors(source):
+def _every_import(source):
+    """Every import statement, those in function bodies included."""
+    return (node for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Import, ast.ImportFrom)))
+
+
+def _imports_beyond_stdlib_and_errors(source, imports=_module_level_imports):
     found = []
-    for node in _module_level_imports(source):
+    for node in imports(source):
         if isinstance(node, ast.ImportFrom) and node.level:
             allowed = node.module == "errors"
         else:
@@ -168,10 +175,9 @@ def _imports_beyond_stdlib_and_errors(source):
 
 
 def test_linalg_imports_only_the_stdlib_and_errors():
-    """Every ring command and every orbit command but ``un-capacity``
-    imports ``linalg``, so what it imports at module level those processes
-    pay for; the fraction-free branch imports ``scalar`` in the function
-    that needs it."""
+    """Every ring command imports ``linalg``, and no orbit command does, so
+    what it imports at module level the ring processes pay for; the
+    fraction-free branch imports ``scalar`` in the function that needs it."""
     source = (SRC / "qeuler" / "linalg.py").read_text(encoding="utf-8")
     assert _imports_beyond_stdlib_and_errors(source) == []
     assert sorted(_imports_beyond_stdlib_and_errors(
@@ -181,10 +187,14 @@ def test_linalg_imports_only_the_stdlib_and_errors():
 
 
 def test_rootgkm_imports_only_the_stdlib_and_errors():
-    """``un-capacity`` imports ``rootgkm`` for the closed form alone, so
-    ``linalg`` is imported by ``_fundamental_weights``, its one user."""
+    """Every orbit command imports ``rootgkm``, so no import anywhere in it,
+    in a function body or not, reaches past the stdlib and ``errors``: the
+    fundamental weights are closed forms, solved for through no ``linalg``."""
     source = (SRC / "qeuler" / "rootgkm.py").read_text(encoding="utf-8")
-    assert _imports_beyond_stdlib_and_errors(source) == []
+    assert _imports_beyond_stdlib_and_errors(source, _every_import) == []
+    assert _imports_beyond_stdlib_and_errors(
+        "import heapq\ndef f():\n    from . import linalg\n", _every_import) == [
+        "from . import linalg"]
 
 
 def test_no_assert_and_no_float_literal_in_the_package():

@@ -166,8 +166,9 @@ def test_root_coordinates_ask_only_their_own_system(monkeypatch):
 
 
 def test_warm_fundamental_weights_lookup_hashes_no_fraction(monkeypatch):
-    """Tripwire: a cached ``fundamental_weights`` lookup hashes no
-    ``Fraction``, as the root system holds none."""
+    """Tripwire: a repeated ``fundamental_weights`` call hashes no
+    ``Fraction``: the weights are closed forms, read from no cache keyed by
+    the root system, which holds none."""
     systems = [rg.build_root_system(fam, rank) for fam, rank in (("A", 20), ("B", 4), ("D", 4))]
     for rs in systems:
         rg.fundamental_weights(rs)
@@ -179,7 +180,7 @@ def test_warm_fundamental_weights_lookup_hashes_no_fraction(monkeypatch):
     assert len(calls) == 4 * 4  # the counter sees hashes inside a tuple
     calls.clear()
     for rs in systems:
-        assert rg.fundamental_weights(rs) is rg.fundamental_weights(rs)
+        assert rg.fundamental_weights(rs) == rg.fundamental_weights(rs)
     assert calls == []
 
 
@@ -207,13 +208,21 @@ def test_root_system_hashes_as_the_tuple_it_equals(fam, rank):
 
 
 def test_fundamental_weight_duality():
-    for fam, rank in [("A", 4), ("B", 3), ("C", 3), ("D", 4)]:
+    """Every closed form pairs to delta with the simple coroots, and each
+    A_r weight has coordinates summing to 0, so lies in the span of the
+    simple roots.  Duality and span fix the weights, so this pins the small
+    cases A1, B1, C1, D2 and D3 as well."""
+    systems = [(fam, rank) for fam in "ABCD" for rank in range(1 + (fam == "D"), 13)]
+    for fam, rank in systems + [(fam, 60) for fam in "ABCD"]:
         rs = rg.build_root_system(fam, rank)
         weights = rg.fundamental_weights(rs)
+        assert len(weights) == rank and {len(w) for w in weights} == {rs.dim}
         for a in range(rank):
             for b in range(rank):
                 value = rg.pairing(weights[a], rs.simple_roots[b])
                 assert value == (1 if a == b else 0)
+            if fam == "A":
+                assert sum(weights[a]) == 0
 
 
 def test_longest_element_is_unique_and_longest():
