@@ -16,9 +16,10 @@ generating set it finds there (Light's test) before it scans every basis
 triple.  ``is_nilpotent`` takes one exact power over Q(q).
 
 Mirror rule: the constructor stores a product and its mirror as one
-object when the table gives only one order, and the gram matrix reads f
-once for such a pair; a pair whose two orders are two objects is read in
-both, so a table that is wrong in one order only keeps its asymmetry.
+object when the table gives only one order.  The gram matrix reads f once
+for such a pair, and a square ``multiply(x, x)`` reads its product once,
+with weight 2; a pair whose two orders are two objects is read in both,
+so a table that is wrong in one order only keeps its asymmetry.
 
 The Euler class E = sum(e_i * e_i^dual) takes one of two routes.  On an
 algebra whose axioms are known to hold (tables from
@@ -45,7 +46,8 @@ from typing import NamedTuple
 
 from . import linalg
 from .errors import DegeneratePairing, DivisionByZero, InputError, NotAUnit, UnknownLabel
-from .scalar import ONE, ZERO, RationalFunction, _join_terms, render_scalar
+from .scalar import (ONE, ZERO, RationalFunction, _accumulate, _join_terms, _total,
+                     render_scalar)
 
 
 def _as_scalar(c) -> RationalFunction:
@@ -62,7 +64,8 @@ class QuantumElement:
     The constructor is the entry point for outside data: it takes a dict
     or any iterable of ``(label, coefficient)`` pairs, adds the coefficients
     of each label and drops the zero sums.  ``FrobeniusAlgebra.multiply``
-    sums its terms itself and stores them through ``_from_canonical``.
+    sums its terms per label and denominator in ``scalar._accumulate`` and
+    passes the constructor one total per label.
     Supports addition, subtraction, negation, and scalar multiplication.
     Products live on the owning algebra, which knows the structure
     constants.
@@ -71,18 +74,11 @@ class QuantumElement:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=None):
-        tidy = {}
-        if coeffs:
-            items = coeffs.items() if isinstance(coeffs, dict) else coeffs
-            for label, c in items:
-                c = _as_scalar(c)
-                if label in tidy:
-                    c = c + tidy[label]
-                if c:
-                    tidy[label] = c
-                elif label in tidy:
-                    del tidy[label]
-        object.__setattr__(self, "coeffs", tidy)
+        sums = {}
+        for label, c in coeffs.items() if isinstance(coeffs, dict) else coeffs or ():
+            c = _as_scalar(c)
+            sums[label] = sums[label] + c if label in sums else c
+        object.__setattr__(self, "coeffs", {l: c for l, c in sums.items() if c})
 
     def __setattr__(self, name, value):
         raise AttributeError("QuantumElement is immutable")
@@ -119,15 +115,13 @@ class QuantumElement:
     def __sub__(self, other):
         if not isinstance(other, QuantumElement):
             return NotImplemented
-        return QuantumElement([*self.coeffs.items(), *((l, -c) for l, c in other.coeffs.items())])
+        return self + -other
 
     def __neg__(self):
         return QuantumElement({l: -c for l, c in self.coeffs.items()})
 
     def scale(self, c):
         c = _as_scalar(c)
-        if not c:
-            return QuantumElement()
         return QuantumElement({l: x * c for l, x in self.coeffs.items()})
 
     def __mul__(self, c):
@@ -231,17 +225,22 @@ class FrobeniusAlgebra:
     # -- ring operations ----------------------------------------------------
 
     def multiply(self, x: QuantumElement, y: QuantumElement) -> QuantumElement:
-        """Bilinear extension of the structure constants: each output label's
-        terms are added as they come, and the zero sums dropped at the end."""
-        coeffs = {}
-        for a, ca in x.items():
+        """Bilinear extension of the structure constants, summed per output
+        label and denominator in ``scalar._accumulate`` and normalised once
+        per denominator.  A square (``x is y``) takes each pair a != b once,
+        with weight 2 where (a, b) and (b, a) share one object (mirror rule)."""
+        table, sums, ys = self.structure_constants, {}, list(y.items())
+        for i, (a, ca) in enumerate(x.items()):
             self._check_label(a)
-            for b, cb in y.items():
+            for b, cb in ys[i:] if x is y else ys:
                 self._check_label(b)
-                c = ca * cb
-                for l, cl in self.structure_constants[(a, b)].items():
-                    coeffs[l] = coeffs[l] + c * cl if l in coeffs else c * cl
-        return QuantumElement._from_canonical({l: c for l, c in coeffs.items() if c})
+                ab, c = table[(a, b)], ca * cb
+                twice = x is y and a != b  # a square reads (b, a) with (a, b)
+                ba = table[(b, a)] if twice else ab
+                for prod, k in [(ab, 1 + twice)] if ba is ab else [(ab, 1), (ba, 1)]:
+                    for l, cl in prod.items():
+                        _accumulate(sums.setdefault(l, {}), k, c, cl)
+        return QuantumElement((l, _total(groups)) for l, groups in sums.items())
 
     def f(self, x: QuantumElement) -> RationalFunction:
         """The Frobenius functional, extended linearly."""
@@ -258,12 +257,7 @@ class FrobeniusAlgebra:
 
     def gram_matrix(self):
         """Matrix of eta on the basis: eta[i][j] = f(e_i * e_j), a new list
-        on each call.
-
-        Mirror rule: f of the product for (a, b) is reused for (b, a) only
-        when the table holds one object for both orders; otherwise f is
-        read in both orders, so the matrix equals f applied entry by entry.
-        """
+        on each call; by the mirror rule it equals f applied entry by entry."""
         table, n = self.structure_constants, self.rank
         rows = [[None] * n for _ in range(n)]
         for i, a in enumerate(self.basis):
@@ -388,14 +382,9 @@ class FrobeniusAlgebra:
     def diagnose(self) -> DiagnoseReport:
         e = self.euler_class()
         e_square = self.multiply(e, e)
-        return DiagnoseReport(
-            rank=self.rank,
-            euler_class=e,
-            f_of_euler=self.f(e),
-            euler_square=e_square,
-            semisimple=self.is_unit(e),
-            field_factor=not e_square.is_zero(),
-        )
+        return DiagnoseReport(rank=self.rank, euler_class=e, f_of_euler=self.f(e),
+                              euler_square=e_square, semisimple=self.is_unit(e),
+                              field_factor=not e_square.is_zero())
 
     # -- validation ----------------------------------------------------------
 

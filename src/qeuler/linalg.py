@@ -23,11 +23,7 @@ from .errors import ComputeError, InvalidShape, SingularMatrix
 
 
 def mat_mul(a, b):
-    n, m, p = len(a), len(b[0]), len(b)
-    return [
-        [sum((a[i][t] * b[t][j] for t in range(p)), 0) for j in range(m)]
-        for i in range(n)
-    ]
+    return [[sum((x * y for x, y in zip(row, col)), 0) for col in zip(*b)] for row in a]
 
 
 def mat_vec(a, v):

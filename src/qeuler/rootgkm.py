@@ -303,7 +303,7 @@ def _monotone_sum(rs: RootSystem, parabolic) -> tuple:
     checked as ``OrbitSpec`` checks them."""
     pset = _parabolic_set(rs, parabolic)
     crossing = crossing_roots(rs, parabolic)
-    total = tuple(sum(r[t] for r in crossing) for t in range(rs.dim))
+    total = tuple(map(sum, zip(*crossing))) or (0,) * rs.dim  # S_P = S: no crossing root
     values = [pairing(total, simple) for simple in rs.simple_roots]
     if any(v.denominator != 1 or (a in pset) != (v == 0) or v < 0
            for a, v in enumerate(values, start=1)):

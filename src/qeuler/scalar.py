@@ -7,7 +7,9 @@ otherwise.  Values are immutable and kept in a unique canonical form
 equality and instances are safe to share between threads.  When the
 numerator or the denominator is a single term the gcd is a power of q, so
 the common Laurent case needs no Euclidean algorithm.  Polynomial
-arithmetic merges terms in one pass of ``_merged`` into a canonical dict.
+arithmetic merges terms in one pass of ``_merged`` into a canonical dict;
+a sum of scalar products adds raw terms per denominator in ``_accumulate``
+and ``_total`` normalises each denominator's sum once.
 
 One recursive-descent parser reads two grammars: scalars (``parse_scalar``)
 and the defining expressions of presented data files (``parse_expression``,
@@ -287,8 +289,7 @@ class RationalFunction:
         return None
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if (other := self._coerce(other)) is None:
             return NotImplemented
         if self.den == other.den:
             return RationalFunction(self.num + other.num, self.den)
@@ -299,27 +300,24 @@ class RationalFunction:
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if (other := self._coerce(other)) is None:
             return NotImplemented
-        if self.den == other.den:
-            return RationalFunction(self.num - other.num, self.den)
-        return RationalFunction(
-            self.num * other.den - other.num * self.den, self.den * other.den
-        )
+        return self + -other
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if (other := self._coerce(other)) is None:
             return NotImplemented
         return other - self
 
     def __neg__(self):
-        return RationalFunction(-self.num, self.den)
+        # the negative of a canonical value is canonical: no gcd to take
+        neg = object.__new__(RationalFunction)
+        object.__setattr__(neg, "num", -self.num)
+        object.__setattr__(neg, "den", self.den)
+        return neg
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if (other := self._coerce(other)) is None:
             return NotImplemented
         if self.den is _P_ONE and other.den is _P_ONE:
             return RationalFunction(self.num * other.num)
@@ -328,16 +326,14 @@ class RationalFunction:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if (other := self._coerce(other)) is None:
             return NotImplemented
         if other.is_zero():
             raise DivisionByZero("division by the zero rational function")
         return RationalFunction(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if (other := self._coerce(other)) is None:
             return NotImplemented
         return other / self
 
@@ -347,8 +343,7 @@ class RationalFunction:
         return RationalFunction(self.num**n, self.den**n)
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if (other := self._coerce(other)) is None:
             return NotImplemented
         return self.num == other.num and self.den == other.den
 
@@ -369,6 +364,24 @@ class RationalFunction:
 ZERO = RationalFunction(0)
 ONE = RationalFunction(1)
 Q = RationalFunction(QPolynomial.monomial(1, 1))
+
+
+def _accumulate(groups, k, x, y):
+    """Add k * x * y, x and y ``RationalFunction``s, into ``groups``, a dict
+    {denominator: {exponent: coefficient}}, with plain coefficient sums; the
+    denominator is ``_P_ONE`` when both are polynomials."""
+    den = y.den if x.den is _P_ONE else x.den if y.den is _P_ONE else x.den * y.den
+    terms = groups.setdefault(den, {})
+    for e1, c1 in x.num.terms.items():
+        c1 *= k
+        for e2, c2 in y.num.terms.items():
+            terms[e1 + e2] = terms.get(e1 + e2, 0) + c1 * c2
+
+
+def _total(groups) -> RationalFunction:
+    """The sum in ``groups``, one ``RationalFunction`` per denominator."""
+    first, *rest = (RationalFunction(_merged({}, t.items()), den) for den, t in groups.items())
+    return sum(rest, first)
 
 
 # ---------------------------------------------------------------------------

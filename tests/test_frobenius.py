@@ -680,6 +680,101 @@ def test_multiply_drops_a_label_whose_partial_sums_cancel():
     assert algebra.multiply(x, x).coeffs == {"1": ONE, "e": 2 * ONE}
 
 
+def _naive_product(algebra, x, y):
+    """x * y by the definition: every ordered pair (a, b) of the supports
+    read from the table, each term ca * cb * c_l added as a scalar, and the
+    zero sums dropped at the end."""
+    coeffs = {}
+    for a, ca in x.items():
+        for b, cb in y.items():
+            for l, cl in algebra.structure_constants[(a, b)].items():
+                coeffs[l] = coeffs.get(l, ZERO) + ca * cb * cl
+    return {l: c for l, c in coeffs.items() if c}
+
+
+def _random_scalar(rng):
+    """Zero one time in five, else (a + b*q + c*q^2) / d with d one of 1,
+    q^2, 1 + q, 2 - q^2 and 3 + q + q^2, so that one product sums terms
+    over several denominators, not all of them monomials."""
+    if not rng.randrange(5):
+        return ZERO
+    num = sum((rng.randint(-3, 3) * Q**e for e in range(3)), RationalFunction(rng.choice([1, -2])))
+    return num / rng.choice([ONE, Q * Q, 1 + Q, 2 - Q * Q, 3 + Q + Q * Q])
+
+
+def _unequal_mirrors():
+    """A three-label table whose (a, b) and (b, a) are two unequal objects
+    for every a != b; multiply needs no axiom to hold."""
+    basis = ["u", "v", "w"]
+    table = {(a, b): QuantumElement({c: (i + 2 * j + 3 * k + 1) * Q**k / (1 + Q * (i + 1))
+                                     for k, c in enumerate(basis)})
+             for i, a in enumerate(basis) for j, b in enumerate(basis)}
+    return FrobeniusAlgebra(basis, table, "u", dict.fromkeys(basis, ONE), name="unequal mirrors")
+
+
+_MIRROR_TABLES = {
+    "G(2,4)": lambda: GrassmannianRing(2, 4).to_frobenius(),
+    "moved sum": lambda: change_basis(direct_sum(quadratic_extension(Q), nilpotent_chain(3)),
+                                      unimodular(5, random.Random(29))),
+    "unequal mirrors": _unequal_mirrors,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MIRROR_TABLES))
+def test_multiply_matches_the_naive_product_over_q_of_q(name):
+    """Differential test: ``multiply`` equals the naive bilinear sum on
+    random elements with non-monomial denominators, for a square (``x is
+    y``), an equal copy, a different factor and the zero element, on two
+    tables that share each mirror pair and one whose mirrors differ."""
+    algebra = _MIRROR_TABLES[name]()
+    table = algebra.structure_constants
+    shared = [table[(a, b)] is table[(b, a)] for a in algebra.basis for b in algebra.basis]
+    assert all(shared) if name != "unequal mirrors" else shared.count(True) == algebra.rank
+    rng = random.Random(name)
+    for _ in range(3):
+        x, y = (QuantumElement({l: _random_scalar(rng) for l in algebra.basis}) for _ in "xy")
+        for left, right in [(x, x), (x, QuantumElement(dict(x.coeffs))), (x, y), (y, x),
+                            (x, QuantumElement()), (QuantumElement(), y)]:
+            product = algebra.multiply(left, right)
+            assert product.coeffs == _naive_product(algebra, left, right), name
+            assert all(isinstance(c, RationalFunction) and c for c in product.coeffs.values())
+
+
+@pytest.mark.parametrize("algebra, x, expected", [
+    # (e0 + e1 - 1/2 e2)^2 = e0 + 2 e1 + (1 - 1 + 0) e2: the e2 sum of the
+    # pair (e0, e2), read once with weight 2, and the diagonal (e1, e1) is 0
+    (nilpotent_chain(3), {"e0": ONE, "e1": ONE, "e2": -ONE / 2}, {"e0": ONE, "e1": 2 * ONE}),
+    # (1 + x)^2 = 1 + x^2 + 2x = 2x in Q(q)[x]/(x^2 + 1): two diagonals cancel
+    (quadratic_extension(-1), {"1": ONE, "x": ONE}, {"x": 2 * ONE}),
+    # (1/(1 + q) + q/(1 + q) x)^2 = 1/(1 + q)^2 (1 + q^2 x^2) + 2q/(1 + q)^2 x
+    # in Q(q)[x]/(x^2 + q^-2): the sums over two denominators cancel
+    (quadratic_extension(-Q**-2), {"1": 1 / (1 + Q), "x": Q / (1 + Q)},
+     {"x": 2 * Q / (1 + Q) ** 2}),
+], ids=["mirror-and-diagonal", "diagonals", "two-denominators"])
+def test_a_square_drops_the_labels_whose_sums_cancel(algebra, x, expected):
+    x = QuantumElement(x)
+    assert algebra.multiply(x, x).coeffs == expected == _naive_product(algebra, x, x)
+
+
+def test_a_square_multiplies_each_mirror_pair_once(monkeypatch):
+    """Work-counting tripwire: squaring an element with n nonzero
+    coefficients on a table that shares each mirror pair calls
+    ``RationalFunction.__mul__`` n(n + 1)/2 times, once per unordered pair
+    (n^2, plus one call per structure-constant term, when every ordered
+    pair was multiplied out term by term)."""
+    algebra = GrassmannianRing(2, 4).to_frobenius()
+    x = QuantumElement({l: (i + 1) / (1 + Q) + Q**i for i, l in enumerate(algebra.basis)})
+    expected = _naive_product(algebra, x, x)
+    calls, mul = [], RationalFunction.__mul__
+    monkeypatch.setattr(RationalFunction, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    assert algebra.multiply(x, x).coeffs == expected
+    n = algebra.rank
+    assert len(calls) == n * (n + 1) // 2
+    calls.clear()
+    assert algebra.multiply(x, QuantumElement(dict(x.coeffs))).coeffs == expected
+    assert len(calls) == n * n
+
+
 def test_each_solve_in_diagnose_runs_one_bareiss(monkeypatch, ig26):
     """Tripwire: ``linalg`` has one elimination, so the one ``solve`` in
     ``diagnose()`` of G(2,4), G(3,6), IG(2,6) and of a ``generic``

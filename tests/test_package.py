@@ -51,8 +51,8 @@ def source_lines(module):
 @pytest.mark.parametrize("argv, budget", [
     (("un-capacity", "--lambda", "3,1,0"), 1016),
     (("orbit", "--family", "A", "--rank", "3", "--parabolic", "1,3", "chern"), 1016),
-    (("grassmannian", "-k", "2", "-n", "4", "diagnose"), 2148),
-    (("algebra", "--file", str(SRC / "qeuler" / "data" / "ig26.json"), "diagnose"), 2252),
+    (("grassmannian", "-k", "2", "-n", "4", "diagnose"), 2146),
+    (("algebra", "--file", str(SRC / "qeuler" / "data" / "ig26.json"), "diagnose"), 2250),
 ], ids=["un-capacity", "orbit-chern", "grassmannian-diagnose", "ig26-diagnose"])
 def test_each_command_loads_no_more_lines_than_its_budget(argv, budget):
     loaded = modules_loaded_by(*argv)

@@ -378,6 +378,22 @@ def test_monotone_weight_examples():
     assert lam == (Fraction(1, 2), Fraction(-1, 2))
 
 
+@pytest.mark.parametrize("fam, ranks", [("A", range(1, 6)), ("B", range(1, 6)),
+                                        ("C", range(1, 6)), ("D", range(2, 6))])
+def test_monotone_sum_adds_the_crossing_roots_coordinate_by_coordinate(fam, ranks):
+    """The column sums of the crossing roots equal the per-coordinate sums,
+    ``int`` for ``int``, on every parabolic; for S_P = S there is no
+    crossing root and the sum is the zero vector of the root system."""
+    for rank in ranks:
+        rs = rg.build_root_system(fam, rank)
+        for size in range(rank + 1):
+            for parabolic in combinations(range(1, rank + 1), size):
+                crossing, total, _ = rg._monotone_sum(rs, parabolic)
+                expected = tuple(sum(r[t] for r in crossing) for t in range(rs.dim))
+                assert total == expected and all(type(x) is int for x in total), parabolic
+    assert rg.monotone_weight("A", 3, (1, 2, 3)) == (0, 0, 0, 0)
+
+
 def test_is_monotone_detects_non_monotone():
     spec = rg.make_orbit_spec("A", 2, (), (5, 1, 0))
     assert rg.is_monotone(spec) is None

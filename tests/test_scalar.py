@@ -310,6 +310,20 @@ def test_negative_exponent_power():
     assert x * Q**3 == ONE
 
 
+def test_negation_takes_no_gcd(monkeypatch):
+    """The negative of a canonical value is canonical, so ``-x`` takes no
+    ``poly_gcd`` (one at a time when it went through the constructor) and
+    keeps x's denominator; it equals 0 - x, whose sum does take one."""
+    x = parse_scalar("(3*q^2 + q + 1)/(q^2 + q + 2)")
+    calls, gcd = [], qeuler.scalar.poly_gcd
+    monkeypatch.setattr(qeuler.scalar, "poly_gcd", lambda a, b: calls.append(1) or gcd(a, b))
+    neg = -x
+    assert not calls
+    assert neg.den is x.den and neg.num == poly((2, -3), (1, -1), (0, -1))
+    assert neg == 0 - x and -neg == x and calls
+    assert (-ZERO).den == ONE.num and not -ZERO
+
+
 def test_scalar_doctests_pass():
     # the module examples pin the canonical form, e.g. RationalFunction('3/16*q^-2')
     result = doctest.testmod(qeuler.scalar)
