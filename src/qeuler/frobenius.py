@@ -41,7 +41,7 @@ on each call, so no caller can change a later result through them.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import count
+from itertools import count, filterfalse
 from typing import NamedTuple
 
 from . import linalg
@@ -186,8 +186,7 @@ class FrobeniusAlgebra:
         self.rank = len(self.basis)
         table = {}
         for (a, b), elem in structure_constants.items():
-            for label in (a, b, *elem.coeffs):
-                self._check_label(label)
+            self._check_labels((a, b, *elem.coeffs))
             table[(a, b)] = elem
             if (b, a) not in structure_constants:
                 table[(b, a)] = elem
@@ -197,15 +196,12 @@ class FrobeniusAlgebra:
             raise UnknownLabel(f"no structure constant for ({a!r}, {b!r})")
         self.structure_constants = table
         self.unit = unit if isinstance(unit, QuantumElement) else QuantumElement.basis(unit)
-        for label in (*self.unit.coeffs, *functional):
-            self._check_label(label)
+        self._check_labels((*self.unit.coeffs, *functional))
         self.functional = {l: _as_scalar(c) for l, c in functional.items()}
         self._support = [(l, c) for l, c in self.functional.items() if c]
         if grading is not None:
-            for label in grading.real_degree:
-                self._check_label(label)
-            if len(grading.real_degree) != self.rank:
-                missing = next(l for l in self.basis if l not in grading.real_degree)
+            self._check_labels(grading.real_degree)
+            for missing in filterfalse(grading.real_degree.__contains__, self.basis):
                 raise UnknownLabel(f"no degree for label {missing!r}")
         self.grading = grading
         self.name = name
@@ -218,8 +214,9 @@ class FrobeniusAlgebra:
         # gives the Euler class; set by the constructors and validate()
         self._axioms_hold = False
 
-    def _check_label(self, label):
-        if label not in self.index:
+    def _check_labels(self, labels):
+        """``UnknownLabel`` naming the first of ``labels`` outside the basis."""
+        for label in filterfalse(self.index.__contains__, labels):
             raise UnknownLabel(f"label {label!r} is not in the basis")
 
     # -- ring operations ----------------------------------------------------
@@ -229,11 +226,11 @@ class FrobeniusAlgebra:
         label and denominator in ``scalar._accumulate`` and normalised once
         per denominator.  A square (``x is y``) takes each pair a != b once,
         with weight 2 where (a, b) and (b, a) share one object (mirror rule)."""
+        self._check_labels(x.coeffs)
+        self._check_labels(y.coeffs)
         table, sums, ys = self.structure_constants, {}, list(y.items())
         for i, (a, ca) in enumerate(x.items()):
-            self._check_label(a)
             for b, cb in ys[i:] if x is y else ys:
-                self._check_label(b)
                 ab, c = table[(a, b)], ca * cb
                 twice = x is y and a != b  # a square reads (b, a) with (a, b)
                 ba = table[(b, a)] if twice else ab
@@ -244,8 +241,12 @@ class FrobeniusAlgebra:
 
     def f(self, x: QuantumElement) -> RationalFunction:
         """The Frobenius functional, extended linearly."""
+        self._check_labels(x.coeffs)
+        return self._f(x.coeffs)
+
+    def _f(self, coeffs: dict) -> RationalFunction:
+        """``f`` on coefficients whose labels are known to be in the basis."""
         total = ZERO
-        coeffs = x.coeffs
         for l, value in self._support:
             c = coeffs.get(l)
             if c is not None:
@@ -257,15 +258,15 @@ class FrobeniusAlgebra:
 
     def gram_matrix(self):
         """Matrix of eta on the basis: eta[i][j] = f(e_i * e_j), a new list
-        on each call; by the mirror rule it equals f applied entry by entry."""
+        on each call; ``_f`` of each checked table entry, by the mirror rule."""
         table, n = self.structure_constants, self.rank
         rows = [[None] * n for _ in range(n)]
         for i, a in enumerate(self.basis):
             for j in range(i, n):
                 b = self.basis[j]
                 ab, ba = table[(a, b)], table[(b, a)]
-                rows[i][j] = value = self.f(ab)
-                rows[j][i] = value if ba is ab else self.f(ba)
+                rows[i][j] = value = self._f(ab.coeffs)
+                rows[j][i] = value if ba is ab else self._f(ba.coeffs)
         return rows
 
     def dual_basis(self):
@@ -327,9 +328,9 @@ class FrobeniusAlgebra:
 
     def _vector_at_point(self, x: QuantumElement):
         """Coordinates of x at q0, or None at a pole of x."""
+        self._check_labels(x.coeffs)
         vec = [0] * self.rank
         for l, c in x.items():
-            self._check_label(l)
             try:
                 vec[self.index[l]] = c.evaluate(self._q0)
             except DivisionByZero:
@@ -406,10 +407,9 @@ class FrobeniusAlgebra:
     # -- rendering -----------------------------------------------------------
 
     def _render_order(self, labels):
-        if self.grading is not None:
-            deg = self.grading.real_degree
-            return sorted(labels, key=lambda l: (deg[l], self.index[l]))
-        return sorted(labels, key=lambda l: self.index[l])
+        self._check_labels(labels)
+        deg = self.grading.real_degree if self.grading is not None else {}
+        return sorted(labels, key=lambda l: (deg.get(l, 0), self.index[l]))
 
     def _unit_label(self):
         """The unit's label when the unit is one basis element with
@@ -427,7 +427,7 @@ class FrobeniusAlgebra:
             return "0"
         unit_label = self._unit_label()
         parts = []
-        for l in self._render_order(x.support()):
+        for l in self._render_order(x.coeffs):
             c = x.coefficient(l)
             scalar = render_scalar(c)
             if l == unit_label:
@@ -466,7 +466,7 @@ class FrobeniusAlgebra:
         return "\n".join(lines) + "\n"
 
     def element_to_json(self, x: QuantumElement) -> dict:
-        return {l: render_scalar(x.coefficient(l)) for l in self._render_order(x.support())}
+        return {l: render_scalar(x.coefficient(l)) for l in self._render_order(x.coeffs)}
 
     def table_to_json(self) -> dict:
         """Every product ``s[a] * s[b]``, keyed ``"a|b"``."""

@@ -6,23 +6,22 @@ an ``int`` vector and ``Fraction`` enters with a weight: the fundamental
 weights, pairings and root coordinates are exact ``Fraction``s.  There every
 Weyl group element maps each coordinate axis to an axis, up to sign, so an
 element is stored as a signed permutation: a tuple ``w`` of signed 1-based
-indices with ``w(e_j) = +-e_p`` for ``w[j-1] = +-p``.  Weyl groups are
-generated by breadth-first closure over right multiplication by the simple
-reflections, so element lengths come for free from the search depth.
-Everything that depends only on the group and the parabolic subset (coset
-representatives, a symmetric table of edge germs, crossing roots and their
-integer coroot degrees, the coset of the longest element) is computed once
-and cached.  Crossing roots are those pairing nonzero with rho_P, the sum of
-the fundamental weights off S_P: a positive coroot has nonnegative
-coordinates over the simple coroots.  Coordinates over the simple roots and
-coroots come from the fundamental weights, in closed form.  The graph of
-torus-fixed points and invariant curves has one vertex per coset of the
-parabolic subgroup and one edge germ per crossing positive root; the
-oscillation bound is a minimum-weight path between the identity coset and
-the coset of the longest element.  An edge's weight is linear in the
-weight's simple-coroot pairings c_a, so Dijkstra's algorithm runs over the
-integers <c * L, degree>, L the lcm of the denominators of c, with
-deterministic tie breaks (fewest edges, then vertex order, then root
+indices with ``w(e_j) = +-e_p`` for ``w[j-1] = +-p``.  W and W / W_P are
+listed by one breadth-first search over the orbit of a weight with
+stabilizer e or W_P, lengths coming from the search depth.  Everything that
+depends only on the group and the parabolic subset (coset representatives,
+a symmetric table of edge germs, crossing roots and their integer coroot
+degrees) is computed once and cached.  Crossing roots are those pairing
+nonzero with rho_P, the sum of the fundamental weights off S_P: a positive
+coroot has nonnegative coordinates over the simple coroots.  Coordinates
+over the simple roots and coroots come from the fundamental weights, in
+closed form.  The graph of torus-fixed points and invariant curves has one
+vertex per coset of the parabolic subgroup and one edge germ per crossing
+positive root; the oscillation bound is a minimum-weight path between the
+identity coset and the coset of the longest element.  An edge's weight is
+linear in the weight's simple-coroot pairings c_a, so Dijkstra's algorithm
+runs over the integers <c * L, degree>, L the lcm of the denominators of c,
+with deterministic tie breaks (fewest edges, then vertex order, then root
 order); only the chain and the bound are turned back into exact rationals.
 """
 
@@ -141,33 +140,42 @@ def _reflection(root: Vector) -> tuple:
     return tuple(w)
 
 
+def _orbit(family: str, rank: int, ref: Vector):
+    """The Weyl group orbit of the integer vector ``ref``: per point, the
+    (signed permutation, word) of the shortest element carrying ``ref``
+    there, and the map point -> index, in search order.
+
+    Breadth first over s_i . point, generators outside the level: a new point
+    is first reached through the least left descent i of its shortest element,
+    as s_i . w with word (i,) + word(w), so words are lexicographically least
+    and points come by length, then word.  With W_P fixing ``ref`` these are
+    the minimal coset representatives (Bjorner-Brenti, GTM 231, 2.4-2.5)."""
+    gens = [_reflection(r) for r in build_root_system(family, rank).simple_roots]
+    elements = [(tuple(range(1, len(ref) + 1)), ())]
+    index = {ref: 0}
+    level = [(ref, *elements[0])]
+    while level:
+        new_level = []
+        for i, g in enumerate(gens, start=1):
+            for point, w, word in level:
+                # g(point) has +-point[j] at p for g[p] = +-(j + 1), g an involution
+                image = tuple(point[x - 1] if x > 0 else -point[-x - 1] for x in g)
+                if image not in index:
+                    index[image] = len(elements)
+                    # (s_i . w)(e_j) = g(w(e_j))
+                    elements.append((tuple(g[x - 1] if x > 0 else -g[-x - 1] for x in w),
+                                     (i,) + word))
+                    new_level.append((image, *elements[-1]))
+        level = new_level
+    return elements, index
+
+
 @lru_cache(maxsize=None)
 def weyl_elements(family: str, rank: int):
-    """All Weyl group elements as (signed permutation, shortest word) in
-    search order.
-
-    Breadth-first closure over right multiplication by simple reflections;
-    the level at which an element first appears is its Coxeter length, and
-    within a level words are produced in lexicographic order.
-    """
-    rs = build_root_system(family, rank)
-    gens = [_reflection(r) for r in rs.simple_roots]
-    start = tuple(range(1, rs.dim + 1))
-    seen = {start}
-    order = [(start, ())]
-    frontier = [(start, ())]
-    while frontier:
-        new_frontier = []
-        for w, word in frontier:
-            for i, g in enumerate(gens, start=1):
-                # (w . g)(e_j) = w(g(e_j))
-                nxt = tuple(w[x - 1] if x > 0 else -w[-x - 1] for x in g)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    new_frontier.append((nxt, word + (i,)))
-        order.extend(new_frontier)
-        frontier = new_frontier
-    return tuple(order)
+    """All Weyl group elements as (signed permutation, shortest word), by
+    length, then word: the orbit of (dim, ..., 1), which only e fixes."""
+    dim = build_root_system(family, rank).dim
+    return tuple(_orbit(family, rank, tuple(range(dim, 0, -1)))[0])
 
 
 def weyl_order(family: str, rank: int) -> int:
@@ -350,7 +358,6 @@ class _Skeleton(NamedTuple):
     neighbors: memoryview  # read-only, flat: per coset u in turn, its sorted
                            # germs (v, r) with u . s_r = v or v . s_r = u
     starts: memoryview     # row u of ``neighbors`` is [starts[u], starts[u + 1])
-    w0_index: int          # coset of the longest element, the last
 
 
 def _germs(sk: _Skeleton, u: int):
@@ -368,25 +375,20 @@ def _frozen(items: array) -> memoryview:
 def _coset_skeleton(family: str, rank: int, parabolic: tuple) -> _Skeleton:
     """Everything about W / W_P that does not depend on the regular weight.
 
-    Representatives are the first element of each coset in search order,
-    which is of minimal length, so they are listed by length.  The longest
-    of them is w0 . w0_P, alone of length the number of crossing roots: the
-    last one is the coset of w0.  Each germ u -> u . s_alpha, one per coset
-    and crossing root, is entered in the rows of both of its ends, so the
-    germs joining two cosets are the same from either side.  The degrees of
-    a crossing root, its coroot's coordinates off S_P, are its pairings with
-    the free w_a."""
+    Representatives are the minimal elements of the cosets, by length, then
+    word.  The longest of them is w0 . w0_P, alone of length the number of
+    crossing roots: the last one is the coset of w0.  Each germ
+    u -> u . s_alpha, one per coset and crossing root, is entered in the
+    rows of both of its ends, so the germs joining two cosets are the same
+    from either side.  The degrees of a crossing root, its coroot's
+    coordinates off S_P, are its pairings with the free w_a."""
     rs = build_root_system(family, rank)
     free = tuple(a for a in range(1, rs.rank + 1) if a not in parabolic)
     # cosets are keyed by w(ref), ref the monotone weight (the sum of the
     # crossing roots): pairing to 0 with S_P and to the Chern numbers off
     # it, its stabilizer is exactly W_P
     crossing, ref, _ = _monotone_sum(rs, parabolic)
-
-    reps, key_to_index = [], {}
-    for element in weyl_elements(family, rank):
-        if key_to_index.setdefault(act(element[0], ref), len(reps)) == len(reps):
-            reps.append(element)
+    reps, key_to_index = _orbit(family, rank, ref)
     if len(reps[-1][1]) != len(crossing):
         raise ComputeError(f"last coset has length {len(reps[-1][1])}, not {len(crossing)}")
 
@@ -415,7 +417,7 @@ def _coset_skeleton(family: str, rank: int, parabolic: tuple) -> _Skeleton:
         starts.append(len(neighbors))
 
     return _Skeleton(tuple(reps), crossing, tuple(degrees), free, _frozen(neighbors),
-                     _frozen(starts), len(reps) - 1)
+                     _frozen(starts))
 
 
 def weyl_cosets(spec: OrbitSpec):
@@ -485,7 +487,7 @@ def hz_upper_bound(spec: OrbitSpec) -> CapacityBound:
     scale = lcm(*(x.denominator for x in c))
     scaled = [x.numerator * (scale // x.denominator) for x in c]
     weights = [sum(x * d for x, d in zip(scaled, degree)) for degree in sk.degrees]
-    source, target = 0, sk.w0_index
+    source, target = 0, len(sk.reps) - 1
 
     # v -> (distance, edges, parent, root index): tuple order is the tie
     # break, fewest edges, then the earliest parent, then among parallel
@@ -533,8 +535,6 @@ def brute_force_bound(spec: OrbitSpec) -> Fraction:
     n = len(graph.vertices)
     if n > 30:
         raise TooLarge(f"{n} cosets exceed the brute-force guard of 30")
-    rs = spec.root_system
-    target = _coset_skeleton(rs.family, rs.rank, spec.parabolic).w0_index
 
     adjacency = {}
     for e in graph.edges:
@@ -554,7 +554,7 @@ def brute_force_bound(spec: OrbitSpec) -> Fraction:
     while stack:
         u, total, untried = stack[-1]
         step = None
-        if u == target:
+        if u == n - 1:  # the coset of the longest element
             best = total
         else:
             step = next(((v, total + w) for v, w in untried if not visited[v]), None)

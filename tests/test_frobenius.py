@@ -115,6 +115,30 @@ def test_unknown_label_rejected():
         a.multiply(QuantumElement.basis("nope"), a.unit)
 
 
+# every public method that takes an element, called with x in each place
+ELEMENT_METHODS = {
+    "multiply-left": lambda a, x: a.multiply(x, a.unit),
+    "multiply-right": lambda a, x: a.multiply(a.unit, x),
+    "square": lambda a, x: a.multiply(x, x),
+    "f": lambda a, x: a.f(x),
+    "eta": lambda a, x: a.eta(a.unit, x),
+    "operator_matrix": lambda a, x: a.operator_matrix(x),
+    "trace_of_multiplication": lambda a, x: a.trace_of_multiplication(x),
+    "is_unit": lambda a, x: a.is_unit(x),
+    "inverse": lambda a, x: a.inverse(x),
+    "is_nilpotent": lambda a, x: a.is_nilpotent(x),
+    "render_element": lambda a, x: a.render_element(x),
+    "element_to_json": lambda a, x: a.element_to_json(x),
+    "report_to_json": lambda a, x: a.report_to_json(a.diagnose()._replace(euler_square=x)),
+}
+
+
+@pytest.mark.parametrize("call", ELEMENT_METHODS.values(), ids=ELEMENT_METHODS.keys())
+def test_a_label_outside_the_basis_raises_unknown_label_naming_the_first(call):
+    with pytest.raises(UnknownLabel, match="'zz'"):
+        call(dual_numbers(), QuantumElement({"e": 1, "zz": 1, "yy": 1}))
+
+
 # ---------------------------------------------------------------------------
 # direct sums
 # ---------------------------------------------------------------------------

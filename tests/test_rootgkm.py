@@ -1,3 +1,4 @@
+import hashlib
 import heapq
 import random
 from fractions import Fraction
@@ -256,11 +257,17 @@ def test_cosets_include_identity_and_longest():
     assert any(rg.act(w, spec.weight) == w0_point for w, _ in reps)
 
 
-@pytest.mark.parametrize("fam, rank", GOLDEN_GROUPS)
+# every group of rank <= 5 but B5 and C5, the golden file's groups among them
+COSET_GROUPS = ([("A", r) for r in range(1, 6)] + [(f, r) for f in "BC" for r in (2, 3, 4)]
+                + [("D", r) for r in range(2, 6)])
+
+
+@pytest.mark.parametrize("fam, rank", COSET_GROUPS)
 def test_cosets_match_the_fundamental_weight_key(fam, rank):
-    """Oracle on every parabolic of the golden file's groups: cosets keyed
-    by w(sum of the fundamental weights off S_P), the first element of each
-    in search order, and the coset of w0."""
+    """Oracle on every parabolic: the skeleton's representatives are the
+    first element of each coset in ``weyl_elements``' order, the cosets
+    keyed by w(sum of the fundamental weights off S_P), as
+    ``chevalley_c1_terms`` picks them; the last is the coset of w0."""
     rs = rg.build_root_system(fam, rank)
     weights = rg.fundamental_weights(rs)
     w0, _ = rg.longest_element(fam, rank)
@@ -271,12 +278,62 @@ def test_cosets_match_the_fundamental_weight_key(fam, rank):
             first = {}
             for w, word in rg.weyl_elements(fam, rank):
                 first.setdefault(rg.act(w, ref), (w, word))
-            spec = rg.make_orbit_spec(fam, rank, parabolic,
-                                      rg.monotone_weight(fam, rank, parabolic))
-            reps = rg.weyl_cosets(spec)
-            assert reps == list(first.values()), parabolic
-            w0_index = rg._coset_skeleton(fam, rank, parabolic).w0_index
-            assert reps[w0_index] == first[rg.act(w0, ref)], parabolic
+            reps = rg._coset_skeleton(fam, rank, parabolic).reps
+            assert reps == tuple(first.values()), parabolic
+            assert reps[-1] == first[rg.act(w0, ref)], parabolic
+
+
+def right_multiplication_closure(family, rank):
+    """Reference for ``weyl_elements``: breadth first over w . s_i, the
+    level outside the generators, each element kept with its first word."""
+    rs = rg.build_root_system(family, rank)
+    gens = [rg._reflection(r) for r in rs.simple_roots]
+    start = tuple(range(1, rs.dim + 1))
+    seen, order, frontier = {start}, [(start, ())], [(start, ())]
+    while frontier:
+        new_frontier = []
+        for w, word in frontier:
+            for i, g in enumerate(gens, start=1):
+                # (w . g)(e_j) = w(g(e_j))
+                nxt = tuple(w[x - 1] if x > 0 else -w[-x - 1] for x in g)
+                if nxt not in seen:
+                    seen.add(nxt)
+                    new_frontier.append((nxt, word + (i,)))
+        order.extend(new_frontier)
+        frontier = new_frontier
+    return tuple(order)
+
+
+@pytest.mark.parametrize("fam, rank", [("A", r) for r in range(1, 7)]
+                         + [(f, r) for f in "BCD" for r in range(2, 6)])
+def test_weyl_elements_match_the_right_multiplication_closure(fam, rank):
+    assert rg.weyl_elements(fam, rank) == right_multiplication_closure(fam, rank)
+
+
+def test_coset_skeleton_does_not_enumerate_the_weyl_group(monkeypatch):
+    """P^12 = A12 / P with S_P = {2, ..., 12} has 13 cosets, s_k ... s_1 for
+    k = 0..12, found without listing the 13! elements of W."""
+    def refuse(*args):
+        raise AssertionError("the coset skeleton enumerated W")
+    monkeypatch.setattr(rg, "weyl_elements", refuse)
+    sk = rg._coset_skeleton.__wrapped__("A", 12, tuple(range(2, 13)))
+    assert [word for _, word in sk.reps] == [tuple(range(k, 0, -1)) for k in range(13)]
+    assert len(sk.crossing) == 12
+
+
+def test_search_order_is_pinned():
+    """sha256 over the repr of ``weyl_elements`` and of every skeleton of
+    every parabolic, ranks <= 4: a search that reorders elements, cosets,
+    words or germs changes it."""
+    digest = hashlib.sha256()
+    for fam, rank in [("A", r) for r in range(1, 5)] + [(f, r) for f in "BCD" for r in (2, 3, 4)]:
+        digest.update(repr(rg.weyl_elements(fam, rank)).encode())
+        for parabolic in every_parabolic(fam, rank):
+            sk = rg._coset_skeleton(fam, rank, parabolic)
+            digest.update(repr((sk.reps, sk.crossing, sk.degrees, bytes(sk.neighbors),
+                                bytes(sk.starts))).encode())
+    assert digest.hexdigest() == (
+        "ca83b8a1120738a434bf89ed61849ace99699cecf79068bcc73486dbdbe48763")
 
 
 def test_skeleton_rejects_a_reference_that_is_not_regular_for_exactly_p(monkeypatch):
@@ -670,8 +727,10 @@ def fraction_dijkstra(spec):
     over ``gkm_graph``'s merged edges, with the same tie break (distance,
     fewest edges, earliest parent)."""
     graph = rg.gkm_graph(spec)
-    rs = spec.root_system
-    target = rg._coset_skeleton(rs.family, rs.rank, spec.parabolic).w0_index
+    # the coset of w0: the weight is regular for S_P, so its image keys cosets
+    w0, _ = rg.longest_element(spec.root_system.family, spec.root_system.rank)
+    target = next(u for u, (w, _) in enumerate(rg.weyl_cosets(spec))
+                  if rg.act(w, spec.weight) == rg.act(w0, spec.weight))
     adjacency = {}
     for e_idx, e in enumerate(graph.edges):
         adjacency.setdefault(e.source, []).append(e_idx)
