@@ -216,7 +216,7 @@ def run(args) -> str:
     if args.command == "orbit":
         return _orbit_output(args)
     from . import rootgkm
-    value, _ = rootgkm.un_closed_form(_parse_rationals(args.weight))
+    value = rootgkm._un_value(_parse_rationals(args.weight))
     if args.format == "json":
         return _json_text({"bound": str(value)})
     return f"{value}\n"

@@ -98,9 +98,6 @@ class QuantumElement:
     def coefficient(self, label) -> RationalFunction:
         return self.coeffs.get(label, ZERO)
 
-    def support(self):
-        return set(self.coeffs)
-
     def is_zero(self):
         return not self.coeffs
 

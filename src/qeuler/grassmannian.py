@@ -8,11 +8,13 @@ computed two independent ways:
   one factor.  s_p * s_lam has two halves, each an interlacing
   enumeration: s_mu for lam_i <= mu_i <= lam_{i-1} (lam_0 = n - k) and
   |mu| = |lam| + p, and, when lam has k rows, q * s_nu for
-  lam_{i+1} - 1 <= nu_i <= lam_i - 1 (nu_k >= 0) and |nu| = |lam| + p - n;
+  lam_{i+1} - 1 <= nu_i <= lam_i - 1 (nu_k >= 0) and |nu| = |lam| + p - n.
+  The ring is graded, |lam| + |mu| = |nu| + n*d, so a term is a class
+  index and an int, and ``_collect`` reads the power q^d off the sizes;
 * ``rim_hook_product`` computes the classical Littlewood-Richardson
   expansion in at most k rows (Jacobi-Trudi determinant plus classical
   Pieri steps) and then reduces each term by removing border strips of
-  size n, with a sign per removal.
+  size n, with a sign per removal, and checks that d strips came off.
 
 Their agreement on every basis pair is part of the test suite, not an
 assumption.
@@ -20,12 +22,11 @@ assumption.
 
 from __future__ import annotations
 
-from collections import Counter
 from itertools import combinations
 
 from .errors import ComputeError, InvalidShape, InvalidSpecialClass, UnknownLabel
 from .frobenius import FrobeniusAlgebra, Grading, QuantumElement, _axioms_known
-from .scalar import QPolynomial, RationalFunction
+from .scalar import RationalFunction
 
 Partition = tuple
 
@@ -64,10 +65,11 @@ class GrassmannianRing:
         self.chern_number = n
         self.complex_dimension = k * (n - k)
         self.basis_index = {p: i for i, p in enumerate(self.basis)}
-        self._labels = {p: partition_label(p) for p in self.basis}
+        self._labels = [partition_label(p) for p in self.basis]
+        self._sizes = [sum(p) for p in self.basis]
         # every table the ring fills lives, and is freed, with the ring
-        self._scalar_cache = {}  # sorted nonzero (q_power, coefficient) terms -> scalar
-        self._pieri_cache = {}  # (p, lam) -> quantum Pieri terms
+        self._scalar_cache = {}  # (q_power, coefficient) -> scalar
+        self._pieri_rows = None  # filled by _steps
         self._classical_cache = {}  # (lam, p) -> classical Pieri step of the oracle
 
     def check_member(self, p: Partition):
@@ -90,15 +92,8 @@ class GrassmannianRing:
     # -- quantum Pieri route -------------------------------------------------
 
     def quantum_pieri_raw(self, p: int, lam: Partition):
-        """Multiply by the special class s_p.
-
-        Returns a tuple of (partition, q_power) terms, each with
-        coefficient 1 (the rule is multiplicity free).  The ring keeps it,
-        so each (p, lam) is enumerated once.
-        """
-        cached = self._pieri_cache.get((p, lam))
-        if cached is not None:
-            return cached
+        """Multiply by the special class s_p: a tuple of (partition, q_power)
+        terms, each with coefficient 1 (the rule is multiplicity free)."""
         if not 1 <= p <= self.width:
             raise InvalidSpecialClass(
                 f"special class index must be in 1..{self.width}, got {p}")
@@ -110,39 +105,47 @@ class GrassmannianRing:
         if size >= self.n and lam_p[-1] >= 1:
             out += [(nu, 1) for nu in _interlacing(
                 [x - 1 for x in lam_p[1:]] + [0], [x - 1 for x in lam_p], size - self.n)]
-        cached = self._pieri_cache[(p, lam)] = tuple(out)
-        return cached
+        return tuple(out)
 
     def quantum_pieri(self, p: int, lam: Partition) -> QuantumElement:
-        return self._collect(Counter(self.quantum_pieri_raw(p, lam)))
+        return self._collect(sum(lam) + p, {
+            self.basis_index[mu]: 1 for mu, _ in self.quantum_pieri_raw(p, lam)})
 
-    def _product_terms(self, lam: Partition, mu: Partition, known: dict):
-        """Raw terms {(partition, q_power): coefficient} of s_lam * s_mu.
+    def _steps(self) -> list:
+        """Per class mu = nu + (p,), p its last part: (rows, index of nu, other
+        classes of s_p * s_nu), rows[i] the classes of s_p * s_i, as basis
+        indices; None for the empty class.  The ring keeps the rows once made."""
+        if self._pieri_rows is None:
+            self._pieri_rows = [
+                [tuple(self.basis_index[mu] for mu, _ in self.quantum_pieri_raw(p, lam))
+                 for lam in self.basis] for p in range(1, self.width + 1)]
+        steps = [None]
+        for m, mu in enumerate(self.basis[1:], 1):
+            rows, nu = self._pieri_rows[mu[-1] - 1], self.basis_index[mu[:-1]]
+            steps.append((rows, nu, [t for t in rows[nu] if t != m]))
+        return steps
 
-        With p the last part of mu and nu the rest, s_p * s_nu is s_mu plus
-        classes mu'' of the same size that are lexicographically larger
-        than mu, and it has no q-term since nu has fewer than k rows; so
-        s_lam * s_mu = s_p * (s_lam * s_nu) - sum s_lam * s_mu''.
-        ``known`` maps each mu already reached to its terms, for this lam.
+    def _product_terms(self, m: int, memo: list, steps: list) -> dict:
+        """Terms {class index: coefficient} of s_lam * s_mu, mu the class m,
+        where memo[0] is {index of lam: 1} and memo[i] is s_lam * s_i once
+        reached.  With p the last part of mu and nu the rest, s_p * s_nu is
+        s_mu plus classes mu'' of the same size that are lexicographically
+        larger than mu, and it has no q-term since nu has fewer than k rows;
+        so s_lam * s_mu = s_p * (s_lam * s_nu) - sum s_lam * s_mu''.  A
+        method: a recursive closure would keep each memo alive until a gc pass.
         """
-        terms = known.get(mu)
+        terms = memo[m]
         if terms is not None:
             return terms
-        if not mu:
-            terms = {(lam, 0): 1}
-        else:
-            p, nu = mu[-1], mu[:-1]
-            terms = {}
-            for (part, d), c in self._product_terms(lam, nu, known).items():
-                for part2, d2 in self.quantum_pieri_raw(p, part):
-                    key = (part2, d + d2)
-                    terms[key] = terms.get(key, 0) + c
-            for other, _ in self.quantum_pieri_raw(p, nu):
-                if other != mu:
-                    for key, c in self._product_terms(lam, other, known).items():
-                        terms[key] = terms.get(key, 0) - c
-            terms = {key: c for key, c in terms.items() if c}
-        known[mu] = terms
+        rows, nu, others = steps[m]
+        terms = {}
+        for t, c in self._product_terms(nu, memo, steps).items():
+            for t2 in rows[t]:
+                terms[t2] = terms.get(t2, 0) + c
+        for other in others:
+            for t, c in self._product_terms(other, memo, steps).items():
+                terms[t] = terms.get(t, 0) - c
+        terms = memo[m] = {t: c for t, c in terms.items() if c}
         return terms
 
     def quantum_product(self, lam: Partition, mu: Partition) -> QuantumElement:
@@ -150,8 +153,10 @@ class GrassmannianRing:
         self.check_member(lam)
         self.check_member(mu)
         # recurse on the class earlier in the basis; both orders run the same steps
-        first, last = sorted((lam, mu), key=self.basis_index.__getitem__)
-        return self._collect(self._product_terms(last, first, {}))
+        first, last = sorted((self.basis_index[lam], self.basis_index[mu]))
+        memo = [{last: 1}] + [None] * (len(self.basis) - 1)
+        return self._collect(sum(lam) + sum(mu),
+                             self._product_terms(first, memo, self._steps()))
 
     # -- rim-hook oracle route -------------------------------------------------
 
@@ -159,6 +164,7 @@ class GrassmannianRing:
         """Independent oracle: classical LR expansion, then n-rim-hook reduction."""
         self.check_member(lam)
         self.check_member(mu)
+        size = sum(lam) + sum(mu)
         acc = {}
         for rho, c in _classical_product_rows_capped(
                 lam, _jacobi_trudi_monomials(mu, self.k), self.k,
@@ -167,47 +173,44 @@ class GrassmannianRing:
             if reduced is None:
                 continue
             nu, d, sign = reduced
-            key = (nu, d)
-            acc[key] = acc.get(key, 0) + sign * c
-        return self._collect(acc)
+            if size - sum(nu) != self.n * d:  # the q-power _collect reads off
+                raise ComputeError(f"rim-hook reduction of {rho} removed {d} strips")
+            t = self.basis_index[nu]
+            acc[t] = acc.get(t, 0) + sign * c
+        return self._collect(size, acc)
 
-    def _collect(self, acc) -> QuantumElement:
-        """Element from {(partition, q_power): coefficient}, q_power >= 0.
-
-        Each distinct coefficient is one ``RationalFunction`` that every
-        product of the ring shares, so a table holds as many scalar
-        objects as it has coefficient values.  Those are canonical and
-        nonzero, and each label comes once, so the element stores the
-        dict as is.
+    def _collect(self, size: int, terms: dict) -> QuantumElement:
+        """Element from the terms {class index: coefficient} of s_lam * s_mu,
+        ``size`` = |lam| + |mu|: class nu carries q^d, d = (size - |nu|) / n.
+        Each distinct (d, coefficient) is one canonical, nonzero
+        ``RationalFunction`` that every product of the ring shares, and each
+        label comes once, so the element stores the dict as is.
         """
-        by_part = {}
-        for (part, d), c in acc.items():
-            if c:
-                by_part.setdefault(part, []).append((d, c))
         coeffs = {}
-        for part, terms in by_part.items():
-            key = tuple(sorted(terms))
-            scalar = self._scalar_cache.get(key)
-            if scalar is None:
-                scalar = self._scalar_cache[key] = RationalFunction(QPolynomial(key))
-            coeffs[self._labels[part]] = scalar
+        for t, c in terms.items():
+            if c:
+                key = ((size - self._sizes[t]) // self.n, c)
+                scalar = self._scalar_cache.get(key)
+                if scalar is None:
+                    scalar = self._scalar_cache[key] = RationalFunction.monomial(c, key[0])
+                coeffs[self._labels[t]] = scalar
         return QuantumElement._from_canonical(coeffs)
 
     # -- compilation -----------------------------------------------------------
 
     def to_frobenius(self) -> FrobeniusAlgebra:
         """Compile to a Frobenius algebra: f = coefficient at the point class."""
-        labels = [self._labels[p] for p in self.basis]
+        labels, sizes, steps = self._labels, self._sizes, self._steps()
         table = {}
-        for j, b in enumerate(self.basis):
-            known = {}  # the products with b, column j of the table
+        for j in range(len(labels)):
+            memo = [{j: 1}] + [None] * (len(labels) - 1)  # column j of the table
             for i in range(j + 1):
                 table[(labels[i], labels[j])] = self._collect(
-                    self._product_terms(b, self.basis[i], known))
-        point = partition_label((self.width,) * self.k)
+                    sizes[i] + sizes[j], self._product_terms(i, memo, steps))
+        point = labels[-1]  # the basis runs by size, so the point class is last
         functional = {l: (1 if l == point else 0) for l in labels}
         grading = Grading(
-            real_degree={self._labels[p]: self.degree(p) for p in self.basis},
+            real_degree={l: self.degree(p) for l, p in zip(labels, self.basis)},
             chern_number=self.chern_number,
         )
         return _axioms_known(FrobeniusAlgebra(

@@ -183,9 +183,8 @@ def weyl_order(family: str, rank: int) -> int:
 
 
 def longest_element(family: str, rank: int):
-    """The unique element of maximal length, as (signed permutation, word).
-
-    The search lists elements by length, so it is the last one."""
+    """The unique element of maximal length, as (signed permutation, word):
+    the last one, since the search lists elements by length."""
     elements = weyl_elements(family, rank)
     if len(elements) > 1 and len(elements[-2][1]) == len(elements[-1][1]):
         raise ComputeError(f"{family}{rank}: the longest element is not unique")
@@ -421,8 +420,7 @@ def _coset_skeleton(family: str, rank: int, parabolic: tuple) -> _Skeleton:
 
 
 def weyl_cosets(spec: OrbitSpec):
-    """Minimal-length representatives of W / W_P as (signed permutation,
-    word) pairs."""
+    """Minimal-length representatives of W / W_P, as (signed permutation, word)."""
     rs = spec.root_system
     return list(_coset_skeleton(rs.family, rs.rank, spec.parabolic).reps)
 
@@ -570,12 +568,9 @@ def brute_force_bound(spec: OrbitSpec) -> Fraction:
     return best
 
 
-def un_closed_form(lam) -> tuple:
-    """Closed-form oscillation bound for a regular unitary-group orbit, plus
-    the matching full-flag orbit data.
-
-    Returns (value, spec) with value = half the sum of |lam_k - lam_{n-k+1}|.
-    """
+def _un_value(lam) -> Fraction:
+    """Closed-form oscillation bound of the regular unitary-group orbit of lam:
+    half the sum of |lam_k - lam_{n-k+1}|, lam checked as for ``un_closed_form``."""
     lam = [Fraction(x) for x in lam]
     n = len(lam)
     if n < 2:
@@ -585,9 +580,14 @@ def un_closed_form(lam) -> tuple:
             raise NotRegular(f"entries {i + 1} and {i + 2} repeat: {lam[i]}")
         if lam[i] < lam[i + 1]:
             raise NotRegular("entries must be strictly decreasing")
-    value = sum(abs(lam[k] - lam[n - 1 - k]) for k in range(n)) / 2
-    spec = make_orbit_spec("A", n - 1, (), lam)
-    return value, spec
+    if n > 201:  # the guard that building A_{n-1} would meet
+        raise TooLarge(f"rank {n - 1} exceeds the root-system guard of 200")
+    return sum(abs(lam[k] - lam[n - 1 - k]) for k in range(n)) / 2
+
+
+def un_closed_form(lam) -> tuple:
+    """(``_un_value(lam)``, the matching full-flag orbit data), lam a sequence."""
+    return _un_value(lam), make_orbit_spec("A", len(lam) - 1, (), lam)
 
 
 # ---------------------------------------------------------------------------

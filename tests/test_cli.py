@@ -97,6 +97,17 @@ def test_un_capacity_rational(capsys):
     assert out == "1/2\n"
 
 
+def test_un_capacity_builds_no_root_system(capsys, monkeypatch):
+    """The bound is a closed form in the entries; no root is needed."""
+    from qeuler import rootgkm
+
+    def refuse(*args):
+        raise AssertionError(f"un-capacity built the root system {args}")
+
+    monkeypatch.setattr(rootgkm, "build_root_system", refuse)
+    assert run_cli(capsys, "un-capacity", "--lambda", "3,1,0")[:2] == (0, "3\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["un-capacity", "--lambda", "3,,1,0"],
     ["un-capacity", "--lambda", "3,1,0,"],

@@ -4,7 +4,8 @@ import random
 import pytest
 
 from conftest import element, g24_expected
-from qeuler.errors import InvalidShape, InvalidSpecialClass, UnknownLabel
+from qeuler import grassmannian
+from qeuler.errors import ComputeError, InvalidShape, InvalidSpecialClass, UnknownLabel
 from qeuler.frobenius import FrobeniusAlgebra, QuantumElement
 from qeuler.grassmannian import (
     GrassmannianRing,
@@ -137,8 +138,9 @@ def test_sign_calibration_against_pieri(g24):
             # per strip, (-1)^(h-1) = (-1)^(k-h) * (-1)^(k-1)
             if rule == "height-minus-one" and (d * (g24.k - 1)) % 2:
                 sign = -sign
-            acc[(nu, d)] = acc.get((nu, d), 0) + sign * c
-        return g24._collect(acc)
+            t = g24.basis_index[nu]
+            acc[t] = acc.get(t, 0) + sign * c
+        return g24._collect(sum(lam) + sum(mu), acc)
 
     match = {"k-minus-height": 0, "height-minus-one": 0}
     for rule in match:
@@ -164,6 +166,20 @@ def test_oracle_agrees_everywhere():
         for (a, b), product in ring.to_frobenius().structure_constants.items():
             assert product == ring.rim_hook_product(
                 parse_partition(a), parse_partition(b)), (k, n, a, b)
+
+
+def test_rim_hook_strips_must_match_the_degree(monkeypatch):
+    """The oracle keeps its own count of strips: one that disagrees with
+    the degree, which the Pieri route reads its q-power off, is an error."""
+    reduce = grassmannian.rim_hook_reduce
+
+    def one_strip_more(rho, k, n):
+        reduced = reduce(rho, k, n)
+        return reduced and (reduced[0], reduced[1] + 1, reduced[2])
+
+    monkeypatch.setattr(grassmannian, "rim_hook_reduce", one_strip_more)
+    with pytest.raises(ComputeError):
+        GrassmannianRing(2, 4).rim_hook_product((2, 1), (2, 1))
 
 
 def _jacobi_trudi_by_permutations(mu, k):
@@ -240,16 +256,31 @@ def _assert_nonzero_with_nonnegative_q_coefficients(product, where):
             assert coeff.denominator == 1 and coeff >= 0, (where, label, coeff)
 
 
+def _assert_one_term_at_its_degree(ring, a, b, product):
+    """The ring is graded, |a| + |b| = |nu| + n*d, so the coefficient of
+    s_nu in s_a * s_b is one term c * q^d: the fact that lets the Pieri
+    recursion key its terms by class alone."""
+    for label, c in product.items():
+        d, rest = divmod(sum(a) + sum(b) - sum(parse_partition(label)), ring.n)
+        assert rest == 0 and list(c.num.terms) == [d], (a, b, label, c)
+
+
 @pytest.mark.parametrize("k, n", DESK_SCALE, ids=[f"G({k},{n})" for k, n in DESK_SCALE])
 def test_schubert_products_are_nonzero_and_positive(k, n):
     """The paper's two facts about quantum products of Schubert classes:
     none vanishes, and each coefficient is a polynomial in q with
-    nonnegative integer coefficients."""
+    nonnegative integer coefficients; by ``quantum_product`` and in the
+    table of ``to_frobenius``, each coefficient is a single term."""
     ring = GrassmannianRing(k, n)
     for i, a in enumerate(ring.basis):
         for b in ring.basis[i:]:
-            _assert_nonzero_with_nonnegative_q_coefficients(
-                ring.quantum_product(a, b), (a, b))
+            product = ring.quantum_product(a, b)
+            _assert_nonzero_with_nonnegative_q_coefficients(product, (a, b))
+            _assert_one_term_at_its_degree(ring, a, b, product)
+    for (a, b), product in ring.to_frobenius().structure_constants.items():
+        a, b = parse_partition(a), parse_partition(b)
+        _assert_nonzero_with_nonnegative_q_coefficients(product, (a, b))
+        _assert_one_term_at_its_degree(ring, a, b, product)
 
 
 def test_ig26_products_are_nonzero_and_positive(ig26):
