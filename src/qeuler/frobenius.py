@@ -203,7 +203,7 @@ class FrobeniusAlgebra:
         self.grading = grading
         self.name = name
         # q0: the first positive integer that is no pole of any structure constant
-        dens = [c.den for prod in table.values()
+        dens = [c.den for prod in structure_constants.values()
                 for c in prod.coeffs.values() if not c.is_polynomial()]
         self._q0 = next(point for point in count(1)
                         if all(den.evaluate(point) for den in dens))
@@ -284,7 +284,7 @@ class FrobeniusAlgebra:
         f(e_j * E) = sum_i f(e_i^dual * (e_j * e_i)) = sum_i c_{j,i}^i,
         where the first step reorders and regroups e_j * (e_i * e_i^dual),
         which needs a commutative, associative table.  Only the diagonal
-        entries c_{j,b}^b of the table are read for t.
+        entries c_{j,b}^b are read for t, each sum normalised per denominator.
 
         Any other table gets one sum of dual_i[b] * (e_i * e_b) over i and
         b, read from the table in the order (e_i, e_b) as
@@ -297,10 +297,12 @@ class FrobeniusAlgebra:
             return QuantumElement([
                 (l, cb * cl) for label, dual in zip(self.basis, self.dual_basis())
                 for b, cb in dual.items() for l, cl in table[(label, b)].items()])
-        traces = [[sum(filter(None, (table[(a, b)].coeffs.get(b) for b in self.basis)), ZERO)]
-                  for a in self.basis]
+        traces = [{} for _ in self.basis]  # t_a = sum_b c_{a,b}^b, as multiply sums
+        for a, groups in zip(self.basis, traces):
+            for c in filter(None, (table[(a, b)].coeffs.get(b) for b in self.basis)):
+                _accumulate(groups, 1, c, ONE)
         try:
-            sol = linalg.solve(self.gram_matrix(), traces)
+            sol = linalg.solve(self.gram_matrix(), [[_total(t) if t else ZERO] for t in traces])
         except linalg.SingularMatrix as exc:
             raise DegeneratePairing("pairing matrix is singular") from exc
         return QuantumElement(zip(self.basis, (row[0] for row in sol)))
@@ -504,10 +506,10 @@ def _power_is_zero(a, power: int) -> bool:
 # constructions
 # ---------------------------------------------------------------------------
 
-def _axioms_known(algebra: FrobeniusAlgebra) -> FrobeniusAlgebra:
-    """Mark an algebra built from a table whose axioms hold by
-    construction, so that ``euler_class`` takes the trace route."""
-    algebra._axioms_hold = True
+def _axioms_known(algebra: FrobeniusAlgebra, hold=True) -> FrobeniusAlgebra:
+    """Mark whether an algebra's axioms hold by construction, so that
+    ``euler_class`` takes the trace route where they do."""
+    algebra._axioms_hold = hold
     return algebra
 
 
@@ -528,9 +530,8 @@ def direct_sum(a: FrobeniusAlgebra, b: FrobeniusAlgebra) -> FrobeniusAlgebra:
     # the mirror of each cross pair is filled in by symmetry
     table.update({(tags[0] + x, tags[1] + y): zero for x in a.basis for y in b.basis})
     name = f"{a.name or 'A'} (+) {b.name or 'B'}"
-    out = FrobeniusAlgebra(basis, table, unit, functional, name=name)
-    out._axioms_hold = a._axioms_hold and b._axioms_hold
-    return out
+    return _axioms_known(FrobeniusAlgebra(basis, table, unit, functional, name=name),
+                         a._axioms_hold and b._axioms_hold)
 
 
 def change_basis(algebra: FrobeniusAlgebra, p) -> FrobeniusAlgebra:
@@ -556,8 +557,7 @@ def change_basis(algebra: FrobeniusAlgebra, p) -> FrobeniusAlgebra:
     functional = {l: algebra.f(v) for l, v in zip(basis, new)}
     out = FrobeniusAlgebra(basis, table, unit, functional,
                            name=f"{algebra.name or 'algebra'} (new basis)")
-    out._axioms_hold = algebra._axioms_hold  # an isomorphic copy
-    return out
+    return _axioms_known(out, algebra._axioms_hold)  # an isomorphic copy
 
 
 # ---------------------------------------------------------------------------

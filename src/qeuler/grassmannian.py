@@ -10,7 +10,8 @@ computed two independent ways:
   |mu| = |lam| + p, and, when lam has k rows, q * s_nu for
   lam_{i+1} - 1 <= nu_i <= lam_i - 1 (nu_k >= 0) and |nu| = |lam| + p - n.
   The ring is graded, |lam| + |mu| = |nu| + n*d, so a term is a class
-  index and an int, and ``_collect`` reads the power q^d off the sizes;
+  index and an int, and ``_collect`` reads the power q^d off the sizes.
+  A shape's basis and Pieri rows are made once a process, products per call;
 * ``rim_hook_product`` computes the classical Littlewood-Richardson
   expansion in at most k rows (Jacobi-Trudi determinant plus classical
   Pieri steps) and then reduces each term by removing border strips of
@@ -22,6 +23,8 @@ assumption.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from functools import lru_cache
 from itertools import combinations
 
 from .errors import ComputeError, InvalidShape, InvalidSpecialClass, UnknownLabel
@@ -39,9 +42,7 @@ def parse_partition(label: str) -> Partition:
         parts = tuple(int(p) for p in label.split(","))
     except ValueError:
         raise UnknownLabel(f"bad partition label {label!r}") from None
-    if any(p < 0 for p in parts) or any(
-        parts[i] < parts[i + 1] for i in range(len(parts) - 1)
-    ):
+    if any(p < 0 for p in parts) or parts != tuple(sorted(parts, reverse=True)):
         raise UnknownLabel(f"bad partition label {label!r}")
     return tuple(p for p in parts if p > 0)
 
@@ -58,18 +59,16 @@ class GrassmannianRing:
     """QH of G(k, n): basis, duality, the Pieri recursion, rim-hook oracle."""
 
     def __init__(self, k: int, n: int):
-        self.basis = enumerate_basis(k, n)  # raises InvalidShape unless 0 < k < n
+        sk = _skeleton(k, n)  # raises InvalidShape unless 0 < k < n
         self.k = k
         self.n = n
         self.width = n - k
         self.chern_number = n
         self.complex_dimension = k * (n - k)
-        self.basis_index = {p: i for i, p in enumerate(self.basis)}
-        self._labels = [partition_label(p) for p in self.basis]
-        self._sizes = [sum(p) for p in self.basis]
-        # every table the ring fills lives, and is freed, with the ring
-        self._scalar_cache = {}  # (q_power, coefficient) -> scalar
-        self._pieri_rows = None  # filled by _steps
+        self.basis = list(sk.basis)  # copies: no caller's edit reaches another ring
+        self.basis_index = dict(sk.index)
+        self._labels, self._sizes, self._steps = sk.labels, sk.sizes, sk.steps
+        self._scalar_cache = {}  # (q_power, coefficient) -> scalar, per ring
         self._classical_cache = {}  # (lam, p) -> classical Pieri step of the oracle
 
     def check_member(self, p: Partition):
@@ -80,10 +79,7 @@ class GrassmannianRing:
     def dual_partition(self, p: Partition) -> Partition:
         """Complement rotated by a half turn; pairs dual Schubert classes."""
         self.check_member(p)
-        padded = _pad(p, self.k)
-        return tuple(
-            x for x in (self.width - padded[self.k - 1 - i] for i in range(self.k)) if x
-        )
+        return tuple(x for x in (self.width - y for y in reversed(_pad(p, self.k))) if x)
 
     def degree(self, p: Partition) -> int:
         """Real degree of the class: 2*(dim - |p|)."""
@@ -98,34 +94,13 @@ class GrassmannianRing:
             raise InvalidSpecialClass(
                 f"special class index must be in 1..{self.width}, got {p}")
         self.check_member(lam)
-        lam_p = _pad(lam, self.k)
-        # the two halves of the rule, with the bounds of the module docstring
-        size = sum(lam) + p
-        out = [(mu, 0) for mu in _interlacing(lam_p, (self.width,) + lam_p[:-1], size)]
-        if size >= self.n and lam_p[-1] >= 1:
-            out += [(nu, 1) for nu in _interlacing(
-                [x - 1 for x in lam_p[1:]] + [0], [x - 1 for x in lam_p], size - self.n)]
-        return tuple(out)
+        return tuple(_pieri_terms(p, lam, self.k, self.n))
 
     def quantum_pieri(self, p: int, lam: Partition) -> QuantumElement:
         return self._collect(sum(lam) + p, {
             self.basis_index[mu]: 1 for mu, _ in self.quantum_pieri_raw(p, lam)})
 
-    def _steps(self) -> list:
-        """Per class mu = nu + (p,), p its last part: (rows, index of nu, other
-        classes of s_p * s_nu), rows[i] the classes of s_p * s_i, as basis
-        indices; None for the empty class.  The ring keeps the rows once made."""
-        if self._pieri_rows is None:
-            self._pieri_rows = [
-                [tuple(self.basis_index[mu] for mu, _ in self.quantum_pieri_raw(p, lam))
-                 for lam in self.basis] for p in range(1, self.width + 1)]
-        steps = [None]
-        for m, mu in enumerate(self.basis[1:], 1):
-            rows, nu = self._pieri_rows[mu[-1] - 1], self.basis_index[mu[:-1]]
-            steps.append((rows, nu, [t for t in rows[nu] if t != m]))
-        return steps
-
-    def _product_terms(self, m: int, memo: list, steps: list) -> dict:
+    def _product_terms(self, m: int, memo: list, steps: tuple) -> dict:
         """Terms {class index: coefficient} of s_lam * s_mu, mu the class m,
         where memo[0] is {index of lam: 1} and memo[i] is s_lam * s_i once
         reached.  With p the last part of mu and nu the rest, s_p * s_nu is
@@ -156,7 +131,7 @@ class GrassmannianRing:
         first, last = sorted((self.basis_index[lam], self.basis_index[mu]))
         memo = [{last: 1}] + [None] * (len(self.basis) - 1)
         return self._collect(sum(lam) + sum(mu),
-                             self._product_terms(first, memo, self._steps()))
+                             self._product_terms(first, memo, self._steps))
 
     # -- rim-hook oracle route -------------------------------------------------
 
@@ -200,7 +175,7 @@ class GrassmannianRing:
 
     def to_frobenius(self) -> FrobeniusAlgebra:
         """Compile to a Frobenius algebra: f = coefficient at the point class."""
-        labels, sizes, steps = self._labels, self._sizes, self._steps()
+        labels, sizes, steps = self._labels, self._sizes, self._steps
         table = {}
         for j in range(len(labels)):
             memo = [{j: 1}] + [None] * (len(labels) - 1)  # column j of the table
@@ -241,20 +216,49 @@ def enumerate_basis(k: int, n: int):
     return sorted(found, key=lambda p: (sum(p), p))
 
 
-def _interlacing(lows, highs, total: int):
-    """The x with lows[i] <= x[i] <= highs[i] and sum(x) = total, in
-    lexicographic order, each as a partition without its zeros: the bounds
-    of both halves of quantum Pieri keep x weakly decreasing.  ``least``
-    and ``most`` bound what x[i+1:] can sum to, so no branch is a dead end.
-    """
-    least, most = sum(lows), sum(highs)
-    partial = [((), total)]
-    for low, high in zip(lows, highs):
-        least -= low
-        most -= high
-        partial = [(acc + (x,) if x else acc, left - x) for acc, left in partial
-                   for x in range(max(low, left - most), min(high, left - least) + 1)]
-    return [acc for acc, _ in partial]
+def _pieri_terms(p: int, lam: Partition, k: int, n: int) -> list:
+    """The (partition, q_power) terms of s_p * s_lam, unchecked.  Each half
+    of the rule is the x with lows[i] <= x[i] <= highs[i] and sum(x) =
+    total, with the bounds of the module docstring, in lexicographic order,
+    each as a partition without its zeros: the bounds keep x weakly
+    decreasing.  ``least`` and ``most`` bound what x[i+1:] can sum to, so no
+    branch is a dead end."""
+    lam_p = _pad(lam, k)
+    size = sum(lam) + p
+    halves = [(lam_p, (n - k,) + lam_p[:-1], size, 0)]
+    if size >= n and lam_p[-1] >= 1:
+        halves.append(([x - 1 for x in lam_p[1:]] + [0], [x - 1 for x in lam_p], size - n, 1))
+    out = []
+    for lows, highs, total, d in halves:
+        least, most = sum(lows), sum(highs)
+        partial = [((), total)]
+        for low, high in zip(lows, highs):
+            least -= low
+            most -= high
+            partial = [(acc + (x,) if x else acc, left - x) for acc, left in partial
+                       for x in range(max(low, left - most), min(high, left - least) + 1)]
+        out += [(acc, d) for acc, _ in partial]
+    return out
+
+
+_Skeleton = namedtuple("_Skeleton", "basis index labels sizes steps")
+
+
+@lru_cache(maxsize=None, typed=True)  # typed: (2.0, 4) is no shape
+def _skeleton(k: int, n: int) -> _Skeleton:
+    """What G(k, n) is made of by k and n alone: the rule, never a product.
+    Class mu = nu + (p,), p its last part, has the step (rows of p, index of
+    nu, other classes of s_p * s_nu), rows[i] the indices of s_p * s_i."""
+    basis = tuple(enumerate_basis(k, n))
+    index = {p: i for i, p in enumerate(basis)}
+    rows = [tuple(tuple(index[mu] for mu, _ in _pieri_terms(p, lam, k, n)) for lam in basis)
+            for p in range(1, n - k + 1)]
+    steps = [None]
+    for m, mu in enumerate(basis[1:], 1):
+        p_rows, nu = rows[mu[-1] - 1], index[mu[:-1]]
+        steps.append((p_rows, nu, tuple(t for t in p_rows[nu] if t != m)))
+    return _Skeleton(basis, index, tuple(map(partition_label, basis)),
+                     tuple(map(sum, basis)), tuple(steps))
 
 
 # ---------------------------------------------------------------------------
@@ -346,11 +350,7 @@ def rim_hook_reduce(rho: Partition, k: int, n: int):
     if len(set(residues)) < k:
         return None
     strips = sum((b - r) // n for b, r in zip(beta, residues))
-    inversions = 0
-    for i in range(k):
-        for j in range(i + 1, k):
-            if residues[i] < residues[j]:
-                inversions += 1
+    inversions = sum(r < later for i, r in enumerate(residues) for later in residues[i + 1:])
     # sorting gives (-1)**(h - 1) per strip; (-1)**(k - 1) more makes (-1)**(k - h)
     sign = -1 if (inversions + strips * (k - 1)) % 2 else 1
     ordered = sorted(residues, reverse=True)

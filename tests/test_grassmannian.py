@@ -221,6 +221,59 @@ def test_pieri_results_cannot_corrupt_the_ring():
     assert ring.quantum_pieri(2, lam) == ring.rim_hook_product((2,), lam)
 
 
+# one skeleton per shape: the basis and the Pieri rows, made once a process
+
+def test_the_skeleton_rows_are_the_public_pieri_rule():
+    for k, n in DESK_SCALE:
+        ring = GrassmannianRing(k, n)
+        for p in range(1, ring.width + 1):
+            rows = ring._steps[ring.basis_index[(p,)]][0]
+            assert rows == tuple(
+                tuple(ring.basis_index[mu] for mu, _ in ring.quantum_pieri_raw(p, lam))
+                for lam in ring.basis), (k, n, p)
+
+
+def _leaves(value):
+    if isinstance(value, tuple):
+        for item in value:
+            yield from _leaves(item)
+    else:
+        yield value
+
+
+def test_rings_of_one_shape_share_the_rows_and_no_product():
+    first, second = GrassmannianRing(3, 7), GrassmannianRing(3, 7)
+    assert first._steps[1][0] is second._steps[1][0]
+    first.to_frobenius().diagnose()
+    # the rule only: partitions, labels and indices, never a scalar or product
+    sk = grassmannian._skeleton(3, 7)
+    assert {type(x) for x in _leaves(tuple(f for f in sk if f is not sk.index))} == {
+        int, str, type(None)}
+    assert len({id(first.basis_index), id(second.basis_index), id(sk.index)}) == 3
+
+
+def test_a_ring_cannot_corrupt_the_next_ring_of_its_shape():
+    reference = GrassmannianRing(2, 5)
+    table = reference.to_frobenius().table_to_json()
+    product = reference.quantum_product((2, 1), (3, 1))
+    ring = GrassmannianRing(2, 5)
+    ring.basis.append((9, 9))
+    ring.basis_index.clear()
+    fresh = GrassmannianRing(2, 5)
+    assert fresh.to_frobenius().table_to_json() == table
+    assert fresh.quantum_product((2, 1), (3, 1)) == product
+    assert product == fresh.rim_hook_product((2, 1), (3, 1))
+
+
+def test_a_bad_shape_raises_every_time_and_is_not_cached():
+    before = grassmannian._skeleton.cache_info().currsize
+    for _ in range(2):
+        for k, n in [(0, 3), (4, 4)]:
+            with pytest.raises(InvalidShape):
+                GrassmannianRing(k, n)
+    assert grassmannian._skeleton.cache_info().currsize == before
+
+
 # ---------------------------------------------------------------------------
 # structural properties of every bundled ring
 # ---------------------------------------------------------------------------
@@ -453,3 +506,17 @@ def test_diagnose_multiplies_once_on_a_grassmannian(monkeypatch):
                         lambda self, x, y: calls.append(1) or multiply(self, x, y))
     GrassmannianRing(3, 7).to_frobenius().diagnose()
     assert len(calls) == 1  # E * E
+
+
+def test_a_second_ring_of_a_shape_enumerates_nothing(monkeypatch):
+    calls = []
+    for name in ("enumerate_basis", "_pieri_terms"):
+        original = getattr(grassmannian, name)
+        monkeypatch.setattr(grassmannian, name,
+                            lambda *args, f=original, name=name: calls.append(name) or f(*args))
+    grassmannian._skeleton.__wrapped__(3, 7)  # the builder, past the cache, counts
+    assert calls.count("enumerate_basis") == 1 and calls.count("_pieri_terms") == 35 * 4
+    GrassmannianRing(3, 7)
+    calls.clear()
+    GrassmannianRing(3, 7).to_frobenius().diagnose()
+    assert calls == []
