@@ -15,8 +15,8 @@ _EXPORTS = {name: module for module, names in {
                   "change_basis", "direct_sum"),
     "grassmannian": ("GrassmannianRing", "enumerate_basis"),
     "presented": ("bundled_ig26_path", "complete_table", "load_algebra", "parse_spec"),
-    "rootgkm": ("OrbitSpec", "build_root_system", "gkm_graph", "hz_upper_bound",
-                "make_orbit_spec", "un_closed_form"),
+    "rootgkm": ("gkm_graph", "hz_upper_bound"),
+    "roots": ("OrbitSpec", "build_root_system", "make_orbit_spec", "un_closed_form"),
     "scalar": ("QPolynomial", "RationalFunction", "parse_scalar", "poly_gcd",
                "render_scalar"),
 }.items() for name in names}

@@ -11,13 +11,12 @@ Subcommands::
 Exit codes: 0 success, 1 usage error, 2 invalid input or failed validation,
 3 arithmetic failure.  ``--format`` switches the renderer (text, md, json,
 dot) and never changes computed values.  Each subcommand imports the
-modules it runs, so a process loads only those.
+modules it runs (``json`` too), so a process loads only those.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 from math import factorial
@@ -91,6 +90,7 @@ def _parse_indices(text: str):
 
 
 def _json_text(obj) -> str:
+    import json
     return json.dumps(obj, indent=2) + "\n"
 
 
@@ -144,7 +144,7 @@ MAX_WEYL_ORDER = 46_080
 
 
 def _orbit_output(args) -> str:
-    from . import rootgkm
+    from . import roots
     family = args.family.upper()
     if args.action in ("gkm", "hz-bound") and args.rank >= 1:
         # |W| is (r+1)! for A_r, 2^r r! for B_r and C_r, 2^(r-1) r! for D_r; it grows
@@ -159,12 +159,12 @@ def _orbit_output(args) -> str:
     if args.weight is not None:
         weight = _parse_rationals(args.weight)
     else:
-        weight = rootgkm.monotone_weight(family, args.rank, parabolic,
-                                         _parse_rational(args.kappa))
-    spec = rootgkm.make_orbit_spec(family, args.rank, parabolic, weight)
+        weight = roots.monotone_weight(family, args.rank, parabolic,
+                                       _parse_rational(args.kappa))
+    spec = roots.make_orbit_spec(family, args.rank, parabolic, weight)
 
     if args.action == "chern":
-        numbers = rootgkm.chern_numbers(spec)
+        numbers = roots.chern_numbers(spec)
         if args.format == "json":
             return _json_text({
                 "n": {f"a{a}": v for a, v in sorted(numbers["n"].items())},
@@ -174,12 +174,13 @@ def _orbit_output(args) -> str:
         return "; ".join([*parts, f"N = {numbers['N']}"]) + "\n"
 
     if args.action == "monotone-weight":
-        lam = weight if args.weight is None else rootgkm.monotone_weight(
+        lam = weight if args.weight is None else roots.monotone_weight(
             family, args.rank, parabolic, _parse_rational(args.kappa))
         if args.format == "json":
             return _json_text([str(x) for x in lam])
         return ",".join(str(x) for x in lam) + "\n"
 
+    from . import rootgkm
     if args.action == "gkm":
         if args.format == "json":
             graph = rootgkm.gkm_graph(spec)
@@ -215,8 +216,8 @@ def run(args) -> str:
                                args.format)
     if args.command == "orbit":
         return _orbit_output(args)
-    from . import rootgkm
-    value = rootgkm._un_value(_parse_rationals(args.weight))
+    from .roots import _un_value
+    value = _un_value(_parse_rationals(args.weight))
     if args.format == "json":
         return _json_text({"bound": str(value)})
     return f"{value}\n"

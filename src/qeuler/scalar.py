@@ -9,22 +9,8 @@ numerator or the denominator is a single term the gcd is a power of q, so
 the common Laurent case needs no Euclidean algorithm.  Polynomial
 arithmetic merges terms in one pass of ``_merged`` into a canonical dict;
 a sum of scalar products adds raw terms per denominator in ``_accumulate``
-and ``_total`` normalises each denominator's sum once.
-
-One recursive-descent parser reads two grammars: scalars (``parse_scalar``)
-and the defining expressions of presented data files (``parse_expression``,
-whose labels ``s[...]`` name basis classes)::
-
-    expr   := term (("+" | "-") term)*
-    term   := factor (("*" | "/") factor)*
-    factor := "-" factor | int | "q" ("^" ["-"] int)? | "s[" label "]" | "(" expr ")"
-
-In a scalar ``/`` divides and ``s[...]`` is an error.  In an expression
-``/`` only joins two integers into one rational (``-1/3*s[1]``).  Spaces may
-separate any two tokens, minus signs and parentheses may nest at most
-``MAX_DEPTH`` levels deep, and a sum or product may have any number of
-terms.  Errors are ``ParseError``s carrying a 1-based column.  One walker,
-``_act``, evaluates the trees of both grammars.
+and ``_total`` normalises each denominator's sum once.  ``parse_scalar``
+reads text with the parser of ``qeuler.presented``.
 
 >>> parse_scalar("(q^2 - 1)/(q - 1)")
 RationalFunction('q + 1')
@@ -34,11 +20,9 @@ RationalFunction('1')
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
-from typing import NamedTuple
 
-from .errors import DivisionByZero, ParseError
+from .errors import DivisionByZero
 
 
 def _coeff(x):
@@ -385,7 +369,7 @@ def _total(groups) -> RationalFunction:
 
 
 # ---------------------------------------------------------------------------
-# rendering
+# rendering and parsing
 # ---------------------------------------------------------------------------
 
 def _render_term(c: Fraction, exp: int) -> str:
@@ -431,196 +415,12 @@ def render_scalar(x: RationalFunction) -> str:
     return f"({render_poly(x.num)})/({render_poly(x.den)})"
 
 
-# ---------------------------------------------------------------------------
-# parsing
-# ---------------------------------------------------------------------------
-
-# Deepest nesting either grammar may read, counting each minus sign and each
-# pair of parentheses as one level.  Only nesting makes the parser recurse,
-# at most three frames a level, and the tree walkers loop along operator
-# chains, so this keeps both inside Python's limit while a flat sum or
-# product may have any number of terms.
-MAX_DEPTH = 100
-
-
-class Num(NamedTuple):
-    value: Fraction
-
-
-class QPower(NamedTuple):
-    exponent: int
-
-
-class Ref(NamedTuple):
-    label: str
-
-
-class Neg(NamedTuple):
-    arg: object
-
-
-class BinOp(NamedTuple):
-    op: str  # '+', '-', '*'; '/' only in the scalar grammar
-    left: object
-    right: object
-
-
-_INT = re.compile(r"\d+")
-_LABEL = re.compile(r"s\[([^\]]*)\]")
-
-
-class _Parser:
-    """Recursive descent over both grammars, reading ``text`` left to right.
-
-    ``refs`` selects the expression grammar: ``s[...]`` is allowed and ``/``
-    only joins two integers into one rational.  ``depth`` counts the minus
-    signs and open parentheses around the current position.
-    """
-
-    def __init__(self, text: str, refs: bool):
-        self.text = text
-        self.pos = 0
-        self.refs = refs
-        self.depth = 0
-        # operators of ``expr``, then of ``term``
-        self.ranks = (("+", "-"), ("*",) if refs else ("*", "/"))
-
-    def peek(self) -> str:
-        """The next character that is not a space; '' at the end."""
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-        return self.text[self.pos:self.pos + 1]
-
-    def error(self, message, pos=None):
-        raise ParseError(message, column=(self.pos if pos is None else pos) + 1)
-
-    def parse(self):
-        node = self.chain()
-        if self.peek():
-            self.error("trailing input")
-        return node
-
-    def chain(self, rank=0):
-        """``expr`` (rank 0) or ``term`` (rank 1): operands of the next rank
-        joined by this rank's operators, left to right."""
-        if rank == len(self.ranks):
-            return self.factor()
-        node = self.chain(rank + 1)
-        while self.peek() in self.ranks[rank]:
-            op = self.text[self.pos]
-            self.pos += 1
-            node = BinOp(op, node, self.chain(rank + 1))
-        return node
-
-    def factor(self):
-        ch = self.peek()
-        label = _LABEL.match(self.text, self.pos)
-        if label and self.refs:
-            self.pos = label.end()
-            return Ref(label.group(1))
-        if ch.isdigit():
-            value = Fraction(self.integer())
-            if self.refs and self.peek() == "/":
-                slash = self.pos
-                self.pos += 1
-                den = self.integer()
-                if not den:
-                    self.error("division by zero", slash)
-                value /= den
-            return Num(value)
-        if ch not in ("-", "(", "q"):
-            self.error(f"unexpected character {ch!r}" if ch else "unexpected end of input")
-        if ch == "q":
-            self.pos += 1
-            if self.peek() != "^":
-                return QPower(1)
-            self.pos += 1
-            return QPower(self.integer(signed=True))
-        if self.depth == MAX_DEPTH:
-            self.error(f"expression nested deeper than {MAX_DEPTH} levels")
-        self.pos += 1
-        self.depth += 1
-        if ch == "-":
-            node = Neg(self.factor())
-        else:
-            node = self.chain()
-            if self.peek() != ")":
-                self.error("expected ')'")
-            self.pos += 1
-        self.depth -= 1
-        return node
-
-    def integer(self, signed=False) -> int:
-        sign = 1
-        if signed and self.peek() == "-":
-            self.pos += 1
-            sign = -1
-        self.peek()  # skips spaces
-        digits = _INT.match(self.text, self.pos)
-        if digits is None:
-            self.error("expected an integer")
-        self.pos = digits.end()
-        return sign * int(digits.group())
-
-
-def _unchain(node, ops):
-    """The leftmost operand of a chain of ``ops`` and the BinOps that apply
-    to it, in order: ``a + b*c - d`` gives ``a`` and the nodes of ``+ b*c``
-    and ``- d``.  Walkers loop over these instead of recursing on ``left``,
-    so a long flat sum or product needs no deep recursion."""
-    chain = []
-    while isinstance(node, BinOp) and node.op in ops:
-        chain.append(node)
-        node = node.left
-    chain.reverse()
-    return node, chain
-
-
-def _act(x, node, ref=None):
-    """``x`` times the value of the tree ``node``, ``x`` a scalar or an element
-    of a presented algebra; ``ref(x, label)`` is ``x`` times ``s[label]``."""
-    if isinstance(node, Num):
-        return x * RationalFunction(node.value)
-    if isinstance(node, QPower):
-        return x * RationalFunction.monomial(1, node.exponent)
-    if isinstance(node, Ref):
-        return ref(x, node.label)
-    if isinstance(node, Neg):
-        return -_act(x, node.arg, ref)
-    if node.op in "+-":
-        # a run of sums and differences only: a quotient such as
-        # (q^2 - 1)/(q - 1) is a "/" node above its parenthesised sums
-        leftmost, chain = _unchain(node, "+-")
-        terms = [_act(x, leftmost, ref)]
-        for op in chain:
-            term = _act(x, op.right, ref)
-            terms.append(term if op.op == "+" else -term)
-        # added pairwise, so an n-term sum copies O(n log n) terms, not O(n^2)
-        while len(terms) > 1:
-            odd = terms[-1:] if len(terms) % 2 else []
-            terms = [a + b for a, b in zip(terms[::2], terms[1::2])] + odd
-        return terms[0]
-    leftmost, chain = _unchain(node, "*/")
-    y = _act(x, leftmost, ref)
-    for op in chain:
-        y = _act(y, op.right, ref) if op.op == "*" else y / _act(ONE, op.right)
-    return y
-
-
 def parse_scalar(text: str) -> RationalFunction:
-    """Parse and evaluate the scalar grammar.
+    """Parse and evaluate the scalar grammar of ``qeuler.presented``, the
+    module of the parser, which this imports on its first call.
 
     >>> parse_scalar("3/16*q^-2")
     RationalFunction('3/16*q^-2')
     """
+    from .presented import _Parser, _act
     return _act(ONE, _Parser(text, refs=False).parse())
-
-
-def parse_expression(text: str):
-    """Parse the expression grammar into a tree of Num, QPower, Ref, Neg
-    and BinOp nodes.
-
-    >>> parse_expression("-1/3*s[2,1]")
-    BinOp(op='*', left=Neg(arg=Num(value=Fraction(1, 3))), right=Ref(label='2,1'))
-    """
-    return _Parser(text, refs=True).parse()

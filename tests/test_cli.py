@@ -9,8 +9,7 @@ from pathlib import Path
 import pytest
 
 from qeuler.cli import main
-from qeuler.presented import bundled_ig26_path
-from qeuler.scalar import MAX_DEPTH
+from qeuler.presented import MAX_DEPTH, bundled_ig26_path
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).parents[1] / "src"
@@ -99,12 +98,12 @@ def test_un_capacity_rational(capsys):
 
 def test_un_capacity_builds_no_root_system(capsys, monkeypatch):
     """The bound is a closed form in the entries; no root is needed."""
-    from qeuler import rootgkm
+    from qeuler import roots
 
     def refuse(*args):
         raise AssertionError(f"un-capacity built the root system {args}")
 
-    monkeypatch.setattr(rootgkm, "build_root_system", refuse)
+    monkeypatch.setattr(roots, "build_root_system", refuse)
     assert run_cli(capsys, "un-capacity", "--lambda", "3,1,0")[:2] == (0, "3\n")
 
 
@@ -166,10 +165,10 @@ def test_orbit_monotone_weight(capsys):
 def test_monotone_weight_is_derived_once(capsys, monkeypatch):
     """Without ``--lambda`` the weight that the orbit is built from is the
     one printed; with it, the monotone weight is derived for the output."""
-    from qeuler import rootgkm
+    from qeuler import roots
     calls = []
-    monotone_weight = rootgkm.monotone_weight
-    monkeypatch.setattr(rootgkm, "monotone_weight",
+    monotone_weight = roots.monotone_weight
+    monkeypatch.setattr(roots, "monotone_weight",
                         lambda *args: calls.append(args) or monotone_weight(*args))
     for extra in ((), ("--lambda", "1,1,-1,-1")):
         calls.clear()

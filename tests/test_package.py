@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import qeuler
-from qeuler import frobenius, presented, rootgkm, scalar
+from qeuler import frobenius, presented, rootgkm, roots, scalar
 from qeuler.errors import InvalidShape, NotRegular
 from qeuler.grassmannian import GrassmannianRing
 
@@ -49,36 +49,57 @@ def source_lines(module):
 # A process compiles the source of every module it imports, so a command's
 # start-up grows with these lines; each budget is the count when it was set.
 @pytest.mark.parametrize("argv, budget", [
-    (("un-capacity", "--lambda", "3,1,0"), 1016),
-    (("orbit", "--family", "A", "--rank", "3", "--parabolic", "1,3", "chern"), 1016),
-    (("grassmannian", "-k", "2", "-n", "4", "diagnose"), 2146),
-    (("algebra", "--file", str(SRC / "qeuler" / "data" / "ig26.json"), "diagnose"), 2247),
-], ids=["un-capacity", "orbit-chern", "grassmannian-diagnose", "ig26-diagnose"])
+    (("un-capacity", "--lambda", "3,1,0"), 620),
+    (("orbit", "--family", "A", "--rank", "3", "--parabolic", "1,3", "chern"), 620),
+    (("orbit", "--family", "B", "--rank", "3", "--parabolic", "2", "hz-bound"), 1041),
+    (("grassmannian", "-k", "2", "-n", "4", "diagnose"), 1947),
+    (("grassmannian", "-k", "2", "-n", "5", "table", "--format", "md"), 1947),
+    (("algebra", "--file", str(SRC / "qeuler" / "data" / "ig26.json"), "diagnose"), 2245),
+], ids=["un-capacity", "orbit-chern", "orbit-hz-bound", "grassmannian-diagnose",
+        "grassmannian-table", "ig26-diagnose"])
 def test_each_command_loads_no_more_lines_than_its_budget(argv, budget):
     loaded = modules_loaded_by(*argv)
     assert sum(source_lines(m) for m in loaded if m.partition(".")[0] == "qeuler") <= budget
 
 
-ORBIT_MODULES = {"qeuler", "qeuler.cli", "qeuler.errors", "qeuler.rootgkm"}
+ROOT_MODULES = {"qeuler", "qeuler.cli", "qeuler.errors", "qeuler.roots"}
+GKM_MODULES = ROOT_MODULES | {"qeuler.rootgkm"}
 
 
 # the fundamental weights are closed forms, so no orbit command loads linalg:
-# each loads the CLI, the errors and the root code, and no other qeuler module
-@pytest.mark.parametrize("argv", [
-    ("un-capacity", "--lambda", "3,1,0"),
-    ("orbit", "--family", "A", "--rank", "3", "--parabolic", "1,3", "chern"),
-    ("orbit", "--family", "B", "--rank", "3", "--parabolic", "2", "hz-bound"),
-], ids=["un-capacity", "orbit-chern", "orbit-hz-bound"])
-def test_orbit_commands_load_only_the_orbit_modules(argv):
+# each loads the CLI, the errors and the root data, and only the commands
+# that walk the Weyl group load the GKM code
+@pytest.mark.parametrize("argv, modules", [
+    (("un-capacity", "--lambda", "3,1,0"), ROOT_MODULES),
+    (("orbit", "--family", "A", "--rank", "3", "--parabolic", "1,3", "chern"), ROOT_MODULES),
+    (("orbit", "--family", "A", "--rank", "3", "--parabolic", "1,3", "monotone-weight"),
+     ROOT_MODULES),
+    (("orbit", "--family", "B", "--rank", "3", "--parabolic", "2", "gkm"), GKM_MODULES),
+    (("orbit", "--family", "B", "--rank", "3", "--parabolic", "2", "hz-bound"), GKM_MODULES),
+], ids=["un-capacity", "orbit-chern", "orbit-monotone-weight", "orbit-gkm", "orbit-hz-bound"])
+def test_orbit_commands_load_only_the_orbit_modules(argv, modules):
     loaded = modules_loaded_by(*argv)
-    assert {m for m in loaded if m.partition(".")[0] == "qeuler"} == ORBIT_MODULES
+    assert {m for m in loaded if m.partition(".")[0] == "qeuler"} == modules
     assert "dataclasses" not in loaded
 
 
 def test_grassmannian_command_loads_no_presented_or_orbit_module():
-    loaded = modules_loaded_by("grassmannian", "-k", "2", "-n", "4", "euler")
-    assert "qeuler.grassmannian" in loaded
-    assert not loaded & {"qeuler.presented", "qeuler.rootgkm", "dataclasses"}
+    """``presented`` holds the expression parser, so no Grassmannian action
+    compiles it."""
+    for action in (("table",), ("euler",), ("diagnose",), ("product", "1", "1")):
+        loaded = modules_loaded_by("grassmannian", "-k", "2", "-n", "4", *action)
+        assert "qeuler.grassmannian" in loaded
+        assert not loaded & {"qeuler.presented", "qeuler.roots", "qeuler.rootgkm",
+                             "dataclasses"}, action
+
+
+def test_importing_the_cli_loads_no_json_and_no_command_module():
+    proc = run_python("-c", "import sys, qeuler.cli; print(*sorted(sys.modules))")
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "json" not in loaded
+    assert {m for m in loaded if m.partition(".")[0] == "qeuler"} == {
+        "qeuler", "qeuler.cli", "qeuler.errors"}
 
 
 def test_exports_load_on_first_use():
@@ -114,9 +135,9 @@ def _records():
     algebra = GrassmannianRing(2, 4).to_frobenius()
     with open(presented.bundled_ig26_path(), encoding="utf-8") as fh:
         algebra_spec = presented.parse_spec(fh.read())
-    tree = scalar.parse_expression("-s[1]*2 + q")
+    tree = presented.parse_expression("-s[1]*2 + q")
     return [tree, tree.left, tree.left.left, tree.left.right, tree.right,
-            scalar.Ref("1"), algebra.grading, algebra.diagnose(), algebra_spec,
+            presented.Ref("1"), algebra.grading, algebra.diagnose(), algebra_spec,
             spec.root_system, spec, rootgkm._coset_skeleton("A", 2, ()),
             graph, graph.vertices[0], graph.edges[0], rootgkm.hz_upper_bound(spec)]
 
@@ -137,7 +158,7 @@ def test_every_module_reads_each_of_its_imports():
                 continue
             for alias in stmt.names:
                 name = alias.asname or alias.name.partition(".")[0]
-                if name not in read:
+                if name not in read and alias.asname != alias.name:  # `x as x` re-exports x
                     unread.append(f"{path.name}: {name}")
     assert unread == []
 
@@ -160,11 +181,13 @@ def _every_import(source):
             if isinstance(node, (ast.Import, ast.ImportFrom)))
 
 
-def _imports_beyond_stdlib_and_errors(source, imports=_module_level_imports):
+def _imports_beyond_stdlib_and_errors(source, imports=_module_level_imports, also=()):
+    """The imports in ``source`` of anything but the stdlib, ``errors`` and
+    the qeuler modules named in ``also``."""
     found = []
     for node in imports(source):
         if isinstance(node, ast.ImportFrom) and node.level:
-            allowed = node.module == "errors"
+            allowed = node.module == "errors" or node.module in also
         else:
             names = [node.module] if isinstance(node, ast.ImportFrom) else \
                 [alias.name for alias in node.names]
@@ -186,15 +209,25 @@ def test_linalg_imports_only_the_stdlib_and_errors():
         "from . import scalar", "from .scalar import Q", "import sympy"]
 
 
-def test_rootgkm_imports_only_the_stdlib_and_errors():
-    """Every orbit command imports ``rootgkm``, so no import anywhere in it,
+def test_roots_imports_only_the_stdlib_and_errors():
+    """Every orbit command imports ``roots``, so no import anywhere in it,
     in a function body or not, reaches past the stdlib and ``errors``: the
     fundamental weights are closed forms, solved for through no ``linalg``."""
-    source = (SRC / "qeuler" / "rootgkm.py").read_text(encoding="utf-8")
+    source = (SRC / "qeuler" / "roots.py").read_text(encoding="utf-8")
     assert _imports_beyond_stdlib_and_errors(source, _every_import) == []
     assert _imports_beyond_stdlib_and_errors(
         "import heapq\ndef f():\n    from . import linalg\n", _every_import) == [
         "from . import linalg"]
+
+
+def test_rootgkm_imports_only_the_stdlib_errors_and_roots():
+    """``gkm`` and ``hz-bound`` import ``rootgkm`` over the root data, and
+    nothing else of qeuler, anywhere in it."""
+    source = (SRC / "qeuler" / "rootgkm.py").read_text(encoding="utf-8")
+    assert _imports_beyond_stdlib_and_errors(source, _every_import, also=("roots",)) == []
+    assert _imports_beyond_stdlib_and_errors(
+        "from .roots import pairing\nfrom .scalar import ONE\n", _every_import,
+        also=("roots",)) == ["from .scalar import ONE"]
 
 
 def test_no_assert_and_no_float_literal_in_the_package():
@@ -268,11 +301,11 @@ def test_every_record_is_immutable():
     kinds = {type(r) for r in records}
     # every record class of the package is in the sample; OrbitSpec's field
     # base is not a record of its own
-    declared = {value for module in (frobenius, presented, rootgkm, scalar)
+    declared = {value for module in (frobenius, presented, rootgkm, roots, scalar)
                 for value in vars(module).values()
                 if isinstance(value, type) and issubclass(value, tuple)
                 and value.__module__ == module.__name__}
-    assert declared - {rootgkm._OrbitFields} == kinds
+    assert declared - {roots._OrbitFields} == kinds
     assert len(kinds) == 15
     for record in records:
         for field in record._fields:

@@ -1,3 +1,4 @@
+import doctest
 import json
 from fractions import Fraction
 
@@ -12,7 +13,13 @@ from qeuler.errors import (
     UnknownLabel,
 )
 from qeuler.frobenius import QuantumElement
+import qeuler.presented
 from qeuler.presented import (
+    BinOp,
+    Neg,
+    Num,
+    QPower,
+    Ref,
     bundled_ig26_path,
     complete_table,
     load_algebra,
@@ -32,8 +39,6 @@ def read_bundled():
 # ---------------------------------------------------------------------------
 
 def test_expression_shapes():
-    from qeuler.scalar import BinOp, Neg, Num, QPower, Ref
-
     ast = parse_expression("s[1]*s[2] - s[3]")
     assert isinstance(ast, BinOp) and ast.op == "-"
     assert same_tree(ast.left, BinOp("*", Ref("1"), Ref("2")))
@@ -49,6 +54,13 @@ def test_expression_shapes():
     # the node type counts, not only the fields
     assert not same_tree(parse_expression("1"), QPower(1))
     assert not same_tree(parse_expression("-s[1]"), Neg(Num(Fraction(1))))
+
+
+def test_parser_doctests_pass():
+    # the parser's examples live with it, e.g. the tree of "-1/3*s[2,1]"
+    result = doctest.testmod(qeuler.presented)
+    assert result.attempted >= 1
+    assert result.failed == 0
 
 
 def test_expression_errors():

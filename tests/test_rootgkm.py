@@ -9,6 +9,7 @@ import pytest
 
 from conftest import chevalley_c1_terms
 from qeuler import rootgkm as rg
+from qeuler import roots
 from qeuler.errors import (ComputeError, InvalidShape, NotRegular, TooLarge,
                            UnsupportedType)
 from qeuler.grassmannian import GrassmannianRing
@@ -344,7 +345,7 @@ def test_skeleton_rejects_a_reference_that_is_not_regular_for_exactly_p(monkeypa
     build = rg._coset_skeleton.__wrapped__
     for parabolic, weight in (((), (1, 1, -2)), ((1,), (2, 0, -2)), ((2,), (-2, -2, 4)),
                               ((), (-2, 0, 2))):
-        monkeypatch.setattr(rg, "crossing_roots", lambda *args, w=weight: (w,))
+        monkeypatch.setattr(roots, "crossing_roots", lambda *args, w=weight: (w,))
         with pytest.raises(ComputeError, match="monotone weight pairs to"):
             build("A", 2, parabolic)
 

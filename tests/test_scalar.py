@@ -9,20 +9,22 @@ from hypothesis import strategies as st
 import qeuler.scalar
 from conftest import same_tree
 from qeuler.errors import DivisionByZero, ParseError
-from qeuler.presented import expression_labels
-from qeuler.scalar import (
+from qeuler.presented import (
     MAX_DEPTH,
-    ONE,
-    Q,
     BinOp,
     Neg,
     Num,
-    QPolynomial,
     QPower,
-    RationalFunction,
     Ref,
-    ZERO,
+    expression_labels,
     parse_expression,
+)
+from qeuler.scalar import (
+    ONE,
+    Q,
+    QPolynomial,
+    RationalFunction,
+    ZERO,
     parse_scalar,
     poly_gcd,
     render_scalar,
