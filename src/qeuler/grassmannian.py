@@ -29,7 +29,7 @@ from itertools import combinations
 
 from .errors import ComputeError, InvalidShape, InvalidSpecialClass, UnknownLabel
 from .frobenius import FrobeniusAlgebra, Grading, QuantumElement, _axioms_known
-from .scalar import RationalFunction
+from .scalar import ONE, ZERO, RationalFunction
 
 Partition = tuple
 
@@ -183,7 +183,7 @@ class GrassmannianRing:
                 table[(labels[i], labels[j])] = self._collect(
                     sizes[i] + sizes[j], self._product_terms(i, memo, steps))
         point = labels[-1]  # the basis runs by size, so the point class is last
-        functional = {l: (1 if l == point else 0) for l in labels}
+        functional = {l: (ONE if l == point else ZERO) for l in labels}
         grading = Grading(
             real_degree={l: self.degree(p) for l, p in zip(labels, self.basis)},
             chern_number=self.chern_number,

@@ -3,17 +3,17 @@
 Matrices are lists of row lists of ``int``, ``Fraction`` or
 ``RationalFunction`` entries; no result is ever a float.  ``solve`` and
 ``det`` run one elimination, ``_bareiss``, Bareiss's fraction-free pass
-(Math. Comp. 22, 1968), on rows first cleared of their denominators by one
-of two routes: where some entry is a ``RationalFunction``, each row is
-multiplied by the lcm of its denominators into Q[q]; otherwise by the lcm of
-its ``int``/``Fraction`` denominators into Z, and ``det`` of plain ``int``s
-needs no clearing at all.  ``solve`` divides its results back by a last
-pivot other than 1, ``det`` by the product of the lcms, as
-``RationalFunction`` over Q(q) and ``Fraction`` over Q.  The pass takes the
-first nonzero pivot of each column and works only on the nonzero entries of
-the rows that a pivot reaches.  ``det`` is also the package's one
-singularity test over Q(q): ``is_unit`` and ``validate`` ask it whether a
-matrix is invertible.
+(Math. Comp. 22, 1968), on ``int`` rows only: each row is cleared of its
+denominators into Z, or over Q(q) into Z[q] and evaluated at q = 2^b
+(Kronecker substitution; von zur Gathen and Gerhard, *Modern Computer
+Algebra*).  With M the product over the rows of max(1, the row's
+coefficient 1-norm), a minor, a signed sum of products of one entry per
+row, has coefficients at most M in absolute value, and each value that the
+pass and the back substitution test for zero, divide or return is a minor
+or a product of two.  So b = 2 bitlen(M) + 2 keeps their coefficients below
+2^(b-1), where evaluation at 2^b, a ring map Z[q] -> Z, is one to one: the
+pass runs as it would over Z[q], and signed base-2^b digits read results.
+``det`` is also the package's one singularity test over Q(q).
 """
 
 import math
@@ -66,16 +66,15 @@ def _rescale(row, start, new, old):
 
 
 def _bareiss(rows, n):
-    """Bareiss's pass over ``int`` or ``QPolynomial``, in place; returns the
-    pivots, one per column until a column has none, and the sign of the row
-    swaps.  Each row below the pivot p becomes (p * row - factor * pivot
-    row) / previous pivot, exactly, so the last pivot is the determinant up
-    to sign.  A row with factor 0 would only be rescaled
-    by p / previous pivot; the rescalings telescope, so it takes them at
-    once when a step next reaches it."""
-    one = rows[0][0] ** 0 if rows else 1  # the ring's 1
-    pivots, sign, prev = [], 1, one
-    scaled = [one] * len(rows)  # the previous pivot as of each row's last step
+    """Bareiss's pass over ``int`` rows, in place; returns the pivots, one
+    per column until a column has none, and the sign of the row swaps.
+    With p the first nonzero entry of the column, each row below becomes
+    (p * row - factor * pivot row) / previous pivot, exactly, where either
+    row is nonzero, so the last pivot is the determinant up to sign.  A row
+    with factor 0 would only be rescaled by p / previous pivot; the
+    rescalings telescope, so it takes them at once when a step reaches it."""
+    pivots, sign, prev = [], 1, 1
+    scaled = [1] * len(rows)  # the previous pivot as of each row's last step
     for col in range(n):
         pivot = next((r for r in range(col, len(rows)) if rows[r][col]), None)
         if pivot is None:
@@ -88,19 +87,14 @@ def _bareiss(rows, n):
         _rescale(row, col, prev, scaled[col])
         p = row[col]
         pivots.append(p)
-        scale, divide = p != one, prev != one
         for i in range(col + 1, len(rows)):
             other = rows[i]
             if other[col]:
                 _rescale(other, col, prev, scaled[i])
                 scaled[i], factor = p, other[col]
                 for j in range(col + 1, len(row)):
-                    x = p * other[j] if scale and other[j] else other[j]
-                    if row[j]:
-                        x = x - factor * row[j]
-                    elif not x:
-                        continue
-                    other[j] = _quotient(x, prev) if divide else x
+                    if row[j] or other[j]:
+                        other[j] = _quotient(p * other[j] - factor * row[j], prev)
         prev = p
     return pivots, sign
 
@@ -109,8 +103,8 @@ def _cleared(rows):
     """``rows``, each times the lcm of its denominators, with the product of
     the lcms and the type a result is divided back in: ``QPolynomial`` rows
     and ``RationalFunction`` where some entry is a ``RationalFunction``,
-    else ``int`` rows and ``Fraction``.  Over Q(q) one walk coerces, takes
-    numerators and grows the lcm; a row with a denominator is walked again."""
+    else ``int`` rows and ``Fraction``.  Over Q(q) a row is coerced, and its
+    denominators other than 1 grow the lcm that multiplies its numerators."""
     cleared, scale = [], 1
     if all(isinstance(x, (int, Fraction)) for row in rows for x in row):
         for row in rows:
@@ -118,51 +112,76 @@ def _cleared(rows):
             cleared.append([x.numerator * (lcm // x.denominator) for x in row])
             scale *= lcm
         return cleared, scale, Fraction
-    from .scalar import RationalFunction, poly_gcd
+    from .scalar import _P_ONE, RationalFunction, poly_gcd
 
     for row in rows:
-        nums, dens, lcm = [], [], None
-        for x in row:
-            x = x if isinstance(x, RationalFunction) else RationalFunction(x)
-            nums.append(x.num)
-            dens.append(x.den)
-            if not x.is_polynomial():
-                lcm = x.den if lcm is None else lcm * _quotient(x.den, poly_gcd(lcm, x.den))
-        if lcm is not None:
-            nums = [num * _quotient(lcm, den) if num else num for num, den in zip(nums, dens)]
+        row, lcm = [x if type(x) is RationalFunction else RationalFunction(x) for x in row], None
+        for den in [x.den for x in row if x.den is not _P_ONE]:
+            lcm = den if lcm is None else lcm * _quotient(den, poly_gcd(lcm, den))
+        if lcm is None:
+            cleared.append([x.num for x in row])
+        else:
+            cleared.append([x.num * _quotient(lcm, x.den) if x.num else x.num for x in row])
             scale *= lcm
-        cleared.append(nums)
     return cleared, scale, RationalFunction
+
+
+def _integer_rows(rows):
+    """``rows`` cleared by ``_cleared`` into ``int`` rows, over Q(q) at q =
+    2^b (see the module docstring), with the product of the lcms, the field
+    of the results and the map from an ``int`` result towards it."""
+    rows, scale, field = _cleared(rows)
+    if field is Fraction:
+        return rows, scale, field, int
+    from .scalar import _merged
+
+    norms = []
+    for i, row in enumerate(rows):
+        coeffs = [c for x in row if x.terms for c in x.terms.values()]
+        if type(norm := sum(map(abs, coeffs))) is not int:  # some coefficient is a Fraction
+            k = math.lcm(*[c.denominator for c in coeffs])
+            rows[i], norm, scale = [x * k for x in row], int(norm * k), scale * k
+        norms.append(norm)
+    b = 2 * math.prod(max(1, norm) for norm in norms).bit_length() + 2
+    point, half, mask = 1 << b, 1 << b - 1, (1 << b) - 1
+
+    def read(v):
+        digits = []
+        while v:
+            v += half
+            digits.append((v & mask) - half)
+            v >>= b
+        return _merged({}, enumerate(digits))
+    return [[x.evaluate(point) if x.terms else 0 for x in r] for r in rows], scale, field, read
 
 
 def solve(a, b):
     """Solve A X = B for X (``b`` has one column per right-hand side).
     With D the last pivot of ``_bareiss`` on the cleared [A | B], D * X is
-    an ``int`` or polynomial matrix; back substitution finds it as
-    (D * b'_i - sum_{j > i} U_ij * X_j) / U_ii, exactly, over the nonzero
-    entries of each pivot row.  Raises ``InvalidShape`` unless A is n x n
-    and B has n rows, and ``SingularMatrix`` when A is not invertible."""
+    an ``int`` matrix; back substitution finds it as (D * b'_i - sum_{j > i}
+    U_ij * X_j) / U_ii, exactly, over the nonzero entries of each pivot
+    row.  Raises ``InvalidShape`` unless A is n x n and B has n rows of one
+    length, and ``SingularMatrix`` when A is not invertible."""
     n = _order(a)
     if len(b) != n:
         raise InvalidShape(f"the right-hand side has {len(b)} rows, the matrix is {n}x{n}")
-    m, _, field = _cleared([list(a[i]) + list(b[i]) for i in range(n)])
+    if len(widths := sorted({len(row) for row in b})) > 1:
+        raise InvalidShape("the right-hand side has rows of length " + "/".join(map(str, widths)))
+    m, _, field, read = _integer_rows([list(a[i]) + list(b[i]) for i in range(n)])
     pivots, _ = _bareiss(m, n)
     if len(pivots) < n:
         raise SingularMatrix(f"no pivot in column {len(pivots)}")
     d, sol = (pivots[-1] if n else 1), [None] * n
-    one = d ** 0
     for i in reversed(range(n)):
         row = m[i]
         reach = [j for j in range(i + 1, n) if row[j]]
-        sol[i] = values = row[n:] if d == one else [d * rhs for rhs in row[n:]]
-        divide = row[i] != one
+        sol[i] = values = [d * rhs for rhs in row[n:]]
         for c, acc in enumerate(values):
             for j in reach:
-                if sol[j][c]:
-                    acc = acc - row[j] * sol[j][c]
-            values[c] = _quotient(acc, row[i]) if divide and acc else acc
-    d = None if d == one else d  # a last pivot of 1 divides nothing
-    return [[field(x, d) for x in values] for values in sol]
+                acc -= row[j] * sol[j][c]
+            values[c] = _quotient(acc, row[i])
+    d = None if d == 1 else read(d)  # a last pivot of 1 divides nothing
+    return [[field(read(x), d) for x in values] for values in sol]
 
 
 def det(a):
@@ -172,12 +191,13 @@ def det(a):
     n x n (``InvalidShape`` otherwise)."""
     n = _order(a)
     ints = all(type(x) is int for row in a for x in row)
-    rows, scale, field = ([list(row) for row in a], 1, None) if ints else _cleared(a)
+    rows, scale, field, read = (
+        ([list(row) for row in a], 1, None, int) if ints else _integer_rows(a))
     pivots, sign = _bareiss(rows, n)
     if len(pivots) < n:
         return 0 * a[0][0]
     d = sign * pivots[-1] if n else 1
-    return field(d, scale) if field else d
+    return field(read(d), scale) if field else d
 
 
 def identity(n, one, zero):

@@ -825,6 +825,21 @@ def test_each_solve_in_diagnose_runs_one_bareiss(monkeypatch, ig26):
     assert used == [[1]] * 4
 
 
+def test_bareiss_sees_only_ints(monkeypatch, ig26):
+    """``linalg`` packs every Q(q) system into ``int``s before its one
+    elimination: ``diagnose()`` of G(3,6), of a ``generic`` known-answer sum
+    (its change of basis included) and of IG(2,6) hands ``_bareiss``
+    nothing else."""
+    seen = set()
+    bareiss = linalg._bareiss
+    monkeypatch.setattr(linalg, "_bareiss", lambda m, n: seen.update(
+        type(x) for row in m for x in row) or bareiss(m, n))
+    GrassmannianRing(3, 6).to_frobenius().diagnose()
+    known_answer_sum(("base", "base", "quad"), random.Random(1507))[0].diagnose()
+    ig26.diagnose()
+    assert seen == {int}
+
+
 # ---------------------------------------------------------------------------
 # random small algebras: semisimple implies field factor
 # ---------------------------------------------------------------------------

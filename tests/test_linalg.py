@@ -1,14 +1,15 @@
 """Exact elimination in ``linalg`` against sympy on sparse matrices.
 
-``solve`` and ``det`` clear each row of its denominators, into Z or into
-Q[q], and run Bareiss's fraction-free pass, ``_bareiss``, which skips the
-zero entries of each row; the gram and operator matrices they see are
-mostly zeros.  These properties check that neither the clearing nor the
-skipping changes a value, over Q and over Q(q), singular matrices and
-right-hand sides with zero rows and columns included; they compare with
-sympy and, over Q(q), with a field pass written here.  Results are exact:
-``solve`` over Q gives ``Fraction``s, ``det`` of ``int``s an ``int``, never
-a float.
+``solve`` and ``det`` clear each row of its denominators, into Z, or over
+Q(q) into Z[q] and then into ``int``s by evaluation at q = 2^b, and run
+Bareiss's fraction-free pass, ``_bareiss``, which skips the zero entries of
+each row; the gram and operator matrices they see are mostly zeros.  These
+properties check that neither the clearing, the packing nor the skipping
+changes a value, over Q and over Q(q), singular matrices and right-hand
+sides with zero rows and columns included, and coefficients large enough
+that b must bound every minor; they compare with sympy and, over Q(q), with
+a field pass written here.  Results are exact: ``solve`` over Q gives
+``Fraction``s, ``det`` of ``int``s an ``int``, never a float.
 """
 
 from fractions import Fraction
@@ -126,6 +127,19 @@ def test_solve_rejects_a_right_hand_side_without_n_rows():
     assert linalg.solve([], []) == [] and linalg.det([]) == 1
 
 
+@pytest.mark.parametrize("a, b", [
+    ([[1, 1], [1, 2]], [[1], [1, 2]]),
+    ([[1, 1], [1, 2]], [[1, 2], [1]]),
+    ([[ONE, ONE], [ONE, Q]], [[ONE], [ONE, Q]]),
+    ([[ONE, ONE], [ONE, Q]], [[ONE, Q], [ONE]]),
+], ids=["Q-short-last", "Q-short-first", "Qq-short-last", "Qq-short-first"])
+def test_solve_rejects_a_ragged_right_hand_side(a, b):
+    """The first of these once gave a ragged answer, the second an
+    ``IndexError``."""
+    with pytest.raises(InvalidShape, match="right-hand side has rows of length 1/2"):
+        linalg.solve(a, b)
+
+
 @st.composite
 def right_hand_sides(draw, n, values):
     """n x 1 or n x 3 matrices, sparse like ``sparse_matrices``, with one
@@ -183,35 +197,31 @@ def rational_functions(draw):
 
 
 @st.composite
-def rational_function_matrices(draw):
-    """Square matrices up to 4x4 over Q(q), about half zeros.  Drawn with
-    a nonzero permuted diagonal (row swaps), or with the last row a Q(q)
-    multiple of the first (singular), or neither."""
-    n = draw(st.integers(1, 4))
-    a = [[draw(rational_functions()) if draw(st.booleans()) else ZERO
+def rational_function_matrices(draw, entries=rational_functions(), size=4):
+    """Square matrices up to ``size`` x ``size`` over Q(q), about half
+    zeros.  Drawn with a nonzero permuted diagonal (row swaps), or with the
+    last row a Q(q) multiple of the first (singular), or neither."""
+    n = draw(st.integers(1, size))
+    a = [[draw(entries) if draw(st.booleans()) else ZERO
           for _ in range(n)] for _ in range(n)]
     shape = draw(st.sampled_from(("sparse", "permuted", "dependent")))
     if shape == "permuted":
         perm = draw(st.permutations(range(n)))
         for i in range(n):
-            a[i][perm[i]] = draw(rational_functions().filter(bool))
+            a[i][perm[i]] = draw(entries.filter(bool))
     elif shape == "dependent" and n > 1:
-        c = draw(rational_functions())
+        c = draw(entries)
         a[-1] = [c * x for x in a[0]]
     return a
 
 
 @st.composite
-def rational_function_systems(draw):
-    a = draw(rational_function_matrices())
-    return a, draw(right_hand_sides(len(a), rational_functions()))
+def rational_function_systems(draw, entries=rational_functions(), size=4):
+    a = draw(rational_function_matrices(entries, size))
+    return a, draw(right_hand_sides(len(a), entries))
 
 
-@settings(max_examples=100, deadline=None)
-@given(rational_function_systems())
-@example(([[ZERO, Q], [ONE / (Q - 1), ZERO]], [[ONE], [ZERO]]))
-def test_solve_and_det_match_sympy_over_rational_functions(system):
-    a, b = system
+def _matches_sympy_over_rational_functions(a, b):
     ref = to_sympy(a)
     ref_det = ref.det()
     assert to_sympy([[linalg.det(a)]]).to_list() == [[ref_det]]
@@ -220,6 +230,13 @@ def test_solve_and_det_match_sympy_over_rational_functions(system):
             linalg.solve(a, b)
         return
     assert to_sympy(linalg.solve(a, b)).to_list() == ref.lu_solve(to_sympy(b)).to_list()
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_function_systems())
+@example(([[ZERO, Q], [ONE / (Q - 1), ZERO]], [[ONE], [ZERO]]))
+def test_solve_and_det_match_sympy_over_rational_functions(system):
+    _matches_sympy_over_rational_functions(*system)
 
 
 # ---------------------------------------------------------------------------
@@ -321,3 +338,48 @@ def test_the_bareiss_paths_leave_their_arguments_alone():
         linalg.solve(a, b)
         assert (a, b) == (a_copy, b_copy)
         assert all(x is y for x, y in zip(rows, a))
+
+
+# ---------------------------------------------------------------------------
+# the packing at q = 2^b: coefficients that need all of b
+# ---------------------------------------------------------------------------
+
+HUGE = st.integers(-2 ** 70, 2 ** 70)
+WIDE_COEFFICIENTS = st.one_of(
+    HUGE, st.builds(Fraction, HUGE, st.integers(1, 2 ** 40)), st.integers(-3, 3))
+
+
+@st.composite
+def wide_rational_functions(draw, degree):
+    """Numerators up to ``degree`` with coefficients up to 2^70, some of
+    them fractions with denominators up to 2^40, over 1 or q."""
+    coeffs = draw(st.lists(WIDE_COEFFICIENTS, min_size=1, max_size=degree + 1))
+    num = sum((c * Q ** e for e, c in enumerate(coeffs)), ZERO)
+    return num / draw(st.sampled_from((ONE, Q)))
+
+
+@st.composite
+def wide_systems(draw):
+    """Systems up to 6 x 6 whose numerators have degree up to 6 // size, over
+    Laurent denominators: a result is normalised by a Euclidean gcd over Q,
+    whose cost grows steeply with the degree of the determinant and the size
+    of its coefficients (a 4 x 4 system of degree 6 took 22 s)."""
+    size = draw(st.integers(1, 6))
+    return draw(rational_function_systems(wide_rational_functions(6 // size), size))
+
+
+@settings(max_examples=40, deadline=None)
+@given(wide_systems())
+def test_packed_solve_and_det_match_sympy_on_wide_coefficients(system):
+    _matches_sympy_over_rational_functions(*system)
+
+
+def test_the_packing_reads_a_minor_near_the_bound():
+    """Cleared by 2^40 into Z[q], the first row of A is [3^30 q, 1], so for
+    ``det`` M = (3^30 + 1) * 7, and the coefficient 7 * 3^30 of the cleared
+    determinant is above 2^(bitlen(M) - 1).  With b = bitlen(M), or with M
+    taken before the integer clearing, its digits would read wrong."""
+    a = [[Fraction(3 ** 30, 2 ** 40) * Q, ONE / 2 ** 40], [ZERO, 7 * Q]]
+    assert linalg.det(a) == Fraction(7 * 3 ** 30, 2 ** 40) * Q * Q
+    assert linalg.solve(a, [[ONE], [Q]]) == [[(7 * 2 ** 40 - 1) / (7 * 3 ** 30 * Q)],
+                                             [ONE / 7]]
