@@ -16,15 +16,15 @@ one edge germ per crossing positive root; the oscillation bound is a
 minimum-weight path between the identity coset and the coset of the longest
 element.  An edge's weight is linear in the weight's simple-coroot pairings
 c_a, so Dijkstra's algorithm runs over the integers <c * L, degree>, L the
-lcm of the denominators of c, with deterministic tie breaks (fewest edges,
-then vertex order, then root order); only the chain and the bound are
-turned back into exact rationals.  The root data's public names are those
-of ``qeuler.roots``, re-exported: ``rootgkm.OrbitSpec is roots.OrbitSpec``.
+lcm of the denominators of c, each label and heap key one int whose order
+is the tie break (fewest edges, then vertex order, then root order); only
+the chain and the bound become rationals again.  The root data's names are
+re-exported from ``qeuler.roots``: ``rootgkm.OrbitSpec is roots.OrbitSpec``.
 """
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from array import array
 from fractions import Fraction
 from functools import lru_cache
@@ -153,7 +153,7 @@ def simple_root_coordinates(rs: RootSystem, root: Vector):
 # ---------------------------------------------------------------------------
 
 class _Skeleton(NamedTuple):
-    reps: tuple            # (signed permutation, word) per coset, by length
+    words: tuple           # shortest word of each coset's minimal element, by length
     crossing: tuple        # crossing positive roots
     degrees: tuple         # coroot coordinates of each crossing root on ``free``
     free: tuple            # 1-based indices of S minus S_P
@@ -218,14 +218,20 @@ def _coset_skeleton(family: str, rank: int, parabolic: tuple) -> _Skeleton:
             neighbors.extend(divmod(g, k))
         starts.append(len(neighbors))
 
-    return _Skeleton(tuple(reps), crossing, tuple(degrees), free, _frozen(neighbors),
-                     _frozen(starts))
+    return _Skeleton(tuple(word for _, word in reps), crossing, tuple(degrees), free,
+                     _frozen(neighbors), _frozen(starts))
 
 
 def weyl_cosets(spec: OrbitSpec):
-    """Minimal-length representatives of W / W_P, as (signed permutation, word)."""
+    """Minimal-length representatives of W / W_P, as (signed permutation, word):
+    the skeleton keeps the words, and (i,) + tail is the word of s_i . w(tail)."""
     rs = spec.root_system
-    return list(_coset_skeleton(rs.family, rs.rank, spec.parabolic).reps)
+    gens = [_reflection(r) for r in rs.simple_roots]
+    reps = {(): tuple(range(1, rs.dim + 1))}
+    for word in _coset_skeleton(rs.family, rs.rank, spec.parabolic).words[1:]:
+        g = gens[word[0] - 1]
+        reps[word] = tuple(g[x - 1] if x > 0 else -g[-x - 1] for x in reps[word[1:]])
+    return [(w, word) for word, w in reps.items()]
 
 
 class GkmVertex(NamedTuple):
@@ -255,9 +261,9 @@ def gkm_graph(spec: OrbitSpec) -> GkmGraph:
     rs = spec.root_system
     sk = _coset_skeleton(rs.family, rs.rank, spec.parabolic)
     weights = [pairing(spec.weight, r) for r in sk.crossing]
-    vertices = tuple(GkmVertex(i, word) for i, (_, word) in enumerate(sk.reps))
+    vertices = tuple(GkmVertex(i, word) for i, word in enumerate(sk.words))
     edges = []
-    for u in range(len(sk.reps)):
+    for u in range(len(sk.words)):
         for v, germs in groupby(_germs(sk, u), key=itemgetter(0)):
             if v > u:
                 cost, r_idx = min((weights[r], r) for _, r in germs)
@@ -277,10 +283,13 @@ def hz_upper_bound(spec: OrbitSpec) -> CapacityBound:
     endpoint-to-endpoint path because all weights are positive, so shortest
     paths give the minimum over invariant chains.
 
-    The weight of a germ along alpha is sum_a c_a * d(alpha)_a over the free
-    a, c_a = <weight, coroot(alpha_a)> and d the coroot degrees; Dijkstra
-    runs over these times L, the lcm of the denominators of c, which are
-    integers, and divides by L only for the chain and the bound.
+    A germ along alpha weighs sum_a c_a * d(alpha)_a over the free a, c_a =
+    <weight, coroot(alpha_a)> and d the coroot degrees; Dijkstra runs over
+    these times L, the lcm of the denominators of c.  Its label (distance d,
+    edges e, parent u, root r) is the int ((d * E + e) * N + u) * K + r, for
+    N cosets, E = N + 1 and K = max(crossing roots, 1) (none when S_P = S).
+    As e <= N, u < N and r < K, int order is the tuple order of the tie
+    break, and the heap key (d * E + e) * N + v orders as (d, e, v).
     """
     rs = spec.root_system
     sk = _coset_skeleton(rs.family, rs.rank, spec.parabolic)
@@ -288,41 +297,42 @@ def hz_upper_bound(spec: OrbitSpec) -> CapacityBound:
     scale = lcm(*(x.denominator for x in c))
     scaled = [x.numerator * (scale // x.denominator) for x in c]
     weights = [sum(x * d for x, d in zip(scaled, degree)) for degree in sk.degrees]
-    source, target = 0, len(sk.reps) - 1
+    n, k = len(sk.words), max(len(sk.crossing), 1)
+    nk = n * k
+    step = [w * (n + 1) * nk + r for r, w in enumerate(weights)]
+    source, target = 0, n - 1
 
-    # v -> (distance, edges, parent, root index): tuple order is the tie
-    # break, fewest edges, then the earliest parent, then among parallel
-    # germs the first root, as in ``gkm_graph``
-    best = {source: (0, 0, None, None)}
-    heap = [(0, 0, source)]
-    done = set()
+    best = [None] * n
+    best[source] = 0
+    heap = [source]
+    done = bytearray(n)
     while heap:
-        d, n_edges, u = heapq.heappop(heap)
-        if u in done:
+        h = heappop(heap)
+        u = h % n
+        if done[u]:
             continue
-        done.add(u)
+        done[u] = 1
         if u == target:
             break
+        base = ((h // n + 1) * n + u) * k
+        # a done v has distance <= d and every weight is >= 1, so cand loses
         for v, r in _germs(sk, u):
-            if v in done:
-                continue
-            cand = (d + weights[r], n_edges + 1, u, r)
-            if v not in best or cand < best[v]:
+            cand = base + step[r]
+            if best[v] is None or cand < best[v]:
                 best[v] = cand
-                heapq.heappush(heap, (cand[0], cand[1], v))
-    if target not in best:
+                heappush(heap, cand // nk * n + v)
+    if best[target] is None:
         raise NotRegular("fixed-point graph is not connected")
 
-    chain = []
-    node = target
+    chain, node = [], target
     while node != source:
-        parent, r = best[node][2:]
+        parent, r = best[node] // k % n, best[node] % k
         chain.append(GkmEdge(min(parent, node), max(parent, node), sk.crossing[r],
                              Fraction(weights[r], scale), sk.degrees[r]))
         node = parent
     chain.reverse()
     degree = tuple(sum(e.degree[t] for e in chain) for t in range(len(sk.free)))
-    return CapacityBound(Fraction(best[target][0], scale), tuple(chain), degree)
+    return CapacityBound(Fraction(best[target] // ((n + 1) * nk), scale), tuple(chain), degree)
 
 
 def brute_force_bound(spec: OrbitSpec) -> Fraction:
@@ -413,9 +423,8 @@ def edge_to_json(spec: OrbitSpec, words, edge: GkmEdge) -> dict:
 def bound_to_json(spec: OrbitSpec, result: CapacityBound) -> dict:
     rs = spec.root_system
     sk = _coset_skeleton(rs.family, rs.rank, spec.parabolic)
-    words = [word for _, word in sk.reps]
     return {
         "bound": str(result.bound),
-        "chain": [edge_to_json(spec, words, e) for e in result.chain],
+        "chain": [edge_to_json(spec, sk.words, e) for e in result.chain],
         "degree": {f"a{a}": d for a, d in zip(sk.free, result.degree)},
     }

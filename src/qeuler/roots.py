@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from typing import NamedTuple
 
 from .errors import (ComputeError, InvalidShape, NotRegular, TooLarge,
@@ -26,14 +26,12 @@ Vector = tuple
 
 
 def pairing(weight: Vector, root: Vector) -> Fraction:
-    """<weight, coroot(root)> = 2 (weight, root) / (root, root), read off the
-    root's nonzero coordinates (at most two for a simple root)."""
-    num, norm = Fraction(0), 0
-    for t, x in enumerate(root):
-        if x:
-            num += weight[t] * x
-            norm += x * x
-    return 2 * num / norm
+    """<weight, coroot(root)> = 2 (weight, root) / (root, root) over the root's
+    nonzero coordinates, summed in ints over the lcm of their denominators."""
+    terms = [(weight[t], x) for t, x in enumerate(root) if x]
+    scale = lcm(*(w.denominator for w, _ in terms))
+    num = sum(w.numerator * (scale // w.denominator) * x for w, x in terms)
+    return Fraction(2 * num, scale * sum(x * x for _, x in terms))
 
 
 class RootSystem(NamedTuple):

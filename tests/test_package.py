@@ -49,9 +49,9 @@ def source_lines(module):
 # A process compiles the source of every module it imports, so a command's
 # start-up grows with these lines; each budget is the count when it was set.
 @pytest.mark.parametrize("argv, budget", [
-    (("un-capacity", "--lambda", "3,1,0"), 620),
-    (("orbit", "--family", "A", "--rank", "3", "--parabolic", "1,3", "chern"), 620),
-    (("orbit", "--family", "B", "--rank", "3", "--parabolic", "2", "hz-bound"), 1041),
+    (("un-capacity", "--lambda", "3,1,0"), 618),
+    (("orbit", "--family", "A", "--rank", "3", "--parabolic", "1,3", "chern"), 618),
+    (("orbit", "--family", "B", "--rank", "3", "--parabolic", "2", "hz-bound"), 1048),
     (("grassmannian", "-k", "2", "-n", "4", "diagnose"), 1967),
     (("grassmannian", "-k", "2", "-n", "5", "table", "--format", "md"), 1967),
     (("algebra", "--file", str(SRC / "qeuler" / "data" / "ig26.json"), "diagnose"), 2265),

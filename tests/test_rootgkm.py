@@ -3,13 +3,16 @@ import heapq
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
+from math import factorial, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import chevalley_c1_terms
 from qeuler import rootgkm as rg
 from qeuler import roots
+from qeuler.cli import main
 from qeuler.errors import (ComputeError, InvalidShape, NotRegular, TooLarge,
                            UnsupportedType)
 from qeuler.grassmannian import GrassmannianRing
@@ -258,6 +261,13 @@ def test_cosets_include_identity_and_longest():
     assert any(rg.act(w, spec.weight) == w0_point for w, _ in reps)
 
 
+def coset_reps(fam, rank, parabolic):
+    """``weyl_cosets`` of the parabolic, at its monotone weight, as a tuple:
+    the skeleton keeps the words, and this rebuilds the permutations."""
+    weight = rg.monotone_weight(fam, rank, parabolic)
+    return tuple(rg.weyl_cosets(rg.make_orbit_spec(fam, rank, parabolic, weight)))
+
+
 # every group of rank <= 5 but B5 and C5, the golden file's groups among them
 COSET_GROUPS = ([("A", r) for r in range(1, 6)] + [(f, r) for f in "BC" for r in (2, 3, 4)]
                 + [("D", r) for r in range(2, 6)])
@@ -279,7 +289,7 @@ def test_cosets_match_the_fundamental_weight_key(fam, rank):
             first = {}
             for w, word in rg.weyl_elements(fam, rank):
                 first.setdefault(rg.act(w, ref), (w, word))
-            reps = rg._coset_skeleton(fam, rank, parabolic).reps
+            reps = coset_reps(fam, rank, parabolic)
             assert reps == tuple(first.values()), parabolic
             assert reps[-1] == first[rg.act(w0, ref)], parabolic
 
@@ -318,7 +328,7 @@ def test_coset_skeleton_does_not_enumerate_the_weyl_group(monkeypatch):
         raise AssertionError("the coset skeleton enumerated W")
     monkeypatch.setattr(rg, "weyl_elements", refuse)
     sk = rg._coset_skeleton.__wrapped__("A", 12, tuple(range(2, 13)))
-    assert [word for _, word in sk.reps] == [tuple(range(k, 0, -1)) for k in range(13)]
+    assert sk.words == tuple(tuple(range(k, 0, -1)) for k in range(13))
     assert len(sk.crossing) == 12
 
 
@@ -331,8 +341,8 @@ def test_search_order_is_pinned():
         digest.update(repr(rg.weyl_elements(fam, rank)).encode())
         for parabolic in every_parabolic(fam, rank):
             sk = rg._coset_skeleton(fam, rank, parabolic)
-            digest.update(repr((sk.reps, sk.crossing, sk.degrees, bytes(sk.neighbors),
-                                bytes(sk.starts))).encode())
+            digest.update(repr((coset_reps(fam, rank, parabolic), sk.crossing, sk.degrees,
+                                bytes(sk.neighbors), bytes(sk.starts))).encode())
     assert digest.hexdigest() == (
         "ca83b8a1120738a434bf89ed61849ace99699cecf79068bcc73486dbdbe48763")
 
@@ -568,16 +578,17 @@ def test_germ_table_is_symmetric_and_matches_a_rebuild(fam, rank):
     weights = rg.fundamental_weights(rs)
     for parabolic in every_parabolic(fam, rank):
         sk = rg._coset_skeleton(fam, rank, parabolic)
-        rows = [list(rg._germs(sk, u)) for u in range(len(sk.reps))]
+        rows = [list(rg._germs(sk, u)) for u in range(len(sk.words))]
         assert all(row == sorted(set(row)) for row in rows), parabolic
         table = {(u, v, r) for u, row in enumerate(rows) for v, r in row}
         assert table == {(v, u, r) for u, v, r in table}, parabolic
 
         ref = tuple(sum((weights[a - 1][t] for a in range(1, rank + 1)
                          if a not in parabolic), Fraction(0)) for t in range(rs.dim))
-        index = {rg.act(w, ref): u for u, (w, _) in enumerate(sk.reps)}
+        reps = coset_reps(fam, rank, parabolic)
+        index = {rg.act(w, ref): u for u, (w, _) in enumerate(reps)}
         rebuilt = set()
-        for u, (w, _) in enumerate(sk.reps):
+        for u, (w, _) in enumerate(reps):
             for r, root in enumerate(sk.crossing):
                 ws = tuple(w[x - 1] if x > 0 else -w[-x - 1] for x in rg._reflection(root))
                 v = index[rg.act(ws, ref)]
@@ -831,6 +842,124 @@ def test_integer_dijkstra_reads_only_the_simple_pairings(monkeypatch):
     assert rg.hz_upper_bound(spec) == expected
     assert calls["gkm_graph"] == 0
     assert 0 < calls["pairing"] <= 4
+
+
+def tuple_label_dijkstra(spec):
+    """Reference for ``hz_upper_bound``'s loop: the same search on the same
+    skeleton and integer weights, with each label the tuple (distance,
+    edges, parent, root index) and each heap key (distance, edges, v), whose
+    order is the tie break the packed ints must keep."""
+    rs = spec.root_system
+    sk = rg._coset_skeleton(rs.family, rs.rank, spec.parabolic)
+    c = [rg.pairing(spec.weight, rs.simple_roots[a - 1]) for a in sk.free]
+    scale = lcm(*(x.denominator for x in c))
+    weights = [int(sum(x * scale * d for x, d in zip(c, degree))) for degree in sk.degrees]
+    source, target = 0, len(sk.words) - 1
+    best = {source: (0, 0, None, None)}
+    heap = [(0, 0, source)]
+    done = set()
+    while heap:
+        d, n_edges, u = heapq.heappop(heap)
+        if u in done:
+            continue
+        done.add(u)
+        if u == target:
+            break
+        for v, r in rg._germs(sk, u):
+            if v in done:
+                continue
+            cand = (d + weights[r], n_edges + 1, u, r)
+            if v not in best or cand < best[v]:
+                best[v] = cand
+                heapq.heappush(heap, (cand[0], cand[1], v))
+    chain, node = [], target
+    while node != source:
+        parent, r = best[node][2:]
+        chain.append(rg.GkmEdge(min(parent, node), max(parent, node), sk.crossing[r],
+                                Fraction(weights[r], scale), sk.degrees[r]))
+        node = parent
+    chain.reverse()
+    degree = tuple(sum(e.degree[t] for e in chain) for t in range(len(sk.free)))
+    return rg.CapacityBound(Fraction(best[target][0], scale), tuple(chain), degree)
+
+
+# every group of rank <= 4
+RANK_4_GROUPS = [(f, r) for f in "ABC" for r in range(1, 5)] + [("D", r) for r in (2, 3, 4)]
+
+
+@pytest.mark.parametrize("fam, rank", RANK_4_GROUPS)
+def test_packed_labels_match_the_tuple_label_reference(fam, rank):
+    """The whole ``CapacityBound`` on every parabolic, at the monotone
+    weight, where parallel germs and whole chains tie, at small integer
+    pairings, which tie often, and at non-integral ones."""
+    rng = random.Random(35 + rank + 10 * "ABCD".index(fam))
+    for parabolic in every_parabolic(fam, rank):
+        integral = [0 if a in parabolic else rng.randint(1, 3) for a in range(1, rank + 1)]
+        for weight in (rg.monotone_weight(fam, rank, parabolic),
+                       weight_from_pairings(fam, rank, integral),
+                       weight_from_pairings(fam, rank,
+                                            non_integral_pairings(rng, rank, parabolic))):
+            spec = rg.make_orbit_spec(fam, rank, parabolic, weight)
+            assert rg.hz_upper_bound(spec) == tuple_label_dijkstra(spec), (parabolic, weight)
+
+
+@pytest.mark.parametrize("fam, rank, coeffs", [
+    ("A", 5, [1] * 5), ("D", 5, [1] * 5), ("A", 5, non_integral_pairings(random.Random(53), 5, ())),
+    ("D", 5, non_integral_pairings(random.Random(54), 5, ())),
+    ("A", 6, non_integral_pairings(random.Random(55), 6, ())),
+])
+def test_packed_labels_match_the_tuple_label_reference_on_large_full_flags(fam, rank, coeffs):
+    """Full flags of 720 to 5,040 cosets, past the brute-force guard."""
+    spec = rg.make_orbit_spec(fam, rank, (), weight_from_pairings(fam, rank, coeffs))
+    assert rg.hz_upper_bound(spec) == tuple_label_dijkstra(spec)
+
+
+def test_bound_is_zero_when_the_parabolic_is_everything(capsys):
+    """S_P = S: one coset, no crossing root, so the label radix K is 1."""
+    spec = rg.make_orbit_spec("A", 3, (1, 2, 3), (0, 0, 0, 0))
+    assert rg.hz_upper_bound(spec) == rg.CapacityBound(0, (), ())
+    assert tuple_label_dijkstra(spec) == rg.CapacityBound(0, (), ())
+    assert main(["orbit", "--family", "A", "--rank", "3", "--parabolic", "1,2,3",
+                 "hz-bound"]) == 0
+    assert capsys.readouterr().out == "0\n"
+
+
+def fraction_sum_pairing(weight, root):
+    """Reference for ``pairing``: the sum of ``Fraction`` terms."""
+    num, norm = Fraction(0), 0
+    for t, x in enumerate(root):
+        if x:
+            num += weight[t] * x
+            norm += x * x
+    return 2 * num / norm
+
+
+FRACTIONS = st.builds(Fraction, st.integers(-1200, 1200), st.integers(1, 30))
+COORDINATES = {
+    "int": st.integers(-40, 40),
+    "Fraction": FRACTIONS,
+    "mixed": st.one_of(st.integers(-40, 40), FRACTIONS),
+}
+
+
+PAIRING_GROUPS = [("A", r) for r in range(1, 5)] + [(f, r) for f in "BCD" for r in (2, 3, 4)]
+
+
+@pytest.mark.parametrize("kind", COORDINATES)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_pairing_equals_the_fraction_sum_on_every_root(kind, data):
+    """Every root of every group, weights of ``int``s, ``Fraction``s or both:
+    the value is the term-by-term sum, and always a ``Fraction``, whose
+    ``numerator`` and ``denominator`` the skeleton and the monotone sum read."""
+    for fam, rank in PAIRING_GROUPS:
+        rs = rg.build_root_system(fam, rank)
+        weight = tuple(data.draw(st.lists(COORDINATES[kind], min_size=rs.dim,
+                                          max_size=rs.dim)))
+        for root in rs.roots:
+            value = rg.pairing(weight, root)
+            assert type(value) is Fraction, (weight, root)
+            assert value == fraction_sum_pairing(weight, root), (weight, root)
 
 
 # ---------------------------------------------------------------------------
