@@ -77,8 +77,8 @@ class QPolynomial:
     def __init__(self, terms=None):
         pairs = [(exp, _coeff(c))
                  for exp, c in (terms.items() if isinstance(terms, dict) else terms or ())]
-        if any(exp < 0 for exp, _ in pairs):
-            raise ValueError("polynomial exponents must be >= 0")
+        if any(type(exp) is not int or exp < 0 for exp, _ in pairs):
+            raise ValueError("polynomial exponents must be ints >= 0")
         # every coefficient goes through _coeff, so a float is refused even
         # when it cancels
         object.__setattr__(self, "terms", _merged({}, pairs).terms)

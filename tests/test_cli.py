@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from qeuler.cli import main
-from qeuler.presented import MAX_DEPTH, bundled_ig26_path
+from qeuler.presented import MAX_DEPTH, MAX_Q_EXPONENT, bundled_ig26_path
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).parents[1] / "src"
@@ -407,6 +407,21 @@ def test_bad_definition_exits_2_naming_the_definition(tmp_path, edit, message):
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert proc.stderr == f"ParseError: in definition of '1,1': {message}\n"
+
+
+@pytest.mark.parametrize("edit, product", [
+    (lambda raw: raw["generator_products"]["1|1"][0].update(q=10**30), "'1|1': its '2'"),
+    (lambda raw: raw["definitions"][0].update(expr="q^99999999999*s[1]"),
+     "'1,1|0': its '1'"),
+], ids=["q-10^30-in-a-product", "q^99999999999-in-a-definition"])
+def test_huge_q_exponent_exits_2_within_a_second(tmp_path, edit, product):
+    """Validation would evaluate these tables at q = 2^b and never end."""
+    start = time.perf_counter()
+    proc = _diagnose_edited(tmp_path, edit)
+    assert time.perf_counter() - start < 1
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (f"TooLarge: product {product} term has a q-exponent past "
+                           f"the guard of {MAX_Q_EXPONENT}\n")
 
 
 def test_bad_references_are_reported_in_text_order(tmp_path, monkeypatch):

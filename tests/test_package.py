@@ -54,7 +54,7 @@ def source_lines(module):
     (("orbit", "--family", "B", "--rank", "3", "--parabolic", "2", "hz-bound"), 1048),
     (("grassmannian", "-k", "2", "-n", "4", "diagnose"), 1967),
     (("grassmannian", "-k", "2", "-n", "5", "table", "--format", "md"), 1967),
-    (("algebra", "--file", str(SRC / "qeuler" / "data" / "ig26.json"), "diagnose"), 2265),
+    (("algebra", "--file", str(SRC / "qeuler" / "data" / "ig26.json"), "diagnose"), 2264),
 ], ids=["un-capacity", "orbit-chern", "orbit-hz-bound", "grassmannian-diagnose",
         "grassmannian-table", "ig26-diagnose"])
 def test_each_command_loads_no_more_lines_than_its_budget(argv, budget):

@@ -10,16 +10,20 @@ from qeuler.errors import (
     InconsistentTable,
     MissingDefinition,
     ParseError,
+    TooLarge,
     UnknownLabel,
 )
 from qeuler.frobenius import QuantumElement
 import qeuler.presented
 from qeuler.presented import (
+    MAX_DEPTH,
+    MAX_Q_EXPONENT,
     BinOp,
     Neg,
     Num,
     QPower,
     Ref,
+    _Parser,
     bundled_ig26_path,
     complete_table,
     load_algebra,
@@ -132,6 +136,44 @@ def test_cyclic_definitions_rejected():
     ]
     with pytest.raises(CyclicDefinition):
         parse_spec(json.dumps(raw))
+
+
+def defining(**exprs):
+    """The minimal spec with one more basis class per keyword, each defined,
+    in keyword order, by its expression."""
+    raw = minimal_spec()
+    for label, expr in exprs.items():
+        raw["basis"].append({"label": label, "codim": 1})
+        raw["generator_products"][f"1|{label}"] = [{"coeff": 1, "q": 1, "label": "0"}]
+        raw["definitions"].append({"label": label, "expr": expr})
+    return json.dumps(raw)
+
+
+@pytest.mark.parametrize("expr, labels, error, message", [
+    ("s[zz]*s[b] + s[zz]", ["zz", "b"], UnknownLabel, "references unknown label 'zz'"),
+    ("s[b]*s[zz] + s[b]", ["b", "zz"], CyclicDefinition,
+     "references 'b', which is not defined yet"),
+], ids=["unknown-first", "not-yet-defined-first"])
+def test_first_bad_reference_in_the_text_is_reported(expr, labels, error, message):
+    with pytest.raises(error) as info:
+        parse_spec(defining(a=expr, b="s[1]"))
+    assert type(info.value) is error
+    assert str(info.value) == f"definition of 'a' {message}"
+    # each label is recorded once, where the text first names it
+    parser = _Parser(expr, refs=True)
+    parser.parse()
+    assert list(parser.labels) == labels
+
+
+@pytest.mark.parametrize("template", [
+    "(" * MAX_DEPTH + "s[{}]" + ")" * MAX_DEPTH,
+    "*".join(["s[1]"] * 2999 + ["s[{}]"]),
+], ids=["nested-to-max-depth", "3000-references"])
+def test_largest_definitions_pass_the_reference_check(template):
+    spec = parse_spec(defining(a=template.format("1")))
+    assert [label for label, _ in spec.definitions] == ["a"]
+    with pytest.raises(UnknownLabel, match="references unknown label 'zz'"):
+        parse_spec(defining(a=template.format("zz")))
 
 
 def test_missing_definition_rejected():
@@ -347,6 +389,22 @@ def test_corrupted_table_raises_inconsistent():
     assert str(caught.value) == (
         f"completed table for 'IG(2,6)' is not a Frobenius algebra: {shown}"
         f" (+{len(violations) - 5} more)")
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["numerator", "denominator"])
+def test_q_exponent_past_the_guard_is_too_large(sign):
+    """Up to the guard, the table is validated (this one is not graded);
+    past it, completion stops before validation, naming the product."""
+    raw = minimal_spec()
+    term = raw["generator_products"]["1|1"][0]
+    term["q"] = sign * MAX_Q_EXPONENT
+    with pytest.raises(InconsistentTable):
+        complete_table(parse_spec(json.dumps(raw)))
+    term["q"] = sign * (MAX_Q_EXPONENT + 1)
+    with pytest.raises(TooLarge) as info:
+        complete_table(parse_spec(json.dumps(raw)))
+    assert str(info.value) == (f"product '1|1': its '0' term has a q-exponent "
+                               f"past the guard of {MAX_Q_EXPONENT}")
 
 
 def test_load_algebra_from_path(tmp_path):

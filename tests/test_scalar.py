@@ -16,7 +16,7 @@ from qeuler.presented import (
     Num,
     QPower,
     Ref,
-    expression_labels,
+    _act,
     parse_expression,
 )
 from qeuler.scalar import (
@@ -261,8 +261,8 @@ def test_depth_bound_is_a_parse_error(text, column):
 @pytest.mark.parametrize("open_, close", [("(", ")"), ("-", ""), ("q+q*(", ")"),
                                           ("-(", ")")])
 def test_deepest_accepted_trees_evaluate(open_, close):
-    """The deepest tree of each shape that parses also evaluates and walks
-    without hitting the recursion limit."""
+    """The deepest tree of each shape that parses also evaluates, in both
+    grammars, without hitting the recursion limit."""
     n = 1
     while True:
         try:
@@ -272,8 +272,8 @@ def test_deepest_accepted_trees_evaluate(open_, close):
         n += 1
     assert n == MAX_DEPTH // len(open_.strip("q+*"))
     text = open_ * n + "q" + close * n
-    assert parse_scalar(text) is not None
-    assert expression_labels(parse_expression(text.replace("q", "s[1]"))) == {"1"}
+    tree = parse_expression(text.replace("q", "s[1]"))
+    assert _act(ONE, tree, lambda x, label: x * Q) == parse_scalar(text) != 0
 
 
 @pytest.mark.parametrize("text, value", [
@@ -289,7 +289,7 @@ def test_long_flat_chains_parse(text, value):
     assert parse_scalar(text) == value
     if "/" not in text:
         tree = parse_expression(text.replace("q", "s[1]"))
-        assert expression_labels(tree) == {"1"}
+        assert _act(ONE, tree, lambda x, label: x * Q) == value
 
 
 def test_long_polynomials_round_trip():
@@ -510,6 +510,13 @@ def test_constructor_refuses_cancelling_floats_and_negative_exponents(e, neg, x)
         QPolynomial([(neg, 1), (neg, -1)])
     with pytest.raises(ValueError):
         QPolynomial({e: 1, neg: Fraction(1, 2)})
+    # an exponent that is not an int, even one equal to an int
+    for exponent in (e + 0.5, float(e), Fraction(2 * e + 1, 2), Fraction(e), e == 0):
+        with pytest.raises(ValueError):
+            QPolynomial({exponent: 1})
+    for exponent in (Fraction(2 * e + 1, 2), Fraction(2 * neg + 1, 2), float(neg)):
+        with pytest.raises(ValueError):
+            RationalFunction.monomial(1, exponent)
 
 
 def test_equality_with_a_polynomial_or_a_number_is_symmetric_and_hashes_agree():
