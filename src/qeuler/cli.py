@@ -97,6 +97,8 @@ def _json_text(obj) -> str:
 # -- grassmannian / algebra actions -------------------------------------------
 
 def _algebra_output(algebra, ring, action, labels, fmt):
+    if len(labels) != (two := 2 * (action == "product")):
+        raise _UsageError(f"`{action}` {'needs exactly two' if two else 'takes no'} class labels")
     if action == "table":
         if fmt == "json":
             return _json_text(algebra.table_to_json())
@@ -121,8 +123,6 @@ def _algebra_output(algebra, ring, action, labels, fmt):
     if action == "euler":
         result = algebra.euler_class()
     else:
-        if len(labels) != 2:
-            raise _UsageError("`product` needs exactly two class labels")
         from .frobenius import QuantumElement
         if ring is not None:
             from .grassmannian import parse_partition, partition_label

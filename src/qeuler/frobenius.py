@@ -13,7 +13,7 @@ to the exact proof only when it cannot decide: ``is_unit`` evaluates the
 multiplication operator at one rational point before one exact
 ``linalg.det`` over Q(q), and ``validate`` checks associativity against a
 generating set it finds there (Light's test) before it scans every basis
-triple.  ``is_nilpotent`` takes one exact power over Q(q).
+triple.  ``is_nilpotent`` reads det(t - L) at t = 1, ..., n, exactly.
 
 Mirror rule: the constructor stores a product and its mirror as one
 object when the table gives only one order.  The gram matrix reads f once
@@ -373,9 +373,9 @@ class FrobeniusAlgebra:
         return QuantumElement({self.basis[i]: sol[i][0] for i in range(self.rank)})
 
     def is_nilpotent(self, x: QuantumElement) -> bool:
-        """True iff the multiplication operator to the rank-th power
-        vanishes, by one exact power over Q(q)."""
-        return _power_is_zero(self.operator_matrix(x), self.rank)
+        """True iff the multiplication operator L is nilpotent, that is
+        det(t - L) = t^rank at t = 1, ..., rank: exact dets over Q(q)."""
+        return _nilpotent(self.operator_matrix(x))
 
     # -- diagnosis -----------------------------------------------------------
 
@@ -486,20 +486,13 @@ class FrobeniusAlgebra:
         return f"FrobeniusAlgebra({self.name or ''} rank={self.rank})"
 
 
-def _power_is_zero(a, power: int) -> bool:
-    """Whether a^power vanishes, by squaring: the nilpotency index is at
-    most the size of a, so squaring past ``power`` suffices.  Over Q(q), a
-    is first cleared by the lcm L of all its denominators, as (L a)^k =
-    L^k a^k, so that the products are polynomial and need no gcd."""
-    if a and isinstance(a[0][0], RationalFunction):
-        (entries,), _, _ = linalg._cleared([[x for row in a for x in row]])
-        n = len(a)
-        a = [[RationalFunction(x) for x in entries[i:i + n]] for i in range(0, n * n, n)]
-    exponent = 1
-    while exponent < power and not linalg.is_zero_matrix(a):
-        a = linalg.mat_mul(a, a)
-        exponent *= 2
-    return linalg.is_zero_matrix(a)
+def _nilpotent(a) -> bool:
+    """Whether the n x n matrix a is nilpotent: exactly when det(t - a) =
+    t^n (Cayley-Hamilton).  The difference has degree below n in t, so it
+    is zero where it vanishes at t = 1, ..., n (Vandermonde)."""
+    n = len(a)
+    return all(linalg.det([[t * (i == j) - x for j, x in enumerate(row)]
+                           for i, row in enumerate(a)]) == t ** n for t in range(1, n + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ pass and the back substitution test for zero, divide or return is a minor
 or a product of two.  So b = 2 bitlen(M) + 2 keeps their coefficients below
 2^(b-1), where evaluation at 2^b, a ring map Z[q] -> Z, is one to one: the
 pass runs as it would over Z[q], and signed base-2^b digits read results.
-``det`` is also the package's one singularity test over Q(q).
+``det`` is the package's one exact zero test: a is singular when det(a) =
+0, and nilpotent when det(t - a) = t^n at t = 1, ..., n (``is_nilpotent``).
 """
 
 import math
@@ -99,48 +100,36 @@ def _bareiss(rows, n):
     return pivots, sign
 
 
-def _cleared(rows):
-    """``rows``, each times the lcm of its denominators, with the product of
-    the lcms and the type a result is divided back in: ``QPolynomial`` rows
-    and ``RationalFunction`` where some entry is a ``RationalFunction``,
-    else ``int`` rows and ``Fraction``.  Over Q(q) a row is coerced, and its
-    denominators other than 1 grow the lcm that multiplies its numerators."""
+def _integer_rows(rows):
+    """``rows``, each times the lcm of its denominators, as ``int`` rows,
+    with the product of the lcms, the field of the results and the map
+    from an ``int`` result towards it: ``Fraction`` and ``int`` for rows of
+    ``int`` and ``Fraction``, else ``RationalFunction`` and a reader of
+    base-2^b digits.  Over Q(q) a row is coerced, its denominators other
+    than 1 grow the lcm that multiplies its numerators, the lcm of its
+    coefficients' denominators clears it into Z[q], and it is evaluated at
+    q = 2^b (see the module docstring)."""
     cleared, scale = [], 1
     if all(isinstance(x, (int, Fraction)) for row in rows for x in row):
         for row in rows:
             lcm = math.lcm(*(x.denominator for x in row))
             cleared.append([x.numerator * (lcm // x.denominator) for x in row])
             scale *= lcm
-        return cleared, scale, Fraction
-    from .scalar import _P_ONE, RationalFunction, poly_gcd
+        return cleared, scale, Fraction, int
+    from .scalar import _P_ONE, RationalFunction, _merged, poly_gcd
 
+    norms = []
     for row in rows:
         row, lcm = [x if type(x) is RationalFunction else RationalFunction(x) for x in row], None
         for den in [x.den for x in row if x.den is not _P_ONE]:
             lcm = den if lcm is None else lcm * _quotient(den, poly_gcd(lcm, den))
-        if lcm is None:
-            cleared.append([x.num for x in row])
-        else:
-            cleared.append([x.num * _quotient(lcm, x.den) if x.num else x.num for x in row])
-            scale *= lcm
-    return cleared, scale, RationalFunction
-
-
-def _integer_rows(rows):
-    """``rows`` cleared by ``_cleared`` into ``int`` rows, over Q(q) at q =
-    2^b (see the module docstring), with the product of the lcms, the field
-    of the results and the map from an ``int`` result towards it."""
-    rows, scale, field = _cleared(rows)
-    if field is Fraction:
-        return rows, scale, field, int
-    from .scalar import _merged
-
-    norms = []
-    for i, row in enumerate(rows):
+        row = [x.num * _quotient(lcm, x.den) if lcm and x.num else x.num for x in row]
+        scale = scale * lcm if lcm else scale
         coeffs = [c for x in row if x.terms for c in x.terms.values()]
         if type(norm := sum(map(abs, coeffs))) is not int:  # some coefficient is a Fraction
             k = math.lcm(*[c.denominator for c in coeffs])
-            rows[i], norm, scale = [x * k for x in row], int(norm * k), scale * k
+            row, norm, scale = [x * k for x in row], int(norm * k), scale * k
+        cleared.append(row)
         norms.append(norm)
     b = 2 * math.prod(max(1, norm) for norm in norms).bit_length() + 2
     point, half, mask = 1 << b, 1 << b - 1, (1 << b) - 1
@@ -152,7 +141,8 @@ def _integer_rows(rows):
             digits.append((v & mask) - half)
             v >>= b
         return _merged({}, enumerate(digits))
-    return [[x.evaluate(point) if x.terms else 0 for x in r] for r in rows], scale, field, read
+    cleared = [[x.evaluate(point) if x.terms else 0 for x in row] for row in cleared]
+    return cleared, scale, RationalFunction, read
 
 
 def solve(a, b):

@@ -340,6 +340,8 @@ def parse_spec(text: str) -> AlgebraSpec:
 
     generators = tuple(_typed(g, str, f"generators[{i}]")
                        for i, g in enumerate(raw_generators))
+    if len(set(generators)) != len(generators):
+        raise ParseError("duplicate generator")
     for g in generators:
         if g not in label_set:
             raise UnknownLabel(f"generator {g!r} not in the basis")

@@ -225,6 +225,14 @@ def test_usage_error_exits_1(capsys):
     code, _, _ = run_cli(capsys, "grassmannian", "-k", "2", "-n", "4",
                          "product", "2")
     assert code == 1
+    g24 = ["grassmannian", "-k", "2", "-n", "4"]
+    ig26 = ["algebra", "--file", str(bundled_ig26_path())]
+    for argv, action in ((g24 + ["table", "extra"], "table"),
+                         (g24 + ["diagnose", "1", "1"], "diagnose"),
+                         (g24 + ["euler", "1"], "euler"), (ig26 + ["table", "s1"], "table")):
+        assert run_cli(capsys, *argv) == (1, "", f"usage error: `{action}` takes no class labels\n")
+    assert run_cli(capsys, *g24, "product", "1") == (
+        1, "", "usage error: `product` needs exactly two class labels\n")
 
 
 def test_validation_error_exits_2(capsys):

@@ -18,7 +18,7 @@ from qeuler.frobenius import (
     FrobeniusAlgebra,
     Grading,
     QuantumElement,
-    _power_is_zero,
+    _nilpotent,
     base_field,
     change_basis,
     direct_sum,
@@ -940,9 +940,9 @@ def test_the_zero_element_is_nilpotent_and_no_unit(g24_algebra, ig26):
 
 def test_is_nilpotent_decides_over_q_where_q0_cannot():
     # ((q - 1) x)^2 = (q - 1)^2 q is zero at q0 = 1 only, and e / (q - 1)
-    # has a pole there, so the power over Q(q) decides both
+    # has a pole there, so the exact test over Q(q) decides both
     field, x = quadratic_extension(Q), QuantumElement.basis("x").scale(Q - 1)
-    assert _power_is_zero(field._matrix_at_point(x), field.rank)
+    assert _nilpotent(field._matrix_at_point(x))
     assert field.is_nilpotent(x) is False
     dual, e = dual_numbers(), QuantumElement({"e": ONE / (Q - 1)})
     assert dual._matrix_at_point(e) is None
@@ -1024,10 +1024,13 @@ def test_exact_zero_tests_agree_with_sympy():
     powers += [random_nilpotent(rng, n) for n in (2, 3) for _ in range(3)]
     dets += powers + [[[Y, ZERO], [ZERO, Z]]]
     powers.append([[ZERO, ONE], [X, ZERO]])
+    # det(t - m) = t^n at t = 1, ..., n - 1 but not at t = n
+    powers += [[[ZERO, ONE], [ONE, -ONE]], [[ZERO, Q], [ONE, -Q]],
+               [[ZERO, ZERO, -2 * ONE], [ONE, ZERO, 3 * ONE], [ZERO, ONE, -ONE]]]
     got = [not linalg.det(m) for m in dets]
     assert got == [not to_sympy(m).det() for m in dets]
     assert set(got) == {True, False}
-    got = [_power_is_zero(m, len(m)) for m in powers]
+    got = [_nilpotent(m) for m in powers]
     assert got == [(to_sympy(m) ** len(m)).is_zero_matrix for m in powers]
     assert set(got) == {True, False}
 

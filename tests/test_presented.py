@@ -234,6 +234,7 @@ def test_schema_errors_name_the_json_path(edit, message):
     (lambda raw: raw.update(point="p"), UnknownLabel, "label 'p' not in the basis"),
     (lambda raw: raw["generators"].append("g"), UnknownLabel,
      "generator 'g' not in the basis"),
+    (lambda raw: raw["generators"].append("1"), ParseError, "duplicate generator"),
     (lambda raw: raw["generator_products"].update({"0|1": []}), ParseError,
      "key '0|1' does not start with a generator"),
     (lambda raw: raw["generator_products"].update({"1|b": []}), UnknownLabel,
@@ -245,8 +246,8 @@ def test_schema_errors_name_the_json_path(edit, message):
     (lambda raw: (raw["basis"].append({"label": "a", "codim": 1}),
                   raw["generator_products"].update({"1|a": []})),
      MissingDefinition, "basis label 'a' has no definition"),
-], ids=["duplicate-label", "unit", "point", "generator", "key-start", "key-label",
-        "defined-label", "defined-twice", "no-definition"])
+], ids=["duplicate-label", "unit", "point", "generator", "duplicate-generator", "key-start",
+        "key-label", "defined-label", "defined-twice", "no-definition"])
 def test_spec_rejections_name_their_cause(edit, error, message):
     raw = minimal_spec()
     edit(raw)
