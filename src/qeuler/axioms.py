@@ -36,14 +36,12 @@ class Violation(str):
 def validate(algebra):
     """The violations of ``algebra``, in the order the axioms are listed
     above; see ``FrobeniusAlgebra.validate``."""
-    out = []
-    n = algebra.rank
-    basis, table = algebra.basis, algebra.structure_constants
+    out, n, basis, table = [], algebra.rank, algebra.basis, algebra._table
     elems = [QuantumElement.basis(l) for l in basis]
     for i in range(n):
         for j in range(i, n):
-            a, b = basis[i], basis[j]
-            if table[(a, b)] != table[(b, a)]:
+            if table[i * n + j] != table[j * n + i]:
+                a, b = basis[i], basis[j]
                 out.append(Violation("commutativity", (a, b),
                                      f"commutativity fails for pair ({a}, {b})"))
     for i, l in enumerate(basis):
@@ -62,14 +60,15 @@ def _failing_triples(algebra, elems, middles, after: bool):
     """The triples (x, s, y) of basis labels with s in ``middles`` and
     (x s) y != x (s y), in the order x, s, y; with ``after``, only the y
     that come after x in the basis."""
-    basis, table = algebra.basis, algebra.structure_constants
+    basis, n, table, element = algebra.basis, algebra.rank, algebra._table, algebra._element
+    rows = {s: [element(e) for e in table[s * n:s * n + n]]  # e_s * e_y, made once
+            for s in map(algebra.index.get, middles)}
     for i, x in enumerate(basis):
-        for s in middles:
-            xs = table[(x, s)]
-            for j in range(i + 1 if after else 0, algebra.rank):
-                if (algebra.multiply(xs, elems[j])
-                        != algebra.multiply(elems[i], table[(s, basis[j])])):
-                    yield x, s, basis[j]
+        for s, row in rows.items():
+            xs = element(table[i * n + s])
+            for j in range(i + 1 if after else 0, n):
+                if algebra.multiply(xs, elems[j]) != algebra.multiply(elems[i], row[j]):
+                    yield x, basis[s], basis[j]
 
 
 def _associativity_violations(algebra, elems):
@@ -112,7 +111,7 @@ def _generating_set(algebra):
         if len(echelon) < n and _insert_independent(echelon, [int(j == i) for j in range(n)]):
             generators.append(label)
             # by commutativity, times s is the operator of e_s
-            operators.append(algebra._operator_at_point(label))
+            operators.append(algebra._operator_at_point(i))
             # breadth first; a monomial that depends on the ones kept is
             # not extended, as its products depend on theirs
             echelon, queue = {}, deque([unit])
@@ -161,7 +160,9 @@ def _grading_violations(algebra):
     (two_n,) = unit_degrees
     out = []
     twice_chern = 2 * algebra.grading.chern_number
-    for (a, b), prod in algebra.structure_constants.items():
+    basis, n = algebra.basis, algebra.rank
+    for ab, prod in enumerate(algebra._table):
+        a, b = basis[ab // n], basis[ab % n]
         want = deg[a] + deg[b] - two_n
         for l, c in prod.items():
             if not c.is_polynomial():
@@ -169,8 +170,8 @@ def _grading_violations(algebra):
                                      f"non-polynomial coefficient in {a}*{b}"))
                 continue
             for k in c.num.terms:
-                if deg[l] - twice_chern * k != want:
+                if deg[basis[l]] - twice_chern * k != want:
                     out.append(Violation(
-                        "grading", (a, b, l),
-                        f"grading fails in {a}*{b}: term q^{k}*{l}"))
+                        "grading", (a, b, basis[l]),
+                        f"grading fails in {a}*{b}: term q^{k}*{basis[l]}"))
     return out

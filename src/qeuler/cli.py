@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from math import factorial
 
 from .errors import ComputeError, InputError, TooLarge
@@ -66,27 +65,6 @@ def _build_parser() -> _Parser:
     u.add_argument("--lambda", dest="weight", required=True)
     u.add_argument("--format", choices=["text", "json"], default="text")
     return parser
-
-
-def _parse_rational(text: str) -> Fraction:
-    try:
-        if "e" in text.lower():  # Fraction reads exponents; 1e5000 is too long to print
-            raise ValueError(text)
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise InputError(f"cannot parse rational number {text!r}") from None
-
-
-# a blank list is empty, and an empty entry in a list does not parse
-def _parse_rationals(text: str):
-    return [_parse_rational(part) for part in text.split(",")] if text.strip() else []
-
-
-def _parse_indices(text: str):
-    try:
-        return tuple(int(p) for p in text.split(",")) if text.strip() else ()
-    except ValueError:
-        raise InputError(f"cannot parse index list {text!r}") from None
 
 
 def _json_text(obj) -> str:
@@ -155,12 +133,12 @@ def _orbit_output(args) -> str:
             size = order if r == args.rank else f"more than {order}"
             raise TooLarge(f"the Weyl group of {family}{args.rank} has {size} elements, "
                            f"over the guard of {MAX_WEYL_ORDER} for gkm and hz-bound")
-    parabolic = _parse_indices(args.parabolic)
+    parabolic = roots._parse_indices(args.parabolic)
     if args.weight is not None:
-        weight = _parse_rationals(args.weight)
+        weight = roots._parse_rationals(args.weight)
     else:
         weight = roots.monotone_weight(family, args.rank, parabolic,
-                                       _parse_rational(args.kappa))
+                                       roots._parse_rational(args.kappa))
     spec = roots.make_orbit_spec(family, args.rank, parabolic, weight)
 
     if args.action == "chern":
@@ -175,7 +153,7 @@ def _orbit_output(args) -> str:
 
     if args.action == "monotone-weight":
         lam = weight if args.weight is None else roots.monotone_weight(
-            family, args.rank, parabolic, _parse_rational(args.kappa))
+            family, args.rank, parabolic, roots._parse_rational(args.kappa))
         if args.format == "json":
             return _json_text([str(x) for x in lam])
         return ",".join(str(x) for x in lam) + "\n"
@@ -216,7 +194,7 @@ def run(args) -> str:
                                args.format)
     if args.command == "orbit":
         return _orbit_output(args)
-    from .roots import _un_value
+    from .roots import _parse_rationals, _un_value
     value = _un_value(_parse_rationals(args.weight))
     if args.format == "json":
         return _json_text({"bound": str(value)})

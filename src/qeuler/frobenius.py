@@ -15,11 +15,14 @@ multiplication operator at one rational point before one exact
 generating set it finds there (Light's test) before it scans every basis
 triple.  ``is_nilpotent`` reads det(t - L) at t = 1, ..., n, exactly.
 
-Mirror rule: the constructor stores a product and its mirror as one
-object when the table gives only one order.  The gram matrix reads f once
-for such a pair, and a square ``multiply(x, x)`` reads its product once,
-with weight 2; a pair whose two orders are two objects is read in both,
-so a table that is wrong in one order only keeps its asymmetry.
+The table is a list of rank^2 entries, e_a * e_b at a * rank + b as
+{basis index: scalar}; labels are read where data comes in or text goes
+out, and ``GrassmannianRing.to_frobenius`` hands its table over on
+indices.  Mirror rule: a product and its mirror are one entry when the
+table gives only one order.  The gram matrix reads f once for such a pair,
+and a square ``multiply(x, x)`` reads its product once, with weight 2; a
+pair whose two orders are two objects is read in both, so a table that
+is wrong in one order only keeps its asymmetry.
 
 The Euler class E = sum(e_i * e_i^dual) takes one of two routes.  On an
 algebra whose axioms are known to hold (tables from
@@ -34,14 +37,15 @@ e_i * e_b in that order, without building the products e_i * e_i^dual.
 
 All operations are pure.  Beyond its table, an instance keeps only q0,
 found by the constructor, and the mark that ``validate()`` sets, which
-changes no result; the gram matrix and the operators at q0 are built anew
-on each call, so no caller can change a later result through them.
+changes no result; ``structure_constants``, the gram matrix and the
+operators at q0 are built anew on each call, so no caller can change a
+later result through them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import count, filterfalse
+from itertools import count, filterfalse, product
 from typing import NamedTuple
 
 from . import linalg
@@ -176,40 +180,60 @@ class FrobeniusAlgebra:
     def __init__(self, basis, structure_constants, unit, functional,
                  grading=None, name=None):
         self.basis = list(basis)
-        self.index = {label: i for i, label in enumerate(self.basis)}
+        self.index = index = {label: i for i, label in enumerate(self.basis)}
         if len(self.index) != len(self.basis):
             label = next(l for i, l in enumerate(self.basis) if self.index[l] != i)
             raise InputError(f"basis label {label!r} appears more than once")
-        self.rank = len(self.basis)
-        table = {}
+        self.rank = n = len(self.basis)
+        self._table, entries = [None] * n ** 2, {}
         for (a, b), elem in structure_constants.items():
             self._check_labels((a, b, *elem.coeffs))
-            table[(a, b)] = elem
+            # one object is one entry, as is a mirror left out; elem is kept, so its id is its own
+            entry = entries.setdefault(id(elem), (elem, {index[l]: c for l, c in elem.items()}))[1]
+            self._table[index[a] * n + index[b]] = entry
             if (b, a) not in structure_constants:
-                table[(b, a)] = elem
-        if len(table) != self.rank ** 2:
-            a, b = next((a, b) for a in self.basis for b in self.basis
-                        if (a, b) not in table)
+                self._table[index[b] * n + index[a]] = entry
+        if None in self._table:
+            a, b = (self.basis[i] for i in divmod(self._table.index(None), n))
             raise UnknownLabel(f"no structure constant for ({a!r}, {b!r})")
-        self.structure_constants = table
         self.unit = unit if isinstance(unit, QuantumElement) else QuantumElement.basis(unit)
         self._check_labels((*self.unit.coeffs, *functional))
         self.functional = {l: _as_scalar(c) for l, c in functional.items()}
-        self._support = [(l, c) for l, c in self.functional.items() if c]
+        self._support = [(index[l], c) for l, c in self.functional.items() if c]
         if grading is not None:
             self._check_labels(grading.real_degree)
             for missing in filterfalse(grading.real_degree.__contains__, self.basis):
                 raise UnknownLabel(f"no degree for label {missing!r}")
-        self.grading = grading
-        self.name = name
+        self.grading, self.name = grading, name
         # q0: the first positive integer that is no pole of any structure constant
-        dens = [c.den for prod in structure_constants.values()
-                for c in prod.coeffs.values() if not c.is_polynomial()]
-        self._q0 = next(point for point in count(1)
-                        if all(den.evaluate(point) for den in dens))
+        dens = [c.den for _, e in entries.values() for c in e.values() if not c.is_polynomial()]
+        self._q0 = next(point for point in count(1) if all(d.evaluate(point) for d in dens))
         # True when the axioms are known to hold, so f(E * x) = tr(L_x)
         # gives the Euler class; set by the constructors and validate()
         self._axioms_hold = False
+
+    @classmethod
+    def _from_index_table(cls, basis, table, functional, grading, name):
+        """The algebra of a table laid out as the constructor keeps it, unit
+        basis[0]; nothing is checked: the caller's axioms hold, and q0 = 1."""
+        self = cls.__new__(cls)
+        self.basis, self.rank, self._table = list(basis), len(basis), table
+        self.index = {label: i for i, label in enumerate(basis)}
+        self.unit, self.functional = QuantumElement.basis(basis[0]), functional
+        self._support = [(self.index[l], c) for l, c in functional.items() if c]
+        self.grading, self.name, self._q0, self._axioms_hold = grading, name, 1, True
+        return self
+
+    @property
+    def structure_constants(self) -> dict:
+        """The table as {(label a, label b): e_a * e_b}, built on each call;
+        a product and its mirror that are one entry are one element."""
+        elems = {id(e): self._element(e) for e in self._table}
+        return {pair: elems[id(e)] for pair, e in zip(product(self.basis, repeat=2), self._table)}
+
+    def _element(self, entry: dict) -> QuantumElement:
+        """The element of a table entry, on a new dict of labels."""
+        return QuantumElement._from_canonical({self.basis[l]: c for l, c in entry.items()})
 
     def _check_labels(self, labels):
         """``UnknownLabel`` naming the first of ``labels`` outside the basis."""
@@ -223,47 +247,45 @@ class FrobeniusAlgebra:
         label and denominator in ``scalar._accumulate`` and normalised once
         per denominator.  A square (``x is y``) takes each pair a != b once,
         with weight 2 where (a, b) and (b, a) share one object (mirror rule)."""
-        self._check_labels(x.coeffs)
-        self._check_labels(y.coeffs)
-        table, sums, ys = self.structure_constants, {}, list(y.items())
-        for i, (a, ca) in enumerate(x.items()):
+        table, n, sums = self._table, self.rank, {}
+        xs, ys = self._indexed(x), self._indexed(y)
+        for i, (a, ca) in enumerate(xs):
             for b, cb in ys[i:] if x is y else ys:
-                ab, c = table[(a, b)], ca * cb
+                ab, c = table[a * n + b], ca * cb
                 twice = x is y and a != b  # a square reads (b, a) with (a, b)
-                ba = table[(b, a)] if twice else ab
+                ba = table[b * n + a] if twice else ab
                 for prod, k in [(ab, 1 + twice)] if ba is ab else [(ab, 1), (ba, 1)]:
                     for l, cl in prod.items():
                         _accumulate(sums.setdefault(l, {}), k, c, cl)
-        return QuantumElement((l, _total(groups)) for l, groups in sums.items())
+        return QuantumElement((self.basis[l], _total(groups)) for l, groups in sums.items())
+
+    def _indexed(self, x: QuantumElement) -> list:
+        """The ``(basis index, coefficient)`` pairs of x, its labels checked."""
+        self._check_labels(x.coeffs)
+        return [(self.index[l], c) for l, c in x.items()]
 
     def f(self, x: QuantumElement) -> RationalFunction:
         """The Frobenius functional, extended linearly."""
-        self._check_labels(x.coeffs)
-        return self._f(x.coeffs)
+        return self._f(dict(self._indexed(x)))
 
     def _f(self, coeffs: dict) -> RationalFunction:
-        """``f`` on coefficients whose labels are known to be in the basis."""
-        total = ZERO
-        for l, value in self._support:
-            c = coeffs.get(l)
-            if c is not None:
-                total = total + c * value
-        return total
+        """``f`` on coefficients keyed by basis index."""
+        terms = [coeffs[i] * value for i, value in self._support if i in coeffs]
+        return sum(terms[1:], terms[0]) if terms else ZERO
 
     def eta(self, x: QuantumElement, y: QuantumElement) -> RationalFunction:
         return self.f(self.multiply(x, y))
 
     def gram_matrix(self):
         """Matrix of eta on the basis: eta[i][j] = f(e_i * e_j), a new list
-        on each call; ``_f`` of each checked table entry, by the mirror rule."""
-        table, n = self.structure_constants, self.rank
+        on each call; ``_f`` of each table entry, by the mirror rule."""
+        table, n = self._table, self.rank
         rows = [[None] * n for _ in range(n)]
-        for i, a in enumerate(self.basis):
+        for i in range(n):
             for j in range(i, n):
-                b = self.basis[j]
-                ab, ba = table[(a, b)], table[(b, a)]
-                rows[i][j] = value = self._f(ab.coeffs)
-                rows[j][i] = value if ba is ab else self._f(ba.coeffs)
+                ab, ba = table[i * n + j], table[j * n + i]
+                rows[i][j] = value = self._f(ab)
+                rows[j][i] = value if ba is ab else self._f(ba)
         return rows
 
     def dual_basis(self):
@@ -292,14 +314,14 @@ class FrobeniusAlgebra:
         table that is not commutative.  The gram matrix behind the duals
         follows the mirror rule of ``gram_matrix``.
         """
-        table = self.structure_constants
+        table, n, basis = self._table, self.rank, self.basis
         if not self._axioms_hold:
             return QuantumElement([
-                (l, cb * cl) for label, dual in zip(self.basis, self.dual_basis())
-                for b, cb in dual.items() for l, cl in table[(label, b)].items()])
-        traces = [{} for _ in self.basis]  # t_a = sum_b c_{a,b}^b, as multiply sums
-        for a, groups in zip(self.basis, traces):
-            for c in filter(None, (table[(a, b)].coeffs.get(b) for b in self.basis)):
+                (basis[l], cb * cl) for i, dual in enumerate(self.dual_basis())
+                for b, cb in self._indexed(dual) for l, cl in table[i * n + b].items()])
+        traces = [{} for _ in basis]  # t_a = sum_b c_{a,b}^b, as multiply sums
+        for a, groups in enumerate(traces):
+            for c in filter(None, (table[a * n + b].get(b) for b in range(n))):
                 _accumulate(groups, 1, c, ONE)
         try:
             sol = linalg.solve(self.gram_matrix(), [[_total(t) if t else ZERO] for t in traces])
@@ -317,21 +339,19 @@ class FrobeniusAlgebra:
     def trace_of_multiplication(self, x: QuantumElement) -> RationalFunction:
         return linalg.trace(self.operator_matrix(x))
 
-    def _operator_at_point(self, label):
-        """The operator of e_label at q0 as columns, each the list of
-        nonzero ``(i, value)`` of e_label * e_j there, evaluated on each
+    def _operator_at_point(self, a: int):
+        """The operator of the basis element a at q0 as columns, each the
+        list of nonzero ``(i, value)`` of e_a * e_j there, evaluated on each
         call."""
-        return [[(self.index[l], c.evaluate(self._q0))
-                 for l, c in self.structure_constants[(label, b)].items()]
-                for b in self.basis]
+        return [[(l, c.evaluate(self._q0)) for l, c in entry.items()]
+                for entry in self._table[a * self.rank:(a + 1) * self.rank]]
 
     def _vector_at_point(self, x: QuantumElement):
         """Coordinates of x at q0, or None at a pole of x."""
-        self._check_labels(x.coeffs)
         vec = [0] * self.rank
-        for l, c in x.items():
+        for i, c in self._indexed(x):
             try:
-                vec[self.index[l]] = c.evaluate(self._q0)
+                vec[i] = c.evaluate(self._q0)
             except DivisionByZero:
                 return None
         return vec
@@ -342,9 +362,9 @@ class FrobeniusAlgebra:
         if vec is None:
             return None
         m = [[0] * self.rank for _ in range(self.rank)]
-        for label, value in zip(self.basis, vec):
+        for a, value in enumerate(vec):
             if value:
-                for j, column in enumerate(self._operator_at_point(label)):
+                for j, column in enumerate(self._operator_at_point(a)):
                     for i, entry in column:
                         m[i][j] += value * entry
         return m
@@ -448,19 +468,18 @@ class FrobeniusAlgebra:
         when given, labels the unit's row and column instead, provided the
         unit is a single basis element.
         """
+        products = [self.render_element(self._element(entry)) for entry in self._table]
         if fmt == "text":
-            return "".join(
-                f"s[{a}] * s[{b}] = {self.render_element(self.structure_constants[(a, b)])}\n"
-                for a in self.basis for b in self.basis)
+            return "".join(f"s[{a}] * s[{b}] = {p}\n"
+                           for (a, b), p in zip(product(self.basis, repeat=2), products))
         cells = {l: f"s[{l}]" for l in self.basis}
         unit_label = self._unit_label()
         if unit_cell is not None and unit_label is not None:
             cells[unit_label] = unit_cell
         header = ["*"] + [cells[b] for b in self.basis]
         lines = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
-        for a in self.basis:
-            row = [cells[a]] + [self.render_element(self.structure_constants[(a, b)])
-                                for b in self.basis]
+        for i, a in enumerate(self.basis):
+            row = [cells[a]] + products[i * self.rank:(i + 1) * self.rank]
             lines.append("| " + " | ".join(row) + " |")
         return "\n".join(lines) + "\n"
 
@@ -469,8 +488,8 @@ class FrobeniusAlgebra:
 
     def table_to_json(self) -> dict:
         """Every product ``s[a] * s[b]``, keyed ``"a|b"``."""
-        return {f"{a}|{b}": self.element_to_json(self.structure_constants[(a, b)])
-                for a in self.basis for b in self.basis}
+        return {f"{a}|{b}": self.element_to_json(self._element(e))
+                for (a, b), e in zip(product(self.basis, repeat=2), self._table)}
 
     def report_to_json(self, report: DiagnoseReport) -> dict:
         return {

@@ -10,12 +10,13 @@ computed two independent ways:
   |mu| = |lam| + p, and, when lam has k rows, q * s_nu for
   lam_{i+1} - 1 <= nu_i <= lam_i - 1 (nu_k >= 0) and |nu| = |lam| + p - n.
   The ring is graded, |lam| + |mu| = |nu| + n*d, so a term is a class
-  index and an int, and ``_collect`` reads the power q^d off the sizes.
-  A shape's basis and Pieri rows are made once a process, products per call;
+  index and an int, and ``_scalars`` reads the power q^d off the sizes.
+  A shape's basis and Pieri rows are made once a process, products per
+  call, and ``to_frobenius`` hands its table over on class indices;
 * ``rim_hook_product`` computes the classical Littlewood-Richardson
-  expansion in at most k rows (Jacobi-Trudi determinant plus classical
-  Pieri steps) and then reduces each term by removing border strips of
-  size n, with a sign per removal, and checks that d strips came off.
+  expansion in at most k rows (``qeuler.classical``) and then reduces
+  each term by removing border strips of size n, with a sign per
+  removal, and checks that d strips came off.
 
 Their agreement on every basis pair is part of the test suite, not an
 assumption.
@@ -28,7 +29,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import ComputeError, InvalidShape, InvalidSpecialClass, UnknownLabel
-from .frobenius import FrobeniusAlgebra, Grading, QuantumElement, _axioms_known
+from .frobenius import FrobeniusAlgebra, Grading, QuantumElement
 from .scalar import ONE, ZERO, RationalFunction
 
 Partition = tuple
@@ -137,6 +138,7 @@ class GrassmannianRing:
 
     def rim_hook_product(self, lam: Partition, mu: Partition) -> QuantumElement:
         """Independent oracle: classical LR expansion, then n-rim-hook reduction."""
+        from .classical import _classical_product_rows_capped, _jacobi_trudi_monomials
         self.check_member(lam)
         self.check_member(mu)
         size = sum(lam) + sum(mu)
@@ -156,31 +158,37 @@ class GrassmannianRing:
 
     def _collect(self, size: int, terms: dict) -> QuantumElement:
         """Element from the terms {class index: coefficient} of s_lam * s_mu,
-        ``size`` = |lam| + |mu|: class nu carries q^d, d = (size - |nu|) / n.
-        Each distinct (d, coefficient) is one canonical, nonzero
-        ``RationalFunction`` that every product of the ring shares, and each
-        label comes once, so the element stores the dict as is.
-        """
-        coeffs = {}
+        ``size`` = |lam| + |mu|; its scalars are those of ``_scalars``."""
+        return QuantumElement._from_canonical(
+            {self._labels[t]: c for t, c in self._scalars(size, terms).items()})
+
+    def _scalars(self, size: int, terms: dict) -> dict:
+        """{class index: scalar} of the terms of s_lam * s_mu, ``size`` =
+        |lam| + |mu|: class nu carries q^d, d = (size - |nu|) / n.  Each
+        distinct (d, coefficient) is one canonical, nonzero
+        ``RationalFunction`` that every product of the ring shares."""
+        out = {}
         for t, c in terms.items():
             if c:
                 key = ((size - self._sizes[t]) // self.n, c)
                 scalar = self._scalar_cache.get(key)
                 if scalar is None:
                     scalar = self._scalar_cache[key] = RationalFunction.monomial(c, key[0])
-                coeffs[self._labels[t]] = scalar
-        return QuantumElement._from_canonical(coeffs)
+                out[t] = scalar
+        return out
 
     # -- compilation -----------------------------------------------------------
 
     def to_frobenius(self) -> FrobeniusAlgebra:
-        """Compile to a Frobenius algebra: f = coefficient at the point class."""
+        """Compile to a Frobenius algebra: f = coefficient at the point class.
+        The table goes over on class indices, unchecked: the skeleton made
+        them, and a product and its mirror are one entry."""
         labels, sizes, steps = self._labels, self._sizes, self._steps
-        table = {}
-        for j in range(len(labels)):
-            memo = [{j: 1}] + [None] * (len(labels) - 1)  # column j of the table
+        rank, table = len(labels), [None] * len(labels) ** 2
+        for j in range(rank):
+            memo = [{j: 1}] + [None] * (rank - 1)  # column j of the table
             for i in range(j + 1):
-                table[(labels[i], labels[j])] = self._collect(
+                table[i * rank + j] = table[j * rank + i] = self._scalars(
                     sizes[i] + sizes[j], self._product_terms(i, memo, steps))
         point = labels[-1]  # the basis runs by size, so the point class is last
         functional = {l: (ONE if l == point else ZERO) for l in labels}
@@ -188,10 +196,8 @@ class GrassmannianRing:
             real_degree={l: self.degree(p) for l, p in zip(labels, self.basis)},
             chern_number=self.chern_number,
         )
-        return _axioms_known(FrobeniusAlgebra(
-            labels, table, "0", functional, grading=grading,
-            name=f"QH(G({self.k},{self.n}))",
-        ))
+        return FrobeniusAlgebra._from_index_table(
+            labels, table, functional, grading, f"QH(G({self.k},{self.n}))")
 
     # -- rendering ---------------------------------------------------------------
 
@@ -259,75 +265,6 @@ def _skeleton(k: int, n: int) -> _Skeleton:
         steps.append((p_rows, nu, tuple(t for t in p_rows[nu] if t != m)))
     return _Skeleton(basis, index, tuple(map(partition_label, basis)),
                      tuple(map(sum, basis)), tuple(steps))
-
-
-# ---------------------------------------------------------------------------
-# oracle internals: classical products in <= k rows, then rim-hook reduction
-# ---------------------------------------------------------------------------
-
-def _classical_pieri_rows_capped(lam: Partition, p: int, k: int):
-    """Classical Pieri step: add a horizontal strip of size p, keep <= k rows,
-    no bound on the width.  Returns a tuple of partitions.
-
-    Row by row: the first row takes at most p boxes and row i at most
-    lam_{i-1} - lam_i, which is the strip condition mu_i <= lam_{i-1} and
-    keeps mu decreasing; (mu so far, boxes left) per partial strip.
-    """
-    lam_p = _pad(lam, k)
-    partial = [((), p)]
-    for i in range(k):
-        room = lam_p[i - 1] - lam_p[i] if i else p
-        partial = [(acc + (lam_p[i] + add,), left - add) for acc, left in partial
-                   for add in range(min(room, left) + 1)]
-    return tuple(tuple(x for x in acc if x) for acc, left in partial if not left)
-
-
-def _jacobi_trudi_monomials(mu: Partition, k: int):
-    """s_mu as a signed sum of products h_{p1} * h_{p2} * ...; no truncation.
-
-    The k x k determinant of h_{mu_i + j - i}, with h_0 = 1 and h_p = 0 for
-    p < 0, as a tuple of (sign, factors), one per permutation that picks no
-    vanishing entry, in the order of the permutations.  Rows are filled
-    from the last: row i may take any free column j >= i - mu_i, and every
-    column a later row took is one of those, so no choice is a dead end and
-    the walk visits the surviving terms only, not all k! permutations.
-    """
-    mu_p = _pad(mu, k)
-    # (columns of rows i .. k-1, inversions among them)
-    partial = [((), 0)]
-    for i in reversed(range(k)):
-        partial = [((j,) + cols, inv + sum(c < j for c in cols))
-                   for cols, inv in partial
-                   for j in range(max(i - mu_p[i], 0), k) if j not in cols]
-    return tuple(
-        (-1 if inv % 2 else 1,
-         tuple(mu_p[i] + j - i for i, j in enumerate(cols) if mu_p[i] + j > i))
-        for cols, inv in sorted(partial))
-
-
-def _classical_product_rows_capped(lam: Partition, monomials, k: int,
-                                   steps: dict) -> dict:
-    """Littlewood-Richardson expansion of s_lam * s_mu kept to <= k rows,
-    where ``monomials`` is ``_jacobi_trudi_monomials(mu, k)``.
-
-    ``steps`` keeps the classical Pieri steps, keyed (partition, p), for
-    later products with the same k.
-    """
-    acc = {}
-    for sign, factors in monomials:
-        terms = {lam: 1}
-        for p in factors:
-            nxt = {}
-            for part, c in terms.items():
-                step = steps.get((part, p))
-                if step is None:
-                    step = steps[(part, p)] = _classical_pieri_rows_capped(part, p, k)
-                for part2 in step:
-                    nxt[part2] = nxt.get(part2, 0) + c
-            terms = nxt
-        for part, c in terms.items():
-            acc[part] = acc.get(part, 0) + sign * c
-    return {p: c for p, c in acc.items() if c}
 
 
 def rim_hook_reduce(rho: Partition, k: int, n: int):

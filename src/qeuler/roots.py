@@ -19,7 +19,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .errors import (ComputeError, InvalidShape, NotRegular, TooLarge,
+from .errors import (ComputeError, InputError, InvalidShape, NotRegular, TooLarge,
                      UnsupportedType)
 
 Vector = tuple
@@ -239,3 +239,25 @@ def _un_value(lam) -> Fraction:
 def un_closed_form(lam) -> tuple:
     """(``_un_value(lam)``, the matching full-flag orbit data), lam a sequence."""
     return _un_value(lam), make_orbit_spec("A", len(lam) - 1, (), lam)
+
+
+# the command line's numbers: only ``orbit`` and ``un-capacity`` read them
+def _parse_rational(text: str) -> Fraction:
+    try:
+        if "e" in text.lower():  # Fraction reads exponents; 1e5000 is too long to print
+            raise ValueError(text)
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise InputError(f"cannot parse rational number {text!r}") from None
+
+
+# a blank list is empty, and an empty entry in a list does not parse
+def _parse_rationals(text: str):
+    return [_parse_rational(part) for part in text.split(",")] if text.strip() else []
+
+
+def _parse_indices(text: str):
+    try:
+        return tuple(int(p) for p in text.split(",")) if text.strip() else ()
+    except ValueError:
+        raise InputError(f"cannot parse index list {text!r}") from None

@@ -1,3 +1,6 @@
+from fractions import Fraction
+from math import comb
+
 import pytest
 import sympy
 from sympy.polys.matrices import DomainMatrix
@@ -103,6 +106,40 @@ def chevalley_c1_terms(family, rank, parabolic):
             elif v_length == length + 1 - c:
                 terms.append((u, v, c, True))
     return len(cosets), terms
+
+
+def sigma1_charpoly(k, n, q):
+    """The characteristic polynomial of sigma_1 * on QH(G(k, n)) at the
+    rational point q, as ``Fraction`` coefficients, highest degree first.
+
+    Its roots are the sums over the k-subsets of the n roots z_i of
+    x^n = c, c = (-1)^(k+1) q (Siebert and Tian, Asian J. Math. 1 (1997);
+    Bertram, Adv. Math. 128 (1997); Rietsch, Duke Math. J. 110 (2001)), so
+    it needs no root of unity: sum_i z_i^m is n c^(m/n) when n divides m,
+    else 0.  The subset sums have the exponential generating function
+    e_k(exp(t z_1), ..., exp(t z_n)), and the power sums of the exp(t z_i)
+    are p_j(t) = sum_m (sum_i z_i^m) (j t)^m / m!.  Newton's identities give
+    e_k from p_1, ..., p_k, each series cut after t^N, N = C(n, k), and
+    kept as the coefficients of t^m / m!, so the m-th one of e_k is the
+    m-th power sum of the roots.  Newton's identities once more give the
+    coefficients.  Nothing here shares code with the Pieri rule or with the
+    rim-hook oracle.
+    """
+    size, c = comb(n, k), Fraction((-1) ** (k + 1) * q)
+    # p_j has terms only at the multiples of n
+    p = [None] + [[(m, n * c ** (m // n) * j ** m) for m in range(0, size + 1, n)]
+                  for j in range(1, k + 1)]
+    e = [[Fraction(1)] + [0] * size]  # i e_i = sum_j (-1)^(j-1) e_(i-j) p_j
+    for i in range(1, k + 1):
+        e.append([Fraction(sum((-1) ** (j - 1) * comb(d, m) * x * e[i - j][d - m]
+                               for j in range(1, i + 1) for m, x in p[j]
+                               if m <= d and e[i - j][d - m]), i)
+                  for d in range(size + 1)])
+    power = [(i, (-1) ** (i - 1) * x) for i, x in enumerate(e[k]) if i and x]
+    elementary = [Fraction(1)]  # m E_m = sum_i (-1)^(i-1) E_(m-i) P_i
+    for m in range(1, size + 1):
+        elementary.append(Fraction(sum(elementary[m - i] * x for i, x in power if i <= m), m))
+    return [(-1) ** m * x for m, x in enumerate(elementary)]
 
 
 def to_sympy(m):

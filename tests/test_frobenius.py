@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from collections.abc import Mapping
 from pathlib import Path
 
 import pytest
@@ -566,6 +567,79 @@ def test_gram_matrix_reads_a_pair_twice_unless_it_is_one_object(g24_algebra, ig2
                                          for a in algebra.basis]
     i, j = moved.index["1"], moved.index["2,1"]
     assert moved.gram_matrix()[i][j] == 2 and moved.gram_matrix()[j][i] == 1
+
+
+def test_structure_constants_is_a_new_mapping_on_each_call():
+    """``structure_constants`` is built from the table on each call, new
+    elements on new dicts included, so that no edit to one, of a key, of an
+    element or of an element's coefficients, changes a later product or
+    report."""
+    algebra = GrassmannianRing(2, 4).to_frobenius()
+    before = algebra.structure_constants
+    table, report = algebra.table_to_json(), algebra.report_to_json(algebra.diagnose())
+    edited = algebra.structure_constants
+    assert edited is not before and edited == before
+    assert edited[("1", "1")] is not before[("1", "1")]
+    edited[("1", "1")] = QuantumElement()
+    del edited[("2", "2")]
+    edited[("2,1", "2,1")].coeffs.clear()  # an element is immutable, its dict is not
+    assert algebra.structure_constants == before
+    assert algebra.table_to_json() == table
+    assert algebra.report_to_json(algebra.diagnose()) == report
+    sigma1 = QuantumElement.basis("1")
+    assert algebra.multiply(sigma1, sigma1) == before[("1", "1")] != QuantumElement()
+
+
+@pytest.mark.parametrize("k, n", [(1, 3), (2, 4), (3, 6), (2, 7)], ids=str)
+def test_a_grassmannian_product_and_its_mirror_are_one_element(k, n):
+    table = GrassmannianRing(k, n).to_frobenius().structure_constants
+    assert len(table) == len(GrassmannianRing(k, n).basis) ** 2
+    assert all(table[(a, b)] is table[(b, a)] for a, b in table)
+
+
+@pytest.mark.parametrize("k, n", [(2, 4), (2, 5), (3, 6), (2, 7)], ids=str)
+def test_the_public_constructor_rebuilds_a_grassmannian_table(k, n, monkeypatch):
+    """The label constructor, given what ``to_frobenius`` hands over on
+    indices, gives the same JSON table and report.  It takes the dual-basis
+    route, as the axioms of a table from outside are not known, and keeps
+    each mirror pair one element."""
+    algebra = GrassmannianRing(k, n).to_frobenius()
+    rebuilt = FrobeniusAlgebra(algebra.basis, algebra.structure_constants, "0",
+                               algebra.functional, grading=algebra.grading)
+    duals = []
+    dual_basis = FrobeniusAlgebra.dual_basis
+    monkeypatch.setattr(FrobeniusAlgebra, "dual_basis",
+                        lambda self: duals.append(self) or dual_basis(self))
+    assert rebuilt.table_to_json() == algebra.table_to_json()
+    assert rebuilt.report_to_json(rebuilt.diagnose()) == algebra.report_to_json(
+        algebra.diagnose())
+    assert duals == [rebuilt]
+    table = rebuilt.structure_constants
+    assert all(table[(a, b)] is table[(b, a)] for a, b in table)
+
+
+class _FreshProducts(Mapping):
+    """A table that makes each product anew on every read, so each one
+    is freed before the next is made and may take its id."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def __getitem__(self, pair):
+        return QuantumElement(dict(self.table[pair].coeffs))
+
+    def __iter__(self):
+        return iter(self.table)
+
+    def __len__(self):
+        return len(self.table)
+
+
+def test_products_made_on_each_read_keep_their_own_entries(g24_algebra):
+    for algebra in (g24_algebra, GrassmannianRing(2, 5).to_frobenius()):
+        fresh = FrobeniusAlgebra(algebra.basis, _FreshProducts(algebra.structure_constants),
+                                 "0", algebra.functional, grading=algebra.grading)
+        assert fresh.table_to_json() == algebra.table_to_json()
 
 
 def test_euler_class_is_the_sum_of_the_products_with_the_duals(g24_algebra, ig26):

@@ -1,9 +1,13 @@
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
+from sympy import ZZ
+from sympy.polys.matrices import DomainMatrix
 
-from conftest import element, g24_expected
+from conftest import element, g24_expected, sigma1_charpoly
 from qeuler import grassmannian
 from qeuler.errors import ComputeError, InvalidShape, InvalidSpecialClass, UnknownLabel
 from qeuler.frobenius import FrobeniusAlgebra, QuantumElement
@@ -125,7 +129,7 @@ def test_rim_hook_examples(g24):
 def test_sign_calibration_against_pieri(g24):
     """Pin the border-strip sign convention: (-1)^(k-height) reproduces the
     quantum Pieri products of G(2,4); (-1)^(height-1) does not."""
-    from qeuler.grassmannian import _classical_product_rows_capped, _jacobi_trudi_monomials
+    from qeuler.classical import _classical_product_rows_capped, _jacobi_trudi_monomials
 
     def oracle(lam, mu, rule):
         acc = {}
@@ -196,7 +200,7 @@ def _jacobi_trudi_by_permutations(mu, k):
 
 
 def test_jacobi_trudi_expansion_matches_all_permutations():
-    from qeuler.grassmannian import _jacobi_trudi_monomials
+    from qeuler.classical import _jacobi_trudi_monomials
 
     for k in range(1, 7):
         for mu in enumerate_basis(k, k + 4):
@@ -386,6 +390,35 @@ def test_sigma1_is_irreducible_at_q1_as_the_field_factor_says(k, n):
 
 def test_ig26_sigma1_is_irreducible_at_q1_as_the_field_factor_says(ig26):
     _check_perron_frobenius_route(ig26)
+
+
+def test_sigma1_spectrum_is_that_of_the_k_subset_sums_of_the_roots():
+    """The characteristic polynomial of sigma_1 * from the table, by sympy
+    over ZZ, against the one ``sigma1_charpoly`` builds from the roots of
+    x^n = (-1)^(k+1) q alone, at q = 1 and q = 2 on every desk-scale
+    Grassmannian."""
+    for k, n in DESK_SCALE:
+        algebra = GrassmannianRing(k, n).to_frobenius()
+        for q in (1, 2):
+            m = _sigma1_at(algebra, q)
+            got = DomainMatrix([[ZZ(x) for x in row] for row in m], (len(m), len(m)),
+                               ZZ).charpoly()
+            assert [int(x) for x in got] == sigma1_charpoly(k, n, q), (k, n, q)
+
+
+def test_the_desk_scale_tables_and_reports_are_pinned():
+    """One sha256 over the JSON table, the JSON report and the markdown
+    grid of every desk-scale Grassmannian, in the order of DESK_SCALE."""
+    digest = hashlib.sha256()
+    for k, n in DESK_SCALE:
+        algebra = GrassmannianRing(k, n).to_frobenius()
+        for text in (json.dumps(algebra.table_to_json()),
+                     json.dumps(algebra.report_to_json(algebra.diagnose())),
+                     algebra.render_table("md", unit_cell="1")):
+            digest.update(text.encode("utf-8"))
+    assert len(DESK_SCALE) == 35
+    assert digest.hexdigest() == (
+        "d5191b44df3b4bdc90cb771234c70d102d96f653942af1ffc836a7f1c384e2ab")
 
 
 def test_duality_delta_pairs():

@@ -52,9 +52,9 @@ def source_lines(module):
     (("un-capacity", "--lambda", "3,1,0"), 618),
     (("orbit", "--family", "A", "--rank", "3", "--parabolic", "1,3", "chern"), 618),
     (("orbit", "--family", "B", "--rank", "3", "--parabolic", "2", "hz-bound"), 1048),
-    (("grassmannian", "-k", "2", "-n", "4", "diagnose"), 1950),
-    (("grassmannian", "-k", "2", "-n", "5", "table", "--format", "md"), 1950),
-    (("algebra", "--file", str(SRC / "qeuler" / "data" / "ig26.json"), "diagnose"), 2249),
+    (("grassmannian", "-k", "2", "-n", "4", "diagnose"), 1884),
+    (("grassmannian", "-k", "2", "-n", "5", "table", "--format", "md"), 1884),
+    (("algebra", "--file", str(SRC / "qeuler" / "data" / "ig26.json"), "diagnose"), 2247),
 ], ids=["un-capacity", "orbit-chern", "orbit-hz-bound", "grassmannian-diagnose",
         "grassmannian-table", "ig26-diagnose"])
 def test_each_command_loads_no_more_lines_than_its_budget(argv, budget):
